@@ -9,13 +9,12 @@ assembled in the exponential basis, where ``d/dz + i*mu`` is diagonal and
 multiplication by a trigonometric polynomial is a banded Toeplitz block.
 """
 
-import os
 import numpy as np
 import scipy.linalg
 from dataclasses import dataclass
 
-from .fourier import TrigSeries, ComplexFourierVector
-from .waves import Model, SQRT3
+from .fourier import ComplexFourierVector
+from .waves import Model, SQRT3, linearized_operator
 
 __all__ = [
     "BlochPencil", "SpectrumSample", "CollisionRecord", "SymmetryReport",
@@ -82,48 +81,19 @@ class SymmetryReport:
                 and self.hausdorff_conjugation <= self.tol)
 
 
-def _mult_matrix(series, n_modes):
-    """Toeplitz matrix of multiplication by a real series, exp basis."""
-    modes = series.resized(n_modes).to_modes()
-    n = n_modes
-    col = np.concatenate([modes[n:], np.zeros(n, dtype=complex)])
-    row = np.concatenate([modes[n::-1], np.zeros(n, dtype=complex)])
-    return scipy.linalg.toeplitz(col, row)
-
-
 def assemble_pencil(model, branch, mu, n_modes=None):
     """Build the Bloch pencil at the given Floquet exponent.
 
-    Composition order matches the operators: the second-order block is
-    ``(d/dz + i mu)^2`` applied *after* multiplication by the profile
-    coefficient for the ``k^2 (.)''`` terms, while the model-B
-    ``(w')^2`` term multiplies *after* differentiation.
+    ``L0`` is the linearized traveling-wave operator at ``mu``; ``L1`` is
+    diagonal, ``2c (d/dz + i mu)`` for model A and ``d/dz + i mu`` for B.
     """
     if not -0.5 < mu <= 0.5:
         raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
     n = branch.n_modes if n_modes is None else n_modes
     k, c = branch.k, branch.c
-    eta = branch.eta.resized(n)
+    l0 = linearized_operator(model, branch.eta.resized(n), c, k, mu)
     dz = 1j * (np.arange(-n, n + 1) + mu)
-    eye = np.eye(2 * n + 1, dtype=complex)
-
-    if model.is_a:
-        # T = 2(c lam - k^2 eta') (d+imu) + k^2 (d+imu)^2 [(2 eta - 3c^2) .] - 1
-        coef = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
-        l0 = (-2.0 * k**2) * (_mult_matrix(eta.deriv(), n) * dz[None, :]) \
-            + k**2 * (dz**2)[:, None] * _mult_matrix(coef, n) - eye
-        l1 = np.diag(2.0 * c * dz)
-    else:
-        g = model.gamma
-        wz = eta.deriv()
-        first = (-k**2) * wz + (-g * k**4) * (wz * eta.deriv(2))
-        l0 = _mult_matrix(first, n) * dz[None, :] \
-            + k**2 * (dz**2)[:, None] * _mult_matrix(
-                eta + TrigSeries.constant(-c, n), n) \
-            - 0.5 * g * k**4 * (_mult_matrix(wz * wz, n) * (dz**2)[None, :]) \
-            - eye
-        l1 = np.diag(dz)
-
+    l1 = np.diag(2.0 * c * dz if model.is_a else dz)
     return BlochPencil(model=model, mu=mu, n_modes=n, L0=l0, L1=l1,
                        a=branch.a, k=k, c=c)
 
@@ -256,33 +226,17 @@ def symmetry_check(sample_plus, sample_minus, tol=1e-8):
                           unmatched=tuple(unmatched))
 
 
-def _max_workers():
-    env = os.environ.get("MWSTAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def parallel_map(fn, items):
-    """Ordered map over a grid; threads capped by ``MWSTAB_THREADS``.
+    """Ordered map over a Floquet grid.
 
-    The per-item work is LAPACK-dominated and releases the GIL, so plain
-    threads give real parallelism; results keep grid order.
+    Every sweep passes through this one function, which ``perfbench``
+    traces by name.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    items = list(items)
-    workers = min(_max_workers(), max(len(items), 1))
-    if len(items) <= 1 or workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    return [fn(item) for item in items]
 
 
-def sweep_mus(model, branch, mus, n_modes=None, worker=None):
-    """Spectra (or another per-pencil quantity) over a Floquet grid."""
-    if worker is None:
-        worker = spectrum_slice
+def sweep_mus(model, branch, mus, n_modes=None):
+    """Spectra over a Floquet grid."""
     return parallel_map(
-        lambda mu: worker(assemble_pencil(model, branch, mu,
-                                          n_modes=n_modes)), mus)
+        lambda mu: spectrum_slice(assemble_pencil(model, branch, mu,
+                                                  n_modes=n_modes)), mus)

@@ -69,12 +69,20 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_mu_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"mu grid must be start:stop:count, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = finite_float(parts[0]), finite_float(parts[1])
+        count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad mu grid {text!r}: {exc}") from None
     if count < 2:
@@ -131,13 +139,13 @@ def resolve_config(args):
 
     config = RunConfig(
         model=pick(args.model, "model", str, "A"),
-        gamma=pick(args.gamma, "gamma", float, 0.0),
-        k=pick(args.k, "k", float, 1.0),
-        a=pick(args.a, "a", float, 0.02),
+        gamma=pick(args.gamma, "gamma", finite_float, 0.0),
+        k=pick(args.k, "k", finite_float, 1.0),
+        a=pick(args.a, "a", finite_float, 0.02),
         n_modes=pick(args.modes, "modes", int, 64),
         mu_grid=pick(getattr(args, "mu_grid", None), "mu_grid",
                      parse_mu_grid, None),
-        tol=pick(args.tol, "tol", float, 1e-12),
+        tol=pick(args.tol, "tol", finite_float, 1e-12),
         out=pick(getattr(args, "out", None), "out", str, None),
         format=pick(getattr(args, "format", None), "format", str, None),
     )
@@ -166,6 +174,10 @@ def _float(x):
     return repr(float(x))
 
 
+def _json(payload, **kwargs):
+    return json.dumps(payload, allow_nan=False, **kwargs) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -183,7 +195,7 @@ def cmd_wave(args):
         "cos_coeffs": list(branch.eta.cos),
         "residual_norm": branch.residual_norm,
     }
-    _emit(json.dumps(payload) + "\n", config.out)
+    _emit(_json(payload), config.out)
     return EXIT_OK
 
 
@@ -230,7 +242,7 @@ def cmd_index(args):
         "disc_samples": [[mu, disc] for mu, disc in report.disc_samples],
         "threshold_estimate": threshold,
     }
-    _emit(json.dumps(payload) + "\n", config.out)
+    _emit(_json(payload), config.out)
     return EXIT_INDETERMINATE if report.verdict == "indeterminate" \
         else EXIT_OK
 
@@ -273,7 +285,7 @@ def cmd_expand(args):
         return EXIT_OK if not diffs else 1
     dump = build_dump(config.model)
     if config.format == "json" or config.format is None:
-        text = json.dumps(dump, indent=2, sort_keys=True) + "\n"
+        text = _json(dump, indent=2, sort_keys=True)
     else:
         rows = []
         for section in sorted(dump):
@@ -298,13 +310,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--model", choices=("A", "B"))
-    common.add_argument("--k", type=float)
-    common.add_argument("--a", type=float)
-    common.add_argument("--gamma", type=float)
+    common.add_argument("--k", type=finite_float)
+    common.add_argument("--a", type=finite_float)
+    common.add_argument("--gamma", type=finite_float)
     common.add_argument("--modes", type=int)
     common.add_argument("--mu-grid", dest="mu_grid", type=parse_mu_grid,
                         metavar="START:STOP:COUNT")
-    common.add_argument("--tol", type=float)
+    common.add_argument("--tol", type=finite_float)
     common.add_argument("--out")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--config", metavar="PATH")
@@ -325,8 +337,8 @@ def build_parser():
 
     p_index = sub.add_parser("index", parents=[common],
                              help="discriminant sweep and verdict (JSON)")
-    p_index.add_argument("--gamma-lo", dest="gamma_lo", type=float)
-    p_index.add_argument("--gamma-hi", dest="gamma_hi", type=float)
+    p_index.add_argument("--gamma-lo", dest="gamma_lo", type=finite_float)
+    p_index.add_argument("--gamma-hi", dest="gamma_hi", type=finite_float)
     p_index.set_defaults(func=cmd_index)
 
     p_coll = sub.add_parser("collisions", parents=[common],
@@ -343,30 +355,30 @@ def build_parser():
     return parser
 
 
+def _report(error, exc, **extra):
+    sys.stderr.write(_json({"error": error, "message": str(exc), **extra}))
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        sys.stderr.write(json.dumps({"error": "config",
-                                     "message": str(exc)}) + "\n")
+        _report("config", exc)
         return EXIT_CONFIG
     except ValidityError as exc:
-        sys.stderr.write(json.dumps({"error": "validity",
-                                     "message": str(exc)}) + "\n")
+        _report("validity", exc)
         return EXIT_CONFIG
     except ConvergenceError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": "convergence", "message": str(exc),
-             "residual_norm": exc.residual_norm}) + "\n")
+        residual = exc.residual_norm
+        _report("convergence", exc, residual_norm=float(residual)
+                if np.isfinite(residual) else None)
         return EXIT_SOLVER
     except ValueError as exc:
-        sys.stderr.write(json.dumps({"error": "config",
-                                     "message": str(exc)}) + "\n")
+        _report("config", exc)
         return EXIT_CONFIG
     except ArithmeticError as exc:
-        sys.stderr.write(json.dumps({"error": "numeric",
-                                     "message": str(exc)}) + "\n")
+        _report("numeric", exc)
         return EXIT_SOLVER
 
 

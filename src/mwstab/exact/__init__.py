@@ -7,13 +7,13 @@ from .series import (ScalarSeries, TrigPolySeries, OperatorSeries,
 from .expansions import (
     StokesSeries, ExactModulation, stokes_series, build_T0a, commutator_z,
     bch_assemble, apply_to, projected_matrix_series, det_and_discriminant,
-    exact_modulation, build_dump, load_golden, check_against_golden,
+    build_dump, load_golden, check_against_golden,
 )
 
 __all__ = [
     "Coeff", "ScalarSeries", "TrigPolySeries", "OperatorSeries",
     "ExactEngineError", "StokesSeries", "ExactModulation", "stokes_series",
     "build_T0a", "commutator_z", "bch_assemble", "apply_to",
-    "projected_matrix_series", "det_and_discriminant", "exact_modulation",
-    "build_dump", "load_golden", "check_against_golden",
+    "projected_matrix_series", "det_and_discriminant", "build_dump",
+    "load_golden", "check_against_golden",
 ]

@@ -19,7 +19,7 @@ from .series import (ScalarSeries, TrigPolySeries, OperatorSeries,
 __all__ = [
     "StokesSeries", "ExactModulation", "stokes_series", "build_T0a",
     "commutator_z", "bch_assemble", "apply_to", "projected_matrix_series",
-    "det_and_discriminant", "exact_modulation", "build_dump",
+    "det_and_discriminant", "build_dump",
     "load_golden", "check_against_golden", "BASIS_TAGS",
 ]
 
@@ -354,9 +354,6 @@ class ExactModulation:
         return tuple(series.evalf(a, mu, k, gamma=gamma)
                      for series in self.b)
 
-    def evalf_disc(self, a, mu, k, gamma=0.0):
-        return self.disc.evalf(a, mu, k, gamma=gamma)
-
 
 def det_and_discriminant(model_variant):
     """Characteristic data of the 2x2 projection.
@@ -381,11 +378,6 @@ def det_and_discriminant(model_variant):
     disc = wide_d[1] * wide_d[1] + (wide_d[0] * wide_d[2]).scale(4)
     return ExactModulation(variant=model_variant, matrix=matrix,
                            b=(b0, b1, b2), d=(d0, d1, d2), disc=disc)
-
-
-def exact_modulation(model_variant):
-    """Alias with a cache-friendly name."""
-    return det_and_discriminant(model_variant)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,15 @@ class TrigSeries:
     def to_complex(self):
         return ComplexFourierVector(self.to_modes())
 
+    def mult_matrix(self):
+        """Toeplitz matrix of multiplication by this series in the
+        exponential basis: entry ``(p, q)`` is the ``exp(i(p-q)z)``
+        coefficient, products truncated to ``|p| <= N`` as in ``*``."""
+        n = self.n_modes
+        padded = np.concatenate([np.zeros(n), self.to_modes(), np.zeros(n)])
+        idx = np.arange(2 * n + 1)
+        return padded[idx[:, None] - idx[None, :] + 2 * n]
+
 
 class ComplexFourierVector:
     """Coefficients of ``exp(i*n*z)``, n = -N..N, as a dense complex array."""

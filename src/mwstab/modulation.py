@@ -91,22 +91,17 @@ def positivity_margin(mu, a):
     return max(1e-10, 1e-3 * (mu**2 + a**2))
 
 
-def critical_basis(model, branch, h=None, tol=DEFAULT_TOL):
+def critical_basis(model, branch):
     """Basis of the critical subspace at the branch point.
 
-    ``phi1 = -(1/a) d eta/dz`` (odd) and ``phi2 = d eta/d a`` (even, by
-    centered differences along the branch); at ``a = 0`` the pair is
-    exactly ``(sin z, cos z)``.
+    ``phi1 = -(1/a) d eta/dz`` (odd) and ``phi2 = d eta/d a`` (even, the
+    exact branch tangent); at ``a = 0`` the pair is exactly
+    ``(sin z, cos z)``.
     """
-    n = branch.n_modes
-    if branch.a == 0:
-        return CriticalBasis(phi1=TrigSeries.sine(1, n),
-                             phi2=TrigSeries.cosine(1, n),
-                             a=0.0, k=branch.k)
-    phi1 = (-1.0 / branch.a) * branch.eta.deriv()
-    phi2 = branch_derivative(model, branch.a, branch.k, h=h,
-                             n_modes=n, tol=tol)
-    return CriticalBasis(phi1=phi1, phi2=phi2, a=branch.a, k=branch.k)
+    phi1 = TrigSeries.sine(1, branch.n_modes) if branch.a == 0 \
+        else (-1.0 / branch.a) * branch.eta.deriv()
+    return CriticalBasis(phi1=phi1, phi2=branch_derivative(branch),
+                         a=branch.a, k=branch.k)
 
 
 def _det_coefficients(model, branch, basis, mu, n_modes=None):
@@ -189,8 +184,7 @@ def critical_growth(model, branch, mu, n_modes=None):
     return complex(pair[1]), complex(pair[0])
 
 
-def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL,
-                       basis_step=None):
+def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     """Evaluate the discriminant over a ``mu`` grid and render a verdict.
 
     stable: every sample has ``D > margin`` and the critical pair stays on
@@ -205,7 +199,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL,
         raise ValueError("sweep grid must stay within (0, 0.1]")
     branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
         solve_wave(model, a, k, n_modes=n_modes, tol=tol)
-    basis = critical_basis(model, branch, h=basis_step, tol=tol)
+    basis = critical_basis(model, branch)
 
     dets = parallel_map(
         lambda mu: projected_det(model, branch, basis, mu, n_modes=n_modes),
@@ -246,7 +240,7 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
         model = Model("B", gamma=gamma)
         branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
             solve_wave(model, a, k, n_modes=n_modes, tol=tol)
-        basis = critical_basis(model, branch, tol=tol)
+        basis = critical_basis(model, branch)
         return projected_det(model, branch, basis, 0.0,
                              n_modes=n_modes).disc
 

@@ -23,8 +23,8 @@ from .fourier import TrigSeries
 
 __all__ = [
     "Model", "WaveBranch", "ConvergenceError", "ValidityError",
-    "analytic_wave", "residual", "solve_wave", "branch_derivative",
-    "wave_speed_expansion", "AMPLITUDE_LIMIT",
+    "analytic_wave", "residual", "linearized_operator", "solve_wave",
+    "branch_derivative", "wave_speed_expansion", "AMPLITUDE_LIMIT",
 ]
 
 SQRT3 = np.sqrt(3.0)
@@ -145,27 +145,52 @@ def residual(model, eta, c, k):
         - 0.5 * model.gamma * k**4 * (d2 * sq) - eta
 
 
-def _linearized(model, eta, c, k, delta):
-    """Directional derivative of the residual in the profile direction."""
-    d1 = eta.deriv()
-    d2 = eta.deriv(2)
-    p1 = delta.deriv()
-    p2 = delta.deriv(2)
+def linearized_operator(model, eta, c, k, mu=0.0):
+    """Linearized traveling-wave ODE about ``(eta, c)`` on Bloch modes
+    ``exp(i mu z) V(z)``: the matrix on the ``exp(inz)`` coefficients of
+    ``V``, ``|n| <= eta.n_modes``, and the ``L0`` of the Bloch pencil.  At
+    ``mu = 0`` it is minus (model A) or plus (model B) the derivative of
+    ``residual`` in the profile.
+
+    ``(d/dz + i mu)^2`` acts *after* multiplication by the profile
+    coefficient in the ``k^2 (.)''`` terms; the model-B ``(w')^2`` term
+    multiplies *after* differentiation.
+    """
+    n = eta.n_modes
+    dz = 1j * (np.arange(-n, n + 1) + mu)
+    eye = np.eye(2 * n + 1, dtype=complex)
     if model.is_a:
-        return (3.0 * c**2 * k**2) * p2 - 2.0 * k**2 * (eta * p2 + d2 * delta) \
-            - 2.0 * k**2 * (d1 * p1) + delta
+        # L0 = -2 k^2 eta' (d+imu) + k^2 (d+imu)^2 [(2 eta - 3c^2) .] - 1
+        coef = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
+        return (-2.0 * k**2) * (eta.deriv().mult_matrix() * dz[None, :]) \
+            + k**2 * (dz**2)[:, None] * coef.mult_matrix() - eye
     g = model.gamma
-    return k**2 * (eta * p2 + d2 * delta) - (k**2 * c) * p2 \
-        + k**2 * (d1 * p1) \
-        - 0.5 * g * k**4 * ((d1 * d1) * p2 + 2.0 * (d2 * d1) * p1) - delta
+    wz = eta.deriv()
+    first = (-k**2) * wz + (-g * k**4) * (wz * eta.deriv(2))
+    return first.mult_matrix() * dz[None, :] \
+        + k**2 * (dz**2)[:, None] * (
+            eta + TrigSeries.constant(-c, n)).mult_matrix() \
+        - 0.5 * g * k**4 * ((wz * wz).mult_matrix() * (dz**2)[None, :]) \
+        - eye
 
 
-def _speed_derivative(model, eta, c, k):
-    """Derivative of the residual with respect to the wave speed."""
-    d2 = eta.deriv(2)
-    if model.is_a:
-        return (6.0 * c * k**2) * d2
-    return (-k**2) * d2
+def _jacobian(model, eta, c, k):
+    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c);
+    the profile block folds ``exp(+-ijz)`` of the ``mu = 0`` operator onto
+    ``cos(jz)`` (Toeplitz plus Hankel part)."""
+    n = eta.n_modes
+    op = linearized_operator(model, eta, c, k)
+    fold = op[n:, n:].copy()
+    fold[:, 1:] += op[n:, n - 1::-1]
+    scale = np.full(n + 1, 2.0)
+    scale[0] = 1.0
+    sign = -1.0 if model.is_a else 1.0
+    jac = np.zeros((n + 2, n + 2))
+    jac[:n + 1, :n + 1] = sign * (scale[:, None] / scale[None, :]) * fold.real
+    dc = 6.0 * c * k**2 if model.is_a else -k**2
+    jac[:n + 1, n + 1] = dc * eta.deriv(2).cos
+    jac[n + 1, 1] = 1.0
+    return jac
 
 
 def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
@@ -177,7 +202,10 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     for harmonics ``0..N`` plus the amplitude normalization
     ``2 <eta, cos z> = a``.  Seeded from the analytic expansion
     (``seed_order`` 1 keeps only ``a cos z``, useful for convergence
-    studies).  The Jacobian is assembled analytically.
+    studies).  The Jacobian is the cosine restriction of
+    ``linearized_operator`` at ``mu = 0``, bordered by the speed column and
+    the amplitude row.  Raises ``ConvergenceError`` when the iteration
+    stalls above ``tol``, runs out of steps, or meets a singular Jacobian.
     """
     _check_domain(model, a, k)
     if tol <= 0:
@@ -193,6 +221,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
         x = np.concatenate([cos, [model.c0(k)]])
 
     history = []
+    best, misses, step = np.inf, 0, np.inf
     for _ in range(max_iter):
         eta = TrigSeries(x[:n + 1])
         c = x[n + 1]
@@ -204,38 +233,44 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
             return WaveBranch(model=model, a=a, k=k, c=c, eta=eta,
                               residual_norm=sup,
                               newton_residuals=tuple(history))
-        jac = np.zeros((n + 2, n + 2))
-        for j in range(n + 1):
-            col = _linearized(model, eta, c, k, TrigSeries.cosine(j, n))
-            jac[:n + 1, j] = col.cos
-        jac[:n + 1, n + 1] = _speed_derivative(model, eta, c, k).cos
-        jac[n + 1, 1] = 1.0
+        misses = 0 if err <= 0.5 * best else misses + 1
+        best = min(best, err)
+        # near a solution Newton at least halves the error; failing twice
+        # with corrections below sqrt(eps) of the iterate is its rounding
+        # floor, which more steps cannot push below tol
+        if misses >= 2 and step <= 1.5e-8 * np.abs(x).max():
+            raise ConvergenceError(
+                f"Newton iteration stalled at {best:.3e} above tol={tol} "
+                f"after {len(history)} steps", best)
         rhs = np.concatenate([res.cos, [x[1] - a]])
-        x = x - np.linalg.solve(jac, rhs)
+        try:
+            dx = np.linalg.solve(_jacobian(model, eta, c, k), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"singular Newton Jacobian at step {len(history)}",
+                err) from exc
+        step = np.abs(dx).max()
+        x = x - dx
 
     raise ConvergenceError(
         f"Newton iteration did not reach tol={tol} after {max_iter} steps "
         f"(last residual {history[-1]:.3e})", history[-1])
 
 
-def branch_derivative(model, a, k, h=None, n_modes=DEFAULT_N_MODES,
-                      tol=DEFAULT_TOL):
-    """``d eta / d a`` by centered differences with one Richardson step.
-
-    The result is even (the solver works in the cosine subspace).  The
-    default step keeps the finite-difference noise from the solver
-    tolerance well below 1e-6.
-    """
-    if h is None:
-        h = 1e-4 * max(abs(a), 0.01)
-    if h <= 0:
-        raise ValueError("h must be positive")
-
-    def central(step):
-        hi = solve_wave(model, a + step, k, n_modes=n_modes, tol=tol)
-        lo = solve_wave(model, a - step, k, n_modes=n_modes, tol=tol)
-        return (hi.eta.cos - lo.eta.cos) / (2.0 * step)
-
-    coarse = central(h)
-    fine = central(h / 2.0)
-    return TrigSeries((4.0 * fine - coarse) / 3.0)
+def branch_derivative(branch):
+    """``d eta / d a`` along the branch: differentiating the Newton system
+    ``F(eta, c; a) = 0`` in ``a`` gives the bordered solve ``J t = e_{N+1}``
+    at the converged point.  At ``a = 0`` that ``J`` is singular (``dR/dc``
+    vanishes with the profile) and the tangent is ``cos z`` exactly."""
+    n = branch.n_modes
+    if branch.a == 0:
+        return TrigSeries.cosine(1, n)
+    rhs = np.zeros(n + 2)
+    rhs[n + 1] = 1.0
+    jac = _jacobian(branch.model, branch.eta, branch.c, branch.k)
+    try:
+        tangent = np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"bordered tangent system is singular at a={branch.a}") from exc
+    return TrigSeries(tangent[:n + 1])

@@ -224,9 +224,3 @@ class TestSweep:
         mus = [0.1, 0.2, 0.3]
         samples = sweep_mus(MODEL_A, branch, mus)
         assert [s.mu for s in samples] == mus
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("MWSTAB_THREADS", "1")
-        branch = flat_branch(MODEL_A, n_modes=8)
-        samples = sweep_mus(MODEL_A, branch, [0.1, 0.2])
-        assert len(samples) == 2

@@ -23,6 +23,9 @@ class TestConfigPlumbing:
             parse_mu_grid("0:1:1")
         with pytest.raises(ConfigError):
             parse_mu_grid("nonsense")
+        for text in ("0:inf:5", "-inf:0.5:5", "nan:0.5:5"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_mu_grid(text)
 
     def test_config_file_round_trip(self, tmp_path):
         config = RunConfig(model="B", gamma=2.0, k=1.5, a=0.03, n_modes=32,
@@ -237,3 +240,71 @@ class TestArgumentErrors:
     def test_bad_grid_exits_config(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--mu-grid", "0.4:0.1:5")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ("wave", "--a", "nan"),
+        ("wave", "--k", "inf"),
+        ("wave", "--model", "B", "--gamma", "nan"),
+        ("wave", "--tol", "nan"),
+        ("index", "--mu-grid=0:inf:5"),
+        ("index", "--mu-grid=-inf:0.05:5"),
+        ("index", "--model", "B", "--a", "0.01", "--modes", "16",
+         "--mu-grid", "0.002:0.01:2", "--gamma-lo", "0",
+         "--gamma-hi", "inf"),
+    ])
+    def test_non_finite_input_exits_config(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err)["error"] == "config"
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestSolverFailures:
+    def test_stalled_newton_exits_solver(self, capsys):
+        code, out, err = run_cli(capsys, "wave", "--a", "0.05",
+                                 "--tol", "1e-300")
+        assert code == EXIT_SOLVER and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "convergence"
+        assert "stalled" in payload["message"]
+        assert 0.0 < payload["residual_norm"] < 1e-15
+
+    def test_singular_jacobian_exits_solver(self, capsys, monkeypatch):
+        from mwstab import waves
+
+        monkeypatch.setattr(waves, "_jacobian",
+                            lambda model, eta, c, k: np.zeros(
+                                (eta.n_modes + 2, eta.n_modes + 2)))
+        code, _, err = run_cli(capsys, "wave", "--a", "0.05",
+                               "--modes", "16")
+        assert code == EXIT_SOLVER
+        assert _strict_json(err)["error"] == "convergence"
+
+    def test_singular_bordered_system_exits_solver(self, capsys,
+                                                   monkeypatch):
+        from mwstab import modulation
+
+        def singular(branch):
+            raise ArithmeticError("bordered tangent system is singular")
+
+        monkeypatch.setattr(modulation, "branch_derivative", singular)
+        code, _, err = run_cli(capsys, "index", "--a", "0.02",
+                               "--modes", "16")
+        assert code == EXIT_SOLVER
+        assert _strict_json(err)["error"] == "numeric"
+
+    def test_non_finite_residual_is_null(self, capsys, monkeypatch):
+        from mwstab.waves import ConvergenceError
+
+        def boom(*args, **kwargs):
+            raise ConvergenceError("diverged", float("nan"))
+
+        monkeypatch.setattr(cli, "solve_wave", boom)
+        code, _, err = run_cli(capsys, "wave", "--a", "0.05")
+        assert code == EXIT_SOLVER
+        assert _strict_json(err)["residual_norm"] is None

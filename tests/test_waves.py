@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from mwstab import waves
 from mwstab.fourier import TrigSeries
 from mwstab.waves import (Model, ConvergenceError, ValidityError,
-                          analytic_wave, residual, solve_wave,
-                          branch_derivative, wave_speed_expansion, SQRT3)
+                          analytic_wave, residual, linearized_operator,
+                          solve_wave, branch_derivative,
+                          wave_speed_expansion, SQRT3)
 
 MODEL_A = Model("A")
 
@@ -132,22 +135,51 @@ class TestSolveWave:
 
 class TestBranchDerivative:
     def test_limit_at_zero_amplitude_is_cos(self):
-        dda = branch_derivative(MODEL_A, 0.0, 1.0, n_modes=16)
+        dda = branch_derivative(solve_wave(MODEL_A, 0.0, 1.0, n_modes=16))
         assert dda.cos[1] == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(np.delete(dda.cos, 1))) < 1e-6
 
     def test_constant_term_slope(self):
         # d/da of the a^2 mean term is 2 a A0 = -a k^2 at k = 1
-        dda = branch_derivative(MODEL_A, 0.02, 1.0, n_modes=32)
+        dda = branch_derivative(solve_wave(MODEL_A, 0.02, 1.0, n_modes=32))
         assert dda.cos[0] == pytest.approx(-0.02, abs=1e-4)
         # at a = 0.05 the branch's own a^4 mean term contributes ~2.5e-4
-        dda = branch_derivative(MODEL_A, 0.05, 1.0, n_modes=32)
+        dda = branch_derivative(solve_wave(MODEL_A, 0.05, 1.0, n_modes=32))
         assert dda.cos[0] == pytest.approx(-0.05, abs=5e-4)
 
     def test_result_is_even(self):
-        dda = branch_derivative(Model("B", gamma=2.0), 0.03, 1.0, n_modes=16)
-        assert dda.is_even()
+        branch = solve_wave(Model("B", gamma=2.0), 0.03, 1.0, n_modes=16)
+        assert branch_derivative(branch).is_even()
 
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            branch_derivative(MODEL_A, 0.05, 1.0, h=0.0)
+    def test_singular_bordered_system_is_arithmetic_error(self,
+                                                          monkeypatch):
+        branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
+        monkeypatch.setattr(waves, "_jacobian",
+                            lambda model, eta, c, k: np.zeros((18, 18)))
+        with pytest.raises(ArithmeticError, match="singular"):
+            branch_derivative(branch)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
+       k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0))
+def test_kernel_of_the_linearization(variant, a, k, gamma):
+    """The mu = 0 kernel: L0 kills eta' (translation), and the bordered
+    tangent d eta/da matches a centered difference along the branch."""
+    model = Model(variant, gamma=gamma if variant == "B" else 0.0)
+    branch = solve_wave(model, a, k, n_modes=32)
+    op = linearized_operator(model, branch.eta, branch.c, k)
+    deta = branch.eta.deriv().to_modes()
+    # L0 eta' is -/+ the derivative of the residual along the translation
+    # orbit: zero at an exact solution, Newton's leftover here
+    sign = -1.0 if model.is_a else 1.0
+    drift = sign * residual(model, branch.eta, branch.c, k).deriv()
+    assert np.max(np.abs(op @ deta - drift.to_modes())) \
+        <= 1e-15 * np.max(np.abs(op)) * np.max(np.abs(deta))
+
+    step = 1e-4
+    hi = solve_wave(model, a + step, k, n_modes=32)
+    lo = solve_wave(model, a - step, k, n_modes=32)
+    assert_allclose(branch_derivative(branch).cos,
+                    (hi.eta.cos - lo.eta.cos) / (2.0 * step),
+                    rtol=0.0, atol=1e-7)
