@@ -7,10 +7,11 @@ Localized perturbations of a periodic wave decompose into Bloch waves
 a spectral point iff the pencil is singular.  The pencil matrices are
 assembled in the exponential basis, where ``d/dz + i*mu`` is diagonal and
 multiplication by a trigonometric polynomial is a banded Toeplitz block.
+For an even profile ``L0`` is real there, so each slice is a real
+standard eigenproblem.
 """
 
 import numpy as np
-import scipy.linalg
 from dataclasses import dataclass
 
 from .fourier import ComplexFourierVector
@@ -23,8 +24,8 @@ __all__ = [
     "INFINITE_EIGENVALUE_CUTOFF",
 ]
 
-#: eigenvalues beyond this magnitude are treated as the singular-pencil
-#: direction (the n + mu = 0 row of L1) and dropped
+#: eigenvalues beyond this magnitude belong to the (near-)singular direction
+#: of L1 (the n + mu = 0 row, ~1/(alpha mu) at small mu) and are dropped
 INFINITE_EIGENVALUE_CUTOFF = 1e8
 
 
@@ -171,21 +172,42 @@ def _branch_labels(model, eigenvalues, mu, k, n_modes):
 
 
 def spectrum_slice(pencil):
-    """All finite eigenvalues of the pencil via the QZ algorithm.
+    """All finite eigenvalues of the pencil from a real standard eigenproblem.
 
-    ``L1`` is singular where ``n + mu = 0`` (one row at ``mu = 0``), so the
-    generalized problem ``L0 v = -lambda L1 v`` is solved without ever
-    inverting ``L1``; the resulting infinite eigenvalue is filtered by
-    magnitude.
+    For an even profile ``L0`` is real (each odd Toeplitz block ``i R``
+    meets ``d/dz + i mu = i diag(n + mu)``) and ``L1 = i diag(s)`` with
+    ``s = alpha (n + mu)``, ``alpha = 2c`` (A) or 1 (B).  ``T(lambda) v = 0``
+    then reads ``diag(1/s) L0 v = -i lambda v``, a real matrix, so
+    ``lambda -> -conj(lambda)`` holds exactly.
+
+    ``L1`` is never inverted where it is singular.  A mode with
+    ``|s_n| * INFINITE_EIGENVALUE_CUTOFF <= eps |L0_nn|`` (``n = 0`` at
+    ``mu = 0``) is removed by a Schur complement on ``L0_nn``: dropping its
+    ``lambda s_n`` moves that pivot by under a rounding error for every
+    eigenvalue below the cutoff, and its own eigenvalue lies beyond it.
+    The mode of smallest ``|n + mu|`` is put first so the scaled matrix is
+    graded downward; left in the middle, its ``1/s_n`` row spoils the other
+    eigenvalues at small nonzero ``mu`` (by 2e-2 at ``mu = 1e-18``).
     """
-    try:
-        vals = scipy.linalg.eig(pencil.L0, -pencil.L1, right=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        cond = np.linalg.cond(pencil.L0)
+    if np.any(pencil.L0.imag):
         raise ArithmeticError(
-            f"pencil eigensolver failed at mu={pencil.mu} "
-            f"(cond L0 = {cond:.3e})") from exc
-    vals = vals[np.isfinite(vals)]
+            f"L0 is not real at mu={pencil.mu}: the profile is not even")
+    l0 = pencil.L0.real
+    s = pencil.L1.diagonal().imag
+    tiny = (np.abs(s) * INFINITE_EIGENVALUE_CUTOFF
+            <= np.finfo(float).eps * np.abs(l0.diagonal()))
+    keep = ~tiny
+    try:
+        if tiny.any():
+            l0 = l0[np.ix_(keep, keep)] - l0[np.ix_(keep, tiny)] @ \
+                np.linalg.solve(l0[np.ix_(tiny, tiny)], l0[np.ix_(tiny, keep)])
+            s = s[keep]
+        first = np.argmin(np.abs(s))
+        perm = np.r_[first, np.delete(np.arange(s.size), first)]
+        vals = 1j * np.linalg.eigvals(l0[np.ix_(perm, perm)] / s[perm, None])
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"pencil eigensolver failed at mu={pencil.mu}: {exc}") from exc
     vals = vals[np.abs(vals) <= INFINITE_EIGENVALUE_CUTOFF]
     order = np.lexsort((vals.real, vals.imag))
     vals = vals[order]

@@ -219,16 +219,18 @@ def cmd_spectrum(args):
 
 def cmd_index(args):
     config = resolve_config(args)
+    bisect = args.gamma_lo is not None or args.gamma_hi is not None
+    if bisect:
+        if args.gamma_lo is None or args.gamma_hi is None:
+            raise ConfigError("--gamma-lo and --gamma-hi go together")
+        if config.model != "B":
+            raise ConfigError("the gamma threshold exists for model B only")
     grid_spec = config.mu_grid or (0.005, 0.05, 10)
     mus = np.linspace(*grid_spec[:2], grid_spec[2])
     report = discriminant_sweep(config.model_tag(), config.a, config.k,
                                 mus, n_modes=config.n_modes, tol=config.tol)
     threshold = None
-    if args.gamma_lo is not None or args.gamma_hi is not None:
-        if args.gamma_lo is None or args.gamma_hi is None:
-            raise ConfigError("--gamma-lo and --gamma-hi go together")
-        if config.model != "B":
-            raise ConfigError("the gamma threshold exists for model B only")
+    if bisect:
         threshold = threshold_bisect(config.k, config.a, args.gamma_lo,
                                      args.gamma_hi, n_modes=config.n_modes,
                                      tol=config.tol)
@@ -307,16 +309,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _flag_type(convert):
+    """``convert`` as an argparse ``type=``: argparse replaces the text of a
+    converter's ``ValueError`` by "invalid <name> value", so pass the
+    reason on as an ``ArgumentTypeError``, whose text it keeps."""
+    def flag(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag
+
+
 def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--model", choices=("A", "B"))
-    common.add_argument("--k", type=finite_float)
-    common.add_argument("--a", type=finite_float)
-    common.add_argument("--gamma", type=finite_float)
+    number = _flag_type(finite_float)
+    common.add_argument("--k", type=number)
+    common.add_argument("--a", type=number)
+    common.add_argument("--gamma", type=number)
     common.add_argument("--modes", type=int)
-    common.add_argument("--mu-grid", dest="mu_grid", type=parse_mu_grid,
+    common.add_argument("--mu-grid", dest="mu_grid",
+                        type=_flag_type(parse_mu_grid),
                         metavar="START:STOP:COUNT")
-    common.add_argument("--tol", type=finite_float)
+    common.add_argument("--tol", type=number)
     common.add_argument("--out")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--config", metavar="PATH")
@@ -337,8 +353,8 @@ def build_parser():
 
     p_index = sub.add_parser("index", parents=[common],
                              help="discriminant sweep and verdict (JSON)")
-    p_index.add_argument("--gamma-lo", dest="gamma_lo", type=finite_float)
-    p_index.add_argument("--gamma-hi", dest="gamma_hi", type=finite_float)
+    p_index.add_argument("--gamma-lo", dest="gamma_lo", type=number)
+    p_index.add_argument("--gamma-hi", dest="gamma_hi", type=number)
     p_index.set_defaults(func=cmd_index)
 
     p_coll = sub.add_parser("collisions", parents=[common],

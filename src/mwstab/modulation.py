@@ -189,8 +189,11 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
 
     stable: every sample has ``D > margin`` and the critical pair stays on
     the imaginary axis (max Re <= 1e-6).  unstable: some sample has
-    ``D < -margin`` and the measured growth exceeds ten times the growth
-    the margin itself would imply.  Anything else is indeterminate.
+    ``D < -margin`` and the measured growth is at least ten times the
+    growth the margin itself would imply.  Anything else is indeterminate.
+    At ``mu = 0`` both growths are zero (the pair is the double zero, whose
+    measured real part is rounding noise), so there ``D``, the ``mu -> 0``
+    limit, decides alone.
     """
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
@@ -207,8 +210,8 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     pairs = parallel_map(
         lambda mu: critical_growth(model, branch, mu, n_modes=n_modes),
         mu_grid)
-    growth = max(max(lp.real, lm.real) for lp, lm in pairs)
-    growth = max(growth, 0.0)
+    # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
+    growth = max(0.0, *(max(lp.real, lm.real) for lp, lm in pairs))
 
     samples = tuple((d.mu, d.disc) for d in dets)
     margins = [positivity_margin(d.mu, a) for d in dets]
@@ -221,7 +224,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     elif negatives:
         worst, margin = min(negatives, key=lambda pair: pair[0].disc)
         implied = abs(worst.mu) * np.sqrt(margin) / abs(2.0 * worst.d2)
-        if growth > 10.0 * implied:
+        if growth >= 10.0 * implied:
             verdict = "unstable"
     return StabilityReport(model=model, a=a, k=k, verdict=verdict,
                            disc_samples=samples, max_growth=growth)

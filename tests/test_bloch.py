@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from mwstab.fourier import TrigSeries
-from mwstab.waves import Model, solve_wave, SQRT3
+from mwstab.waves import Model, solve_wave, SQRT3, linearized_operator
 from mwstab.bloch import (assemble_pencil, apply_bloch, dispersion,
                           find_collisions, spectrum_slice, symmetry_check,
-                          hausdorff_distance, sweep_mus)
+                          hausdorff_distance, sweep_mus,
+                          INFINITE_EIGENVALUE_CUTOFF)
 
 MODEL_A = Model("A")
 
@@ -93,6 +99,13 @@ class TestPencilAssembly:
         for mat in (pencil.L0, pencil.L1):
             assert np.max(np.abs(mat - np.conj(mat[::-1, ::-1]))) < 1e-14
 
+    @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)])
+    def test_operator_of_an_even_profile_is_real(self, model):
+        branch = solve_wave(model, 0.05, 1.0, n_modes=32)
+        for mu in (0.0, 0.2, -0.37):
+            op = linearized_operator(model, branch.eta, branch.c, 1.0, mu)
+            assert np.max(np.abs(op.imag)) == 0.0
+
     def test_mu_domain_guard(self):
         branch = flat_branch(MODEL_A)
         with pytest.raises(ValueError):
@@ -176,6 +189,26 @@ class TestSpectrum:
             idx = np.argsort(np.abs(sample.eigenvalues))[:2]
             assert np.max(np.abs(sample.eigenvalues[idx].real)) <= 1e-6
 
+    def test_complex_l0_is_rejected(self):
+        branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
+        pencil = assemble_pencil(MODEL_A, branch, 0.2)
+        l0 = pencil.L0.copy()
+        l0[3, 5] += 1e-12j
+        with pytest.raises(ArithmeticError, match="mu=0.2"):
+            spectrum_slice(dataclasses.replace(pencil, L0=l0))
+
+    @pytest.mark.parametrize("mu", [1.3877787807814457e-17, -1e-12, 1e-20,
+                                    1e-300, 5e-324])
+    @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)])
+    def test_tiny_mu_matches_qz(self, model, mu):
+        # linspace(-0.1, 0.2, 31) puts its "zero" at 1.4e-17; the
+        # ~1/(alpha mu) eigenvalue lies beyond the cutoff, 2N remain
+        branch = solve_wave(model, 0.05, 1.0, n_modes=32)
+        pencil = assemble_pencil(model, branch, mu)
+        sample = spectrum_slice(pencil)
+        assert sample.eigenvalues.size == 64
+        assert_matches_qz(pencil, sample)
+
     def test_truncation_robustness(self):
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=64)
         pair = {}
@@ -224,3 +257,47 @@ class TestSweep:
         mus = [0.1, 0.2, 0.3]
         samples = sweep_mus(MODEL_A, branch, mus)
         assert [s.mu for s in samples] == mus
+
+
+def assert_matches_qz(pencil, sample):
+    """``spectrum_slice`` against the complex QZ of ``L0 + lambda L1``,
+    filtered alike, matched one to one.  Each eigenvalue agrees to
+    1e-10 max(1, |lambda|); members of a pair closer than
+    r = sqrt(eps max|L0|), how far a rounding-sized change of the pencil
+    splits a double eigenvalue with a Jordan block (the mu = 0 zero),
+    agree to r."""
+    ref = scipy.linalg.eig(pencil.L0, -pencil.L1, right=False)
+    ref = ref[np.isfinite(ref)]
+    ref = ref[np.abs(ref) <= INFINITE_EIGENVALUE_CUTOFF]
+    lam = sample.eigenvalues
+    assert lam.size == ref.size
+    jordan = np.sqrt(np.finfo(float).eps * np.abs(pencil.L0).max())
+    gaps = np.abs(ref[:, None] - ref[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    tol = np.where(gaps.min(axis=1) < jordan, jordan,
+                   1e-10 * np.maximum(1.0, np.abs(ref)))
+    dist = np.abs(ref[:, None] - lam[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert np.all(dist[rows, cols] <= tol[rows])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
+       k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0),
+       mu=st.one_of(st.just(0.0),
+                    st.floats(-0.5, 0.5, exclude_min=True).filter(
+                        lambda mu: abs(mu) >= 1e-6)))
+def test_real_reduction_matches_qz(variant, a, k, gamma, mu):
+    """The real standard eigenproblem gives the pencil's QZ spectrum, one
+    eigenvalue fewer at mu = 0, and an exactly reflection-symmetric set."""
+    n = 32
+    model = Model(variant, gamma=gamma if variant == "B" else 0.0)
+    branch = solve_wave(model, a, k, n_modes=n)
+    pencil = assemble_pencil(model, branch, mu)
+    sample = spectrum_slice(pencil)
+    assert sample.eigenvalues.size == (2 * n if mu == 0 else 2 * n + 1)
+    assert_matches_qz(pencil, sample)
+    # mu = -1/2 is mu = 1/2 shifted by one mode
+    minus = sample if mu == 0.5 else spectrum_slice(
+        assemble_pencil(model, branch, -mu))
+    assert symmetry_check(sample, minus).hausdorff_reflection == 0.0

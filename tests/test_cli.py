@@ -185,6 +185,20 @@ class TestIndexCommand:
         assert code == EXIT_CONFIG
         assert json.loads(err)["error"] == "config"
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "A", "--gamma-lo", "0", "--gamma-hi", "2"),
+        ("--model", "B", "--gamma", "2", "--gamma-lo", "0"),
+    ])
+    def test_bracket_is_checked_before_the_sweep(self, capsys, monkeypatch,
+                                                 argv):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the verdict sweep ran before the check")
+
+        monkeypatch.setattr(cli, "discriminant_sweep", sweep)
+        code, out, err = run_cli(capsys, "index", *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err)["error"] == "config"
+
 
 class TestCollisionsCommand:
     def test_default_table(self, capsys):
@@ -238,8 +252,9 @@ class TestArgumentErrors:
         assert json.loads(err)["error"] == "config"
 
     def test_bad_grid_exits_config(self, capsys):
-        code, _, _ = run_cli(capsys, "spectrum", "--mu-grid", "0.4:0.1:5")
+        code, _, err = run_cli(capsys, "spectrum", "--mu-grid", "0.4:0.1:5")
         assert code == EXIT_CONFIG
+        assert "start must be below stop" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("argv", [
         ("wave", "--a", "nan"),
@@ -255,7 +270,9 @@ class TestArgumentErrors:
     def test_non_finite_input_exits_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and out == ""
-        assert json.loads(err)["error"] == "config"
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert "is not a finite number" in payload["message"]
 
 
 def _strict_json(text):

@@ -175,6 +175,29 @@ class TestVerdicts:
                                     np.linspace(0.005, 0.05, 6), n_modes=32)
         assert report.verdict == "stable"
 
+    def test_mu_zero_alone_is_decided_by_the_discriminant(self,
+                                                          monkeypatch):
+        # B, gamma = 2, a = 0.01: of this grid only mu = 0 lies in the band
+        # mu < a k^2 sqrt(gamma - 1) / 2 = 0.005, where the critical pair is
+        # the double zero; rounding may put its noise on the axis
+        from mwstab import modulation
+
+        measured = modulation.critical_growth
+
+        def on_the_axis_at_zero(model, branch, mu, n_modes=None):
+            if mu == 0.0:
+                return -0.0 + 1e-9j, -0.0 - 1e-9j
+            return measured(model, branch, mu, n_modes=n_modes)
+
+        monkeypatch.setattr(modulation, "critical_growth",
+                            on_the_axis_at_zero)
+        report = discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
+                                    np.linspace(0.0, 0.05, 5), n_modes=32)
+        assert report.disc_samples[0][1] < 0.0
+        assert min(disc for _, disc in report.disc_samples[1:]) > 0.0
+        assert report.verdict == "unstable"
+        assert repr(report.max_growth) == "0.0"
+
     def test_margin_function(self):
         assert positivity_margin(0.0, 0.0) == 1e-10
         assert positivity_margin(0.1, 0.0) == pytest.approx(1e-5)
