@@ -262,20 +262,20 @@ class TestSweep:
 def assert_matches_qz(pencil, sample):
     """``spectrum_slice`` against the complex QZ of ``L0 + lambda L1``,
     filtered alike, matched one to one.  Each eigenvalue agrees to
-    1e-10 max(1, |lambda|); members of a pair closer than
-    r = sqrt(eps max|L0|), how far a rounding-sized change of the pencil
-    splits a double eigenvalue with a Jordan block (the mu = 0 zero),
-    agree to r."""
+    1e-10 max(1, |lambda|) + min(r, r^2 / gap), r = sqrt(eps max|L0|): a
+    rounding-sized change r^2 of the pencil moves an eigenvalue whose
+    nearest neighbour is ``gap`` away by about r^2 / gap, and splits a
+    double eigenvalue with a Jordan block (the mu = 0 zero) by about r."""
     ref = scipy.linalg.eig(pencil.L0, -pencil.L1, right=False)
     ref = ref[np.isfinite(ref)]
     ref = ref[np.abs(ref) <= INFINITE_EIGENVALUE_CUTOFF]
     lam = sample.eigenvalues
     assert lam.size == ref.size
-    jordan = np.sqrt(np.finfo(float).eps * np.abs(pencil.L0).max())
+    r = np.sqrt(np.finfo(float).eps * np.abs(pencil.L0).max())
     gaps = np.abs(ref[:, None] - ref[None, :])
     np.fill_diagonal(gaps, np.inf)
-    tol = np.where(gaps.min(axis=1) < jordan, jordan,
-                   1e-10 * np.maximum(1.0, np.abs(ref)))
+    tol = 1e-10 * np.maximum(1.0, np.abs(ref)) \
+        + np.minimum(r, r * r / gaps.min(axis=1))
     dist = np.abs(ref[:, None] - lam[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert np.all(dist[rows, cols] <= tol[rows])
@@ -286,10 +286,14 @@ def assert_matches_qz(pencil, sample):
        k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0),
        mu=st.one_of(st.just(0.0),
                     st.floats(-0.5, 0.5, exclude_min=True).filter(
-                        lambda mu: abs(mu) >= 1e-6)))
+                        lambda mu: abs(mu) >= 1e-3)))
 def test_real_reduction_matches_qz(variant, a, k, gamma, mu):
     """The real standard eigenproblem gives the pencil's QZ spectrum, one
-    eigenvalue fewer at mu = 0, and an exactly reflection-symmetric set."""
+    eigenvalue fewer at mu = 0, and an exactly reflection-symmetric set.
+
+    Below |mu| = 1e-3 the ~1/(alpha mu) eigenvalue passes 1e3 and QZ's own
+    relative error on it grows like 1/mu^2 (5e-10 at mu = 1e-6);
+    ``test_tiny_mu_matches_qz`` covers mu where that eigenvalue is cut."""
     n = 32
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=n)
