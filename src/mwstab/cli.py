@@ -17,8 +17,8 @@ import numpy as np
 from .waves import Model, solve_wave, ConvergenceError, ValidityError
 from .bloch import find_collisions, sweep_mus
 from .modulation import discriminant_sweep, threshold_bisect
-from .exact import build_dump, load_golden, check_against_golden
-from .exact.expansions import det_and_discriminant
+from .exact import (build_dump, load_golden, check_against_golden,
+                    det_and_discriminant)
 
 EXIT_OK = 0
 EXIT_INDETERMINATE = 2
@@ -259,8 +259,7 @@ def cmd_collisions(args):
     return EXIT_OK
 
 
-def _disc_leading_text(variant):
-    exact = det_and_discriminant(variant)
+def _disc_leading_text(exact):
     pieces = []
     for (p, q, _, _), val in sorted(exact.disc_leading().terms.items(),
                                     key=lambda item: (-item[0][1],
@@ -276,16 +275,17 @@ def _disc_leading_text(variant):
 
 def cmd_expand(args):
     config = resolve_config(args)
+    exact = det_and_discriminant(config.model)
     if args.check_golden:
-        diffs = check_against_golden(config.model)
+        diffs = check_against_golden(exact)
         golden = load_golden(config.model)
         lines = [f"model {config.model}: {len(diffs)} diffs against "
                  f"{len(golden)} transcribed sections"]
         lines.extend(diffs)
-        lines.append("disc = " + _disc_leading_text(config.model))
+        lines.append("disc = " + _disc_leading_text(exact))
         _emit("\n".join(lines) + "\n", config.out)
         return EXIT_OK if not diffs else 1
-    dump = build_dump(config.model)
+    dump = build_dump(exact)
     if config.format == "json" or config.format is None:
         text = _json(dump, indent=2, sort_keys=True)
     else:
@@ -294,7 +294,7 @@ def cmd_expand(args):
             rows.append(f"[{section}]")
             rows.extend(f"  {key} -> {val}"
                         for key, val in sorted(dump[section].items()))
-        rows.append("disc = " + _disc_leading_text(config.model))
+        rows.append("disc = " + _disc_leading_text(exact))
         text = "\n".join(rows) + "\n"
     _emit(text, config.out)
     return EXIT_OK

@@ -18,70 +18,14 @@ from .series import (ScalarSeries, TrigPolySeries, OperatorSeries,
 
 __all__ = [
     "StokesSeries", "ExactModulation", "stokes_series", "build_T0a",
-    "commutator_z", "bch_assemble", "apply_to", "projected_matrix_series",
-    "det_and_discriminant", "build_dump",
-    "load_golden", "check_against_golden", "BASIS_TAGS",
+    "bch_assemble", "projected_matrix_series", "det_and_discriminant",
+    "build_dump", "load_golden", "check_against_golden",
 ]
 
-BASIS_TAGS = ("1", "cos1", "sin1", "cos2", "sin2", "cos3", "sin3")
-
+#: the Stokes profile is exact to third order in the amplitude
+_STOKES_CAPS = (3, 0)
 _DET_CAPS = (4, 4)
 _DISC_CAPS = (8, 8)
-
-
-# ---------------------------------------------------------------------------
-# small exact trig-polynomial helpers (keys (n, par), par 0=cos 1=sin)
-# ---------------------------------------------------------------------------
-
-def _tp_add(target, key, coeff):
-    n, par = key
-    if n == 0 and par == 1:
-        return
-    new = target.get(key, Coeff.zero()) + coeff
-    if new.is_zero():
-        target.pop(key, None)
-    else:
-        target[key] = new
-
-
-def _tp_scale(poly, coeff):
-    out = {}
-    for key, val in poly.items():
-        _tp_add(out, key, val * coeff)
-    return out
-
-
-def _tp_sum(*polys):
-    out = {}
-    for poly in polys:
-        for key, val in poly.items():
-            _tp_add(out, key, val)
-    return out
-
-
-def _tp_deriv(poly, order=1):
-    out = dict(poly)
-    for _ in range(order):
-        new = {}
-        for (n, par), val in out.items():
-            if n == 0:
-                continue
-            if par == 0:
-                _tp_add(new, (n, 1), val * (-n))
-            else:
-                _tp_add(new, (n, 0), val * n)
-        out = new
-    return out
-
-
-def _tp_mul(p1, p2):
-    from .series import _trig_product
-    out = {}
-    for (n1, par1), c1 in p1.items():
-        for (n2, par2), c2 in p2.items():
-            for frac, n, par in _trig_product(n1, par1, n2, par2):
-                _tp_add(out, (n, par), c1 * c2 * frac)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,181 +36,114 @@ def _tp_mul(p1, p2):
 class StokesSeries:
     """Profile and speed of the branch, exact to third / second order.
 
-    ``eta[(p, n)]`` is the coefficient of ``a^p cos(nz)`` and ``c[p]`` the
-    ``a^p`` speed coefficient.
+    ``eta`` is a :class:`TrigPolySeries` and ``c`` a :class:`ScalarSeries`,
+    both in powers of ``a``.
     """
 
     variant: str
-    eta: dict
-    c: dict
-
-    def profile_poly(self, p):
-        out = {}
-        for (pp, n), val in self.eta.items():
-            if pp == p:
-                _tp_add(out, (n, 0), val)
-        return out
+    eta: TrigPolySeries
+    c: ScalarSeries
 
 
-def _solve_harmonics(rhs, linear_factor, skip=(1,)):
-    """Per-harmonic solve of ``linear_factor(m) w_m = rhs_m``.
+def _solve_harmonics(rhs):
+    """Per-harmonic solve of ``(1 - m^2) w_m = rhs_m``.
 
-    The resonant harmonics in ``skip`` must have vanishing right side
-    (their amplitude is fixed by the normalization).
+    The resonant first harmonic must have a vanishing right side (its
+    amplitude is fixed by the normalization).
     """
-    out = {}
-    for (n, par), val in rhs.items():
+    out = TrigPolySeries(caps=rhs.caps)
+    for key, val in rhs.terms.items():
+        n, par = key[4:]
         if par != 0:
             raise ExactEngineError("profile corrections must be even")
-        if n in skip:
-            if not val.is_zero():
-                raise ExactEngineError(
-                    f"resonant right-hand side at harmonic {n}")
-            continue
-        factor = linear_factor(n)
-        out[n] = val / Fraction(factor)
+        if n == 1:
+            raise ExactEngineError("resonant right-hand side at harmonic 1")
+        out._insert(key, val / Fraction(1 - n * n))
     return out
 
 
 def stokes_series(model_variant):
     """Order-by-order exact solution of the traveling-wave hierarchy.
 
-    The quadratic order fixes the mean and second harmonic; at cubic order
-    the resonant first-harmonic component determines the speed correction
-    and the rest yields the third harmonic.
+    Both profile equations read ``eta + eta'' = N(eta) - s eta''``, with
+    ``N = q (2 eta eta'' + eta'^2)`` (``q = k^2`` for A, ``k^2/2`` for B,
+    which adds ``-(gamma k^4/2) eta'' eta'^2``) and the speed excess
+    ``s = 3 (c^2 - c0^2) k^2`` (A) or ``(c - c0) k^2`` (B), so each order
+    solves ``(1 - m^2) w_m = rhs_m``.  The quadratic order fixes the mean
+    and second harmonic; at cubic order, where ``s = 6 c0 c2 k^2 a^2`` (A)
+    or ``c2 k^2 a^2`` (B), the resonant first-harmonic component
+    determines the speed correction and the rest yields the third
+    harmonic.
     """
-    one = Coeff.one()
     k2 = Coeff.k_power(2)
-    k4 = Coeff.k_power(4)
-    w1 = {(1, 0): one}
-    d1 = _tp_deriv(w1)
-    dd1 = _tp_deriv(w1, 2)
-
+    w1 = TrigPolySeries.basis("cos1", caps=_STOKES_CAPS)
+    d1, dd1 = w1.deriv(), w1.deriv(2)
     if model_variant == "A":
         c0 = Coeff.monomial(Fraction(1, 3), ek=-1, e3=1)  # 1/(sqrt3 k)
-
-        # (1 - m^2) w2_m = [2 k^2 w1 w1'' + k^2 (w1')^2]_m
-        rhs2 = _tp_sum(_tp_scale(_tp_mul(w1, dd1), k2 * 2),
-                       _tp_scale(_tp_mul(d1, d1), k2))
-        w2_cos = _solve_harmonics(rhs2, lambda m: 1 - m * m)
-        w2 = {(n, 0): val for n, val in w2_cos.items()}
-
-        # (1 - m^2) w3_m = L_m + c2 M_m,  M = -6 c0 k^2 w1''
-        l_poly = _tp_sum(
-            _tp_scale(_tp_mul(w1, _tp_deriv(w2, 2)), k2 * 2),
-            _tp_scale(_tp_mul(w2, dd1), k2 * 2),
-            _tp_scale(_tp_mul(d1, _tp_deriv(w2)), k2 * 2))
-        m_poly = _tp_scale(dd1, c0 * k2 * (-6))
-        c2 = -(l_poly.get((1, 0), Coeff.zero()) / m_poly[(1, 0)])
-        full = _tp_sum(l_poly, _tp_scale(m_poly, c2))
-        w3_cos = _solve_harmonics(full, lambda m: 1 - m * m)
+        quad = k2
+        m_poly = dd1.scale(c0 * k2 * (-6))  # -s w1'' per unit c2
     else:
         c0 = Coeff.k_power(-2)
-        g = Coeff.gamma()
+        quad = k2 * Fraction(1, 2)
+        m_poly = dd1.scale(-k2)
 
-        # (m^2 - 1) w2_m = -[k^2 w1 w1'' + (k^2/2)(w1')^2]_m
-        rhs2 = _tp_scale(
-            _tp_sum(_tp_scale(_tp_mul(w1, dd1), k2),
-                    _tp_scale(_tp_mul(d1, d1), k2 * Fraction(1, 2))),
-            Coeff.rational(-1))
-        w2_cos = _solve_harmonics(rhs2, lambda m: m * m - 1)
-        w2 = {(n, 0): val for n, val in w2_cos.items()}
+    w2 = _solve_harmonics(((w1 * dd1).scale(2) + d1 * d1).scale(quad))
+    l_poly = (w1 * w2.deriv(2) + w2 * dd1 + d1 * w2.deriv()).scale(quad * 2)
+    if model_variant == "B":
+        l_poly = l_poly + (dd1 * d1 * d1).scale(
+            Coeff.gamma() * Coeff.k_power(4) * Fraction(-1, 2))
+    c2 = -(l_poly.harmonic(1, 0) / m_poly.harmonic(1, 0))
+    w3 = _solve_harmonics(l_poly + m_poly.scale(c2))
 
-        # (m^2 - 1) w3_m = L_m + c2 M_m,  M = k^2 w1''
-        sq = _tp_mul(d1, d1)
-        l_poly = _tp_scale(_tp_sum(
-            _tp_scale(_tp_mul(w1, _tp_deriv(w2, 2)), k2),
-            _tp_scale(_tp_mul(w2, dd1), k2),
-            _tp_scale(_tp_mul(d1, _tp_deriv(w2)), k2),
-            _tp_scale(_tp_mul(dd1, sq), g * k4 * Fraction(-1, 2))),
-            Coeff.rational(-1))
-        m_poly = _tp_scale(dd1, k2)
-        c2 = -(l_poly.get((1, 0), Coeff.zero()) / m_poly[(1, 0)])
-        full = _tp_sum(l_poly, _tp_scale(m_poly, c2))
-        w3_cos = _solve_harmonics(full, lambda m: m * m - 1)
-
-    eta = {(1, 1): one}
-    for n, val in w2_cos.items():
-        eta[(2, n)] = val
-    for n, val in w3_cos.items():
-        eta[(3, n)] = val
-    return StokesSeries(variant=model_variant, eta=eta,
-                        c={0: c0, 2: c2})
+    eta = w1.scale(1, dp=1) + w2.scale(1, dp=2) + w3.scale(1, dp=3)
+    c = ScalarSeries.term(c0, caps=_STOKES_CAPS) \
+        + ScalarSeries.term(c2, p=2, caps=_STOKES_CAPS)
+    return StokesSeries(variant=model_variant, eta=eta, c=c)
 
 
 # ---------------------------------------------------------------------------
 # Bloch operator at mu = 0, expanded to quadratic order in amplitude
 # ---------------------------------------------------------------------------
 
-def build_T0a(model_variant, caps=DEFAULT_CAPS):
+def _add_d2_of(op, f):
+    """Add ``d^2 M[f] = f d^2 + 2 f' d + f''`` (Leibniz) to ``op``."""
+    op.add(f, 2)
+    op.add(f.deriv().scale(2), 1)
+    op.add(f.deriv(2))
+
+
+def build_T0a(stokes):
     """Canonical amplitude expansion of the Bloch operator at ``mu = 0``.
 
     Model A: ``2 c lam d - 2 k^2 eta' d - 3 c^2 k^2 d^2 + 2 k^2 d^2 M[eta] - 1``.
     Model B: ``lam d - k^2 w' d - gamma k^4 w' w'' d - c k^2 d^2
     + k^2 d^2 M[w] - (gamma k^4 / 2) M[(w')^2] d^2 - 1``.
-    Compositions ``d^2 M[.]`` are expanded by Leibniz into ``trig * d^s``.
+    The profile, the speed and their products are truncated to the
+    default caps.
     """
-    stokes = stokes_series(model_variant)
     k2 = Coeff.k_power(2)
     k4 = Coeff.k_power(4)
-    op = OperatorSeries(caps=caps)
-    max_p = caps[0]
-
-    profile = {p: stokes.profile_poly(p) for p in range(1, max_p + 1)}
-    c_terms = {p: val for p, val in stokes.c.items() if p <= max_p}
-    # speed squared, truncated
-    c_sq = {}
-    for p1, v1 in c_terms.items():
-        for p2, v2 in c_terms.items():
-            if p1 + p2 <= max_p:
-                c_sq[p1 + p2] = c_sq.get(p1 + p2, Coeff.zero()) + v1 * v2
-
-    if model_variant == "A":
-        for p, val in c_terms.items():
-            op.add_term(val * 2, p=p, r=1, s=1)
-        for p, poly in profile.items():
-            for (n, par), val in _tp_deriv(poly).items():
-                op.add_term(val * k2 * (-2), p=p, n=n, par=par, s=1)
-        for p, val in c_sq.items():
-            op.add_term(val * k2 * (-3), p=p, s=2)
-        for p, poly in profile.items():
-            for (n, par), val in poly.items():
-                op.add_deriv2_of_product(val * k2 * 2, p=p, n=n, par=par)
-        op.add_term(Coeff.rational(-1))
-        return op
-
-    g = Coeff.gamma()
-    op.add_term(Coeff.one(), r=1, s=1)
-    deriv = {p: _tp_deriv(poly) for p, poly in profile.items()}
-    deriv2 = {p: _tp_deriv(poly, 2) for p, poly in profile.items()}
-    for p, poly in deriv.items():
-        for (n, par), val in poly.items():
-            op.add_term(val * k2 * (-1), p=p, n=n, par=par, s=1)
-    for p1, d_a in deriv.items():
-        for p2, d_b in deriv2.items():
-            if p1 + p2 > max_p:
-                continue
-            for (n, par), val in _tp_mul(d_a, d_b).items():
-                op.add_term(val * g * k4 * (-1), p=p1 + p2, n=n, par=par, s=1)
-    for p, val in c_terms.items():
-        op.add_term(val * k2 * (-1), p=p, s=2)
-    for p, poly in profile.items():
-        for (n, par), val in poly.items():
-            op.add_deriv2_of_product(val * k2, p=p, n=n, par=par)
-    for p1, d_a in deriv.items():
-        for p2, d_b in deriv.items():
-            if p1 + p2 > max_p:
-                continue
-            for (n, par), val in _tp_mul(d_a, d_b).items():
-                op.add_term(val * g * k4 * Fraction(-1, 2),
-                            p=p1 + p2, n=n, par=par, s=2)
-    op.add_term(Coeff.rational(-1))
+    eta = stokes.eta.copy(caps=DEFAULT_CAPS)
+    c = TrigPolySeries(terms={key + (0, 0): val
+                              for key, val in stokes.c.terms.items()})
+    lam = TrigPolySeries.term(Coeff.one(), r=1)
+    d1 = eta.deriv()
+    op = OperatorSeries()
+    if stokes.variant == "A":
+        op.add((c * lam).scale(2), 1)
+        op.add(d1.scale(k2 * (-2)), 1)
+        op.add((c * c).scale(k2 * (-3)), 2)
+        _add_d2_of(op, eta.scale(k2 * 2))
+    else:
+        g = Coeff.gamma()
+        op.add(lam, 1)
+        op.add(d1.scale(k2 * (-1)), 1)
+        op.add((d1 * eta.deriv(2)).scale(g * k4 * (-1)), 1)
+        op.add(c.scale(k2 * (-1)), 2)
+        _add_d2_of(op, eta.scale(k2))
+        op.add((d1 * d1).scale(g * k4 * Fraction(-1, 2)), 2)
+    op.add(TrigPolySeries.term(-1))
     return op
-
-
-def commutator_z(op):
-    """``[T, z]`` on canonical operator series."""
-    return op.commutator_z()
 
 
 def bch_assemble(t0a):
@@ -284,59 +161,37 @@ def bch_assemble(t0a):
             + t2.scale(Coeff.rational(-1, 2), dq=2))
 
 
-def apply_to(operator, tag):
-    """Action of an operator series on one basis function."""
-    if tag not in BASIS_TAGS:
-        raise ValueError(f"unknown basis tag {tag!r}")
-    return operator.apply(tag)
-
-
 # ---------------------------------------------------------------------------
 # projection onto the critical subspace
 # ---------------------------------------------------------------------------
 
-def _basis_pair(stokes, caps):
-    """phi1 = -(1/a) d_z eta (odd), phi2 = d_a eta (even), as exact series."""
-    phi1 = TrigPolySeries(caps=caps)
-    phi2 = TrigPolySeries(caps=caps)
-    for (p, n), val in stokes.eta.items():
-        if n >= 1:
-            phi1._insert((p - 1, 0, 0, 0, n, 1), val * n)
-        phi2._insert((p - 1, 0, 0, 0, n, 0), val * p)
-    return phi1, phi2
-
-
-def projected_matrix_series(model_variant, caps=DEFAULT_CAPS):
-    """Entries ``<T phi_i, phi_j> / <phi_i, phi_i>`` of the projected
-    operator, truncated to quadratic order in amplitude and exponent."""
-    stokes = stokes_series(model_variant)
-    phi1, phi2 = _basis_pair(stokes, caps)
-    top = bch_assemble(build_T0a(model_variant, caps=caps))
-
-    images = []
-    for phi in (phi1, phi2):
-        image = TrigPolySeries(caps=caps)
-        for (p, q, r, im, n, par), val in phi.terms.items():
-            tag = ("1" if n == 0 else
-                   ("cos" if par == 0 else "sin") + str(n))
-            image = image + top.apply(tag).scale(val, dp=p, dq=q, dr=r,
-                                                 dim=im)
-        images.append(image)
-
+def projected_matrix_series(stokes, top):
+    """Entries ``<T phi_i, phi_j> / <phi_i, phi_i>`` of the conjugated
+    operator ``top`` on ``phi1 = -(1/a) d_z eta`` (odd) and ``phi2 = d_a
+    eta`` (even), truncated to the caps of ``top``: quadratic order in
+    amplitude and exponent."""
+    eta = stokes.eta
+    phi1 = eta.deriv().scale(-1, dp=-1).copy(caps=top.caps)
+    phi2 = TrigPolySeries(caps=top.caps, terms={
+        (key[0] - 1,) + key[1:]: val * key[0]
+        for key, val in eta.terms.items()})
     basis = (phi1, phi2)
+    images = [top.apply(phi) for phi in basis]
     inverses = [phi.inner(phi).inverse() for phi in basis]
-    matrix = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            matrix[i][j] = images[i].inner(basis[j]) * inverses[i]
-    return matrix
+    return [[images[i].inner(basis[j]) * inverses[i] for j in range(2)]
+            for i in range(2)]
 
 
 @dataclass(frozen=True)
 class ExactModulation:
-    """Exact determinant data of the projected pencil."""
+    """Every stage of the exact engine for one model: the Stokes series,
+    the Bloch operator at ``mu = 0`` and conjugated, and the determinant
+    data of the projected pencil."""
 
     variant: str
+    stokes: StokesSeries
+    t0a: OperatorSeries
+    top: OperatorSeries
     matrix: list
     b: tuple       # (b0, b1, b2) real ScalarSeries in (a, mu)
     d: tuple       # (d0, d1, d2) with b_j = d_j mu^(2-j)
@@ -364,7 +219,10 @@ def det_and_discriminant(model_variant):
     ``Q(X) = d0 - d1 X - d2 X^2`` after ``lambda = i mu X`` is
     ``d1^2 + 4 d0 d2``.
     """
-    matrix = projected_matrix_series(model_variant)
+    stokes = stokes_series(model_variant)
+    t0a = build_T0a(stokes)
+    top = bch_assemble(t0a)
+    matrix = projected_matrix_series(stokes, top)
     wide = [[entry.copy(caps=_DET_CAPS) for entry in row] for row in matrix]
     det = wide[0][0] * wide[1][1] - wide[0][1] * wide[1][0]
 
@@ -376,8 +234,9 @@ def det_and_discriminant(model_variant):
     d2 = b2
     wide_d = [s.copy(caps=_DISC_CAPS) for s in (d0, d1, d2)]
     disc = wide_d[1] * wide_d[1] + (wide_d[0] * wide_d[2]).scale(4)
-    return ExactModulation(variant=model_variant, matrix=matrix,
-                           b=(b0, b1, b2), d=(d0, d1, d2), disc=disc)
+    return ExactModulation(variant=model_variant, stokes=stokes, t0a=t0a,
+                           top=top, matrix=matrix, b=(b0, b1, b2),
+                           d=(d0, d1, d2), disc=disc)
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +271,22 @@ def _dump_real_scalar(sc):
             for (p, q, r, im), val in sc.sorted_items()}
 
 
-def build_dump(model_variant):
-    """Canonical text form of every engine object, for diffing and the CLI."""
-    stokes = stokes_series(model_variant)
-    t0a = build_T0a(model_variant)
-    t1a = t0a.commutator_z()
-    t2a = t1a.commutator_z()
-    top = bch_assemble(t0a)
-    exact = det_and_discriminant(model_variant)
-
+def build_dump(exact):
+    """Canonical text form of every stage of an :class:`ExactModulation`,
+    for diffing and the CLI."""
+    t1a = exact.t0a.commutator_z()
     dump = {
-        "stokes_eta": {f"a^{p} {_trig_str(n, 0)}": val.canonical()
-                       for (p, n), val in sorted(stokes.eta.items())},
+        "stokes_eta": {f"a^{p} {_trig_str(n, par)}": val.canonical()
+                       for (p, _, _, _, n, par), val
+                       in exact.stokes.eta.sorted_items()},
         "stokes_c": {f"a^{p}": val.canonical()
-                     for p, val in sorted(stokes.c.items())},
-        "op_T0a": _dump_operator(t0a),
+                     for (p, _, _, _), val in exact.stokes.c.sorted_items()},
+        "op_T0a": _dump_operator(exact.t0a),
         "op_T1a": _dump_operator(t1a),
-        "op_T2a": _dump_operator(t2a),
+        "op_T2a": _dump_operator(t1a.commutator_z()),
     }
     for tag in ("1", "cos1", "sin1", "cos2", "sin2"):
-        dump[f"act_{tag}"] = _dump_trigpoly(top.apply(tag))
+        dump[f"act_{tag}"] = _dump_trigpoly(exact.top.apply(tag))
     for i in range(2):
         for j in range(2):
             dump[f"matrix_{i + 1}{j + 1}"] = _dump_scalar(exact.matrix[i][j])
@@ -449,14 +304,15 @@ def load_golden(model_variant):
         return json.load(handle)
 
 
-def check_against_golden(model_variant):
-    """Diff the engine dump against the transcribed golden tables.
+def check_against_golden(exact):
+    """Diff the dump of an :class:`ExactModulation` against the
+    transcribed golden tables of its model.
 
     Returns a list of human-readable differences; empty means exact
     agreement on every golden section.
     """
-    golden = load_golden(model_variant)
-    dump = build_dump(model_variant)
+    golden = load_golden(exact.variant)
+    dump = build_dump(exact)
     diffs = []
     for section, expected in golden.items():
         got = dump.get(section)

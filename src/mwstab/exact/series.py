@@ -11,9 +11,9 @@ Three layers share one bookkeeping scheme:
   a term is ``coeff * a^p mu^q lambda^r i^im * trig(nz) * d^s/dz^s`` in
   canonical form (multiplication to the left of the derivative).
 
-Terms whose a- or mu-power exceeds the truncation caps are dropped on
-insertion; everything kept is exact.  Lambda stays linear at the operator
-level and quadratic after the 2x2 determinant.
+Terms whose a- or mu-power exceeds the truncation caps, and ``sin(0z)``
+terms, are dropped on insertion; everything kept is exact.  Lambda stays
+linear at the operator level and quadratic after the 2x2 determinant.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from fractions import Fraction
 from .ring import Coeff
 
 __all__ = ["ScalarSeries", "TrigPolySeries", "OperatorSeries",
-           "ExactEngineError", "DEFAULT_CAPS"]
+           "ExactEngineError", "DEFAULT_CAPS", "BASIS_TAGS"]
 
 DEFAULT_CAPS = (2, 2)
 
@@ -74,8 +74,13 @@ class _Series:
                 f"lambda power {r} exceeds limit {self.MAX_R}")
         if im not in (0, 1):
             raise ExactEngineError("imaginary marker must be 0 or 1")
+        if key[6:] and key[6] > self.MAX_S:
+            raise ExactEngineError(
+                f"derivative order {key[6]} exceeds limit {self.MAX_S}")
         if p > self.caps[0] or q > self.caps[1]:
             return  # truncated
+        if key[4:6] == (0, 1):
+            return  # sin(0z) vanishes
         new = self.terms.get(key, Coeff.zero()) + coeff
         if new.is_zero():
             self.terms.pop(key, None)
@@ -118,6 +123,19 @@ class _Series:
             out._insert(new_key, val * coeff * sign)
         return out
 
+    def _product(self, other, out, harmonics):
+        """Accumulate into ``out`` every pair of terms: scalar parts
+        multiply, and ``harmonics(tail1, tail2)`` lists the ``(Fraction,
+        tail)`` pieces that the trig parts of the two keys combine into."""
+        for (p1, q1, r1, im1, *tail1), c1 in self.terms.items():
+            for (p2, q2, r2, im2, *tail2), c2 in other.terms.items():
+                sign, im = _combine_im(im1, im2)
+                base = c1 * c2
+                for frac, tail in harmonics(tail1, tail2):
+                    out._insert((p1 + p2, q1 + q2, r1 + r2, im) + tail,
+                                base * (frac * sign))
+        return out
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -155,13 +173,7 @@ class ScalarSeries(_Series):
     def __mul__(self, other):
         if not isinstance(other, ScalarSeries):
             return NotImplemented
-        out = self._empty()
-        for (p1, q1, r1, im1), c1 in self.terms.items():
-            for (p2, q2, r2, im2), c2 in other.terms.items():
-                sign, im = _combine_im(im1, im2)
-                out._insert((p1 + p2, q1 + q2, r1 + r2, im),
-                            c1 * c2 * sign)
-        return out
+        return self._product(other, self._empty(), _scalar_product)
 
     def inverse(self):
         """Series inverse within the truncation caps.
@@ -235,47 +247,38 @@ class ScalarSeries(_Series):
         return total
 
 
-_BASIS_TAGS = {
+def _scalar_product(tail1, tail2):
+    """Scalar keys carry no harmonic."""
+    return [(1, ())]
+
+
+BASIS_TAGS = {
     "1": (0, 0), "cos1": (1, 0), "sin1": (1, 1), "cos2": (2, 0),
     "sin2": (2, 1), "cos3": (3, 0), "sin3": (3, 1),
 }
 
 
-def _trig_product(n1, par1, n2, par2):
-    """Product-to-sum rules; returns [(Fraction, n, par)]."""
-    if n1 == 0:
-        return [(Fraction(1), n2, par2)]
-    if n2 == 0:
-        return [(Fraction(1), n1, par1)]
+def _trig_product(tail1, tail2):
+    """Product-to-sum rules for ``(n, par)`` pairs; returns
+    ``[(Fraction, (n, par))]``, where a ``sin(0z)`` piece may appear."""
+    (n1, par1), (n2, par2) = tail1, tail2
     half = Fraction(1, 2)
-    total, diff = n1 + n2, n1 - n2
-    if par1 == 0 and par2 == 0:
-        return [(half, abs(diff), 0), (half, total, 0)]
-    if par1 == 1 and par2 == 1:
-        return [(half, abs(diff), 0), (-half, total, 0)]
-    out = [(half, total, 1)]
-    # sin(diff) with the sign convention of the two mixed cases
-    sign = half if par1 == 1 else -half
-    if diff > 0:
-        out.append((sign, diff, 1))
-    elif diff < 0:
-        out.append((-sign, -diff, 1))
-    return out
+    diff = abs(n1 - n2)
+    if par1 == par2:
+        # cos cos = (cos d + cos s)/2, sin sin = (cos d - cos s)/2
+        return [(half, (diff, 0)), (half if par1 == 0 else -half,
+                                    (n1 + n2, 0))]
+    # sin(n1 z) cos(n2 z) = (sin s + sin((n1 - n2) z))/2, and the
+    # opposite sign of the second piece for cos(n1 z) sin(n2 z)
+    sign = half if (par1 == 1) == (n1 >= n2) else -half
+    return [(half, (n1 + n2, 1)), (sign, (diff, 1))]
 
 
-def _deriv_tag(n, par, order):
-    """d^order/dz^order of cos(nz)/sin(nz) -> (Fraction, n, par) or None."""
-    coeff = Fraction(1)
-    for _ in range(order):
-        if n == 0:
-            return None
-        if par == 0:
-            coeff *= -n
-            par = 1
-        else:
-            coeff *= n
-            par = 0
-    return coeff, n, par
+def _pairing(tail1, tail2):
+    """Torus average of two harmonics: 1 (constant), 1/2 or 0."""
+    if tail1 != tail2:
+        return []
+    return [(Fraction(1) if tail1[0] == 0 else Fraction(1, 2), ())]
 
 
 class TrigPolySeries(_Series):
@@ -285,16 +288,34 @@ class TrigPolySeries(_Series):
 
     @classmethod
     def term(cls, coeff, p=0, q=0, r=0, im=0, n=0, par=0, caps=DEFAULT_CAPS):
-        if n == 0 and par == 1:
-            return cls(caps=caps)  # sin(0z) vanishes
         out = cls(caps=caps)
         out._insert((p, q, r, im, n, par), coeff)
         return out
 
     @classmethod
     def basis(cls, tag, caps=DEFAULT_CAPS):
-        n, par = _BASIS_TAGS[tag]
+        if tag not in BASIS_TAGS:
+            raise ValueError(f"unknown basis tag {tag!r}")
+        n, par = BASIS_TAGS[tag]
         return cls.term(Coeff.one(), n=n, par=par, caps=caps)
+
+    def __mul__(self, other):
+        """Product, truncated to the caps of ``self``."""
+        if not isinstance(other, TrigPolySeries):
+            return NotImplemented
+        return self._product(other, self._empty(), _trig_product)
+
+    def deriv(self, order=1):
+        """``d^order/dz^order``: ``cos(nz)' = -n sin(nz)``,
+        ``sin(nz)' = n cos(nz)``."""
+        out = self
+        for _ in range(order):
+            step = self._empty()
+            for key, val in out.terms.items():
+                n, par = key[4:]
+                step._insert(key[:4] + (n, 1 - par), val * (n if par else -n))
+            out = step
+        return out
 
     def inner(self, other):
         """Torus-average pairing against a real trig series.
@@ -304,16 +325,7 @@ class TrigPolySeries(_Series):
         """
         if not isinstance(other, TrigPolySeries):
             raise TypeError("inner expects a TrigPolySeries")
-        out = ScalarSeries(caps=self.caps)
-        for (p1, q1, r1, im1, n1, par1), c1 in self.terms.items():
-            for (p2, q2, r2, im2, n2, par2), c2 in other.terms.items():
-                if (n1, par1) != (n2, par2):
-                    continue
-                weight = Fraction(1) if n1 == 0 else Fraction(1, 2)
-                sign, im = _combine_im(im1, im2)
-                out._insert((p1 + p2, q1 + q2, r1 + r2, im),
-                            c1 * c2 * weight * sign)
-        return out
+        return self._product(other, ScalarSeries(caps=self.caps), _pairing)
 
     def harmonic(self, n, par, p=None, q=None, r=0, im=0):
         """Collect the coefficient of one harmonic (optionally filtered)."""
@@ -336,14 +348,6 @@ class OperatorSeries(_Series):
     MAX_R = 1
     MAX_S = 2
 
-    def _insert(self, key, coeff):
-        if len(key) == self.KEY_LEN and key[6] > self.MAX_S:
-            raise ExactEngineError(
-                f"derivative order {key[6]} exceeds limit {self.MAX_S}")
-        if len(key) == self.KEY_LEN and key[4] == 0 and key[5] == 1:
-            return  # sin(0z) factor
-        super()._insert(key, coeff)
-
     @classmethod
     def term(cls, coeff, p=0, q=0, r=0, im=0, n=0, par=0, s=0,
              caps=DEFAULT_CAPS):
@@ -351,24 +355,18 @@ class OperatorSeries(_Series):
         out._insert((p, q, r, im, n, par, s), coeff)
         return out
 
-    def add_term(self, coeff, p=0, q=0, r=0, im=0, n=0, par=0, s=0):
-        """In-place accumulation helper used by the model builders."""
-        self._insert((p, q, r, im, n, par, s), coeff)
+    def add(self, func, s=0):
+        """In place: add ``func * d^s`` for a trig polynomial ``func``."""
+        for key, val in func.terms.items():
+            self._insert(key + (s,), val)
 
-    def add_deriv2_of_product(self, coeff, p, n, par, r=0):
-        """Canonical expansion of ``coeff * d^2/dz^2 ( trig(nz) * . )``.
-
-        Leibniz: ``f d'' + 2 f' d' + f''`` for ``f = trig(nz)``.
-        """
-        self.add_term(coeff, p=p, r=r, n=n, par=par, s=2)
-        first = _deriv_tag(n, par, 1)
-        if first is not None:
-            fc, fn, fpar = first
-            self.add_term(coeff * (2 * fc), p=p, r=r, n=fn, par=fpar, s=1)
-        second = _deriv_tag(n, par, 2)
-        if second is not None:
-            sc, sn, spar = second
-            self.add_term(coeff * sc, p=p, r=r, n=sn, par=spar, s=0)
+    def multiplier(self, s):
+        """The trig polynomial that multiplies ``d^s``."""
+        out = TrigPolySeries(caps=self.caps)
+        for key, val in self.terms.items():
+            if key[6] == s:
+                out._insert(key[:6], val)
+        return out
 
     def commutator_z(self):
         """Commutator with multiplication by z: ``[f d^s, z] = s f d^(s-1)``.
@@ -383,21 +381,12 @@ class OperatorSeries(_Series):
         return out
 
     def apply(self, func):
-        """Apply the operator to a derivative-free trig polynomial."""
+        """Apply the operator to a derivative-free trig polynomial, or to
+        the basis function a ``BASIS_TAGS`` name stands for: the sum over
+        ``s`` of the order-``s`` multiplier times ``func.deriv(s)``."""
         if isinstance(func, str):
             func = TrigPolySeries.basis(func, caps=self.caps)
         out = TrigPolySeries(caps=self.caps)
-        for (p1, q1, r1, im1, n1, par1, s), c1 in self.terms.items():
-            for (p2, q2, r2, im2, n2, par2), c2 in func.terms.items():
-                deriv = _deriv_tag(n2, par2, s)
-                if deriv is None:
-                    continue
-                dcoeff, dn, dpar = deriv
-                sign, im = _combine_im(im1, im2)
-                base = c1 * c2 * dcoeff * sign
-                for frac, n, par in _trig_product(n1, par1, dn, dpar):
-                    if n == 0 and par == 1:
-                        continue
-                    out._insert((p1 + p2, q1 + q2, r1 + r2, im, n, par),
-                                base * frac)
+        for s in range(self.MAX_S + 1):
+            out = out + self.multiplier(s) * func.deriv(s)
         return out

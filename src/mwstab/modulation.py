@@ -199,7 +199,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     if not mu_grid:
         raise ValueError("mu grid is empty")
     if max(abs(m) for m in mu_grid) > 0.1:
-        raise ValueError("sweep grid must stay within (0, 0.1]")
+        raise ValueError("sweep grid must satisfy |mu| <= 0.1")
     branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
         solve_wave(model, a, k, n_modes=n_modes, tol=tol)
     basis = critical_basis(model, branch)

@@ -25,12 +25,17 @@ __all__ = [
     "Model", "WaveBranch", "ConvergenceError", "ValidityError",
     "analytic_wave", "residual", "linearized_operator", "solve_wave",
     "branch_derivative", "wave_speed_expansion", "AMPLITUDE_LIMIT",
+    "EXPANSION_LIMIT",
 ]
 
 SQRT3 = np.sqrt(3.0)
 
 #: validity guard for the small-amplitude expansions
 AMPLITUDE_LIMIT = 0.2
+#: validity guard on the expansion parameter |a| k^2: model A's profile
+#: equation loses its leading derivative where 2 eta k^2 reaches
+#: 3 c^2 k^2 ~ 1, so near a k^2 = 1/2 (Newton at N = 64 fails from 0.50)
+EXPANSION_LIMIT = 0.45
 
 DEFAULT_N_MODES = 64
 DEFAULT_TOL = 1e-12
@@ -95,6 +100,10 @@ def _check_domain(model, a, k):
         raise ValidityError(
             f"|a|={abs(a)} outside the small-amplitude range "
             f"(limit {AMPLITUDE_LIMIT})")
+    if abs(a) * k * k > EXPANSION_LIMIT:
+        raise ValidityError(
+            f"|a| k^2={abs(a) * k * k} outside the small-amplitude range "
+            f"(limit {EXPANSION_LIMIT})")
 
 
 def wave_speed_expansion(model, a, k):

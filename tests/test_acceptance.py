@@ -178,7 +178,7 @@ def test_c06_model_b_threshold():
 def test_c07_exact_series_golden_suite():
     """The exact engine reproduces every transcribed coefficient."""
     for variant in ("A", "B"):
-        diffs = check_against_golden(variant)
+        diffs = check_against_golden(det_and_discriminant(variant))
         assert diffs == [], "\n".join(diffs)
     lead_a = det_and_discriminant("A").disc_leading()
     assert lead_a.coefficient(0, 2) == Coeff.monomial(16, ek=-2) / 3

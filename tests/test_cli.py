@@ -100,6 +100,15 @@ class TestWaveCommand:
         assert code == EXIT_CONFIG
         assert json.loads(err)["error"] == "validity"
 
+    # |a| passes the amplitude guard, but a k^2 (125; inf) is not small
+    @pytest.mark.parametrize("k,a", [("50", "0.05"), ("1e200", "0.01")])
+    def test_expansion_parameter_guard(self, capsys, k, a):
+        code, out, err = run_cli(capsys, "wave", "--k", k, "--a", a)
+        assert code == EXIT_CONFIG and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validity"
+        assert "|a| k^2" in payload["message"]
+
     def test_solver_failure_is_machine_readable(self, capsys, monkeypatch):
         from mwstab.waves import ConvergenceError
 
@@ -255,6 +264,11 @@ class TestArgumentErrors:
         code, _, err = run_cli(capsys, "spectrum", "--mu-grid", "0.4:0.1:5")
         assert code == EXIT_CONFIG
         assert "start must be below stop" in json.loads(err)["message"]
+
+    def test_sweep_grid_guard_message(self, capsys):
+        code, out, err = run_cli(capsys, "index", "--mu-grid=-0.2:0.05:3")
+        assert code == EXIT_CONFIG and out == ""
+        assert "|mu| <= 0.1" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("argv", [
         ("wave", "--a", "nan"),

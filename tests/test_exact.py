@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mwstab.exact import (Coeff, ScalarSeries,
+from mwstab.exact import (Coeff, ScalarSeries, TrigPolySeries,
                           OperatorSeries, ExactEngineError, stokes_series,
-                          build_T0a, bch_assemble, apply_to,
+                          build_T0a, bch_assemble,
                           projected_matrix_series, det_and_discriminant,
                           check_against_golden, load_golden, build_dump)
+from mwstab.exact.expansions import _add_d2_of
+from mwstab.exact.series import BASIS_TAGS
 
 
 def random_coeff(rng):
@@ -18,6 +21,11 @@ def random_coeff(rng):
         terms[key] = Fraction(int(rng.integers(-9, 10)),
                               int(rng.integers(1, 9)))
     return Coeff(terms)
+
+
+def conjugated(variant):
+    """The Floquet-conjugated Bloch operator of one model."""
+    return bch_assemble(build_T0a(stokes_series(variant)))
 
 
 class TestCoeffRing:
@@ -90,40 +98,66 @@ class TestSeriesMechanics:
         assert dz.commutator_z() == OperatorSeries.term(Coeff.one(), s=0)
 
 
+coeffs = st.builds(lambda frac, ek, e3, eg: Coeff({(ek, e3, eg): frac}),
+                   st.fractions(-4, 4, max_denominator=6),
+                   st.integers(-2, 2), st.integers(0, 1), st.integers(0, 1))
+# (p, q, r, im, n, par); r <= 1 keeps products within the lambda limits
+trig_keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                      st.integers(0, 1), st.integers(0, 3), st.integers(0, 1))
+trig_polys = st.dictionaries(trig_keys, coeffs, max_size=4).map(
+    lambda terms: TrigPolySeries(terms=terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(f=trig_polys, g=trig_polys, h=trig_polys)
+def test_trig_poly_product_and_derivative_rules(f, g, h):
+    """The truncating product is commutative and distributive, ``deriv``
+    obeys Leibniz and order 0 is the identity, and the operator built for
+    ``d^2 M[f]`` acts as the second derivative of the product."""
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert (f * g).deriv() == f.deriv() * g + f * g.deriv()
+    assert f.deriv(0) == f
+    op = OperatorSeries()
+    _add_d2_of(op, f)
+    assert op.apply(g) == (f * g).deriv(2)
+
+
 class TestStokesSeries:
     def test_model_a_displayed_coefficients(self):
         s = stokes_series("A")
         k2 = Coeff.k_power(2)
-        assert s.eta[(2, 0)] == k2 * Fraction(-1, 2)
-        assert s.eta[(2, 2)] == k2 * Fraction(1, 2)
-        assert s.eta[(3, 3)] == Coeff.k_power(4) * Fraction(7, 16)
-        assert s.c[2] == Coeff.monomial(Fraction(1, 12), ek=3, e3=1)
+        assert s.eta.harmonic(0, 0, p=2) == k2 * Fraction(-1, 2)
+        assert s.eta.harmonic(2, 0, p=2) == k2 * Fraction(1, 2)
+        assert s.eta.harmonic(3, 0, p=3) == Coeff.k_power(4) * Fraction(7, 16)
+        assert s.c.coefficient(2, 0) == Coeff.monomial(Fraction(1, 12), ek=3,
+                                                       e3=1)
 
     def test_model_b_displayed_coefficients(self):
         s = stokes_series("B")
         k4 = Coeff.k_power(4)
-        assert s.eta[(3, 3)] == k4 * Fraction(7, 64) \
+        assert s.eta.harmonic(3, 0, p=3) == k4 * Fraction(7, 64) \
             + Coeff.gamma() * k4 * Fraction(1, 64)
         expected_c2 = Coeff.k_power(2) * Fraction(1, 8) \
             - Coeff.gamma() * Coeff.k_power(2) * Fraction(1, 8)
-        assert s.c[2] == expected_c2
+        assert s.c.coefficient(2, 0) == expected_c2
 
 
 class TestOperatorExpansion:
     def test_flat_part_of_t0a(self):
-        t0a = build_T0a("A")
+        t0a = build_T0a(stokes_series("A"))
         assert t0a.terms[(0, 0, 1, 0, 0, 0, 1)] == Coeff.monomial(
             Fraction(2, 3), ek=-1, e3=1)
         assert t0a.terms[(0, 0, 0, 0, 0, 0, 2)] == Coeff.rational(-1)
         assert t0a.terms[(0, 0, 0, 0, 0, 0, 0)] == Coeff.rational(-1)
 
     def test_model_b_flat_part(self):
-        t0a = build_T0a("B")
+        t0a = build_T0a(stokes_series("B"))
         assert t0a.terms[(0, 0, 1, 0, 0, 0, 1)] == Coeff.one()
         assert t0a.terms[(0, 0, 0, 0, 0, 0, 2)] == Coeff.rational(-1)
 
     def test_iterated_commutators(self):
-        t0a = build_T0a("A")
+        t0a = build_T0a(stokes_series("A"))
         t1 = t0a.commutator_z()
         t2 = t1.commutator_z()
         # [T0, z] = 2 lam /(sqrt3 k) - 2 d/dz at zero amplitude
@@ -135,24 +169,24 @@ class TestOperatorExpansion:
         assert t2.commutator_z().is_zero()
 
     def test_bch_mu2_coefficient_is_identity(self):
-        top = bch_assemble(build_T0a("A"))
+        top = conjugated("A")
         assert top.terms[(0, 2, 0, 0, 0, 0, 0)] == Coeff.one()
 
     def test_bch_exactness_via_vanishing_third_commutator(self):
         for variant in ("A", "B"):
-            third = build_T0a(variant).commutator_z() \
+            third = build_T0a(stokes_series(variant)).commutator_z() \
                 .commutator_z().commutator_z()
             assert third.is_zero()
 
     def test_bch_rejects_mu_content(self):
-        top = bch_assemble(build_T0a("A"))
+        top = conjugated("A")
         with pytest.raises(ExactEngineError):
             bch_assemble(top)
 
 
 class TestActions:
     def test_action_on_one(self):
-        act = apply_to(bch_assemble(build_T0a("A")), "1")
+        act = conjugated("A").apply("1")
         k2 = Coeff.k_power(2)
         assert act.terms[(0, 0, 0, 0, 0, 0)] == Coeff.rational(-1)
         assert act.terms[(1, 0, 0, 0, 1, 0)] == k2 * (-2)
@@ -161,26 +195,30 @@ class TestActions:
         assert act.terms[(1, 1, 0, 1, 1, 1)] == k2 * (-2)
 
     def test_action_on_cos(self):
-        act = apply_to(bch_assemble(build_T0a("A")), "cos1")
+        act = conjugated("A").apply("cos1")
         k2 = Coeff.k_power(2)
         assert act.terms[(1, 0, 0, 0, 0, 0)] == k2 * (-1)
         assert act.terms[(1, 0, 0, 0, 2, 0)] == k2 * (-3)
 
     def test_action_on_sin2(self):
-        act = apply_to(bch_assemble(build_T0a("A")), "sin2")
+        act = conjugated("A").apply("sin2")
         assert act.terms[(2, 1, 0, 1, 0, 0)] == Coeff.k_power(4)
 
     def test_lambda_linearity_everywhere(self):
         for variant in ("A", "B"):
-            top = bch_assemble(build_T0a(variant))
+            top = conjugated(variant)
             assert all(key[2] <= 1 for key in top.terms)
-            for tag in ("1", "cos1", "sin1", "cos2", "sin2", "cos3", "sin3"):
+            for tag in BASIS_TAGS:
                 assert all(key[2] <= 1 for key in top.apply(tag).terms)
+            with pytest.raises(ValueError, match="unknown basis tag"):
+                top.apply("cos4")
 
 
 class TestProjection:
     def test_matrix_entries_against_displayed_blocks(self):
-        matrix = projected_matrix_series("A")
+        stokes = stokes_series("A")
+        matrix = projected_matrix_series(
+            stokes, bch_assemble(build_T0a(stokes)))
         lam_unit = Coeff.monomial(Fraction(2, 3), ek=-1, e3=1)  # 2/(sqrt3 k)
         assert matrix[0][1].coefficient(0, 0, r=1) == lam_unit
         assert matrix[1][0].coefficient(0, 0, r=1) == -lam_unit
@@ -219,7 +257,7 @@ class TestProjection:
 class TestGolden:
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_zero_diffs(self, variant):
-        assert check_against_golden(variant) == []
+        assert check_against_golden(det_and_discriminant(variant)) == []
 
     def test_golden_files_are_nontrivial(self):
         golden = load_golden("A")
@@ -227,7 +265,7 @@ class TestGolden:
         assert golden["det_b1"]["a^0 mu^1"] == "-8/3*sqrt3*k^-1"
 
     def test_dump_covers_all_golden_sections(self):
-        dump = build_dump("A")
+        dump = build_dump(det_and_discriminant("A"))
         for section in load_golden("A"):
             assert section in dump
 
