@@ -20,8 +20,8 @@ from .waves import Model, SQRT3, linearized_operator
 __all__ = [
     "BlochPencil", "SpectrumSample", "CollisionRecord", "SymmetryReport",
     "assemble_pencil", "apply_bloch", "dispersion", "find_collisions",
-    "spectrum_slice", "symmetry_check", "hausdorff_distance", "sweep_mus",
-    "INFINITE_EIGENVALUE_CUTOFF",
+    "real_pencil", "spectrum_slice", "symmetry_check", "hausdorff_distance",
+    "sweep_mus", "INFINITE_EIGENVALUE_CUTOFF",
 ]
 
 #: eigenvalues beyond this magnitude belong to the (near-)singular direction
@@ -171,13 +171,26 @@ def _branch_labels(model, eigenvalues, mu, k, n_modes):
     return labels
 
 
+def real_pencil(pencil):
+    """``(L0, s)`` as real arrays, with ``L1 = i diag(s)``.
+
+    For an even profile ``L0`` is real (each odd Toeplitz block ``i R``
+    meets ``d/dz + i mu = i diag(n + mu)``) and ``s = alpha (n + mu)``,
+    ``alpha = 2c`` (A) or 1 (B); ``T(i omega) v = 0`` reads
+    ``L0 v = omega diag(s) v``.  A non-real ``L0`` raises
+    ``ArithmeticError``.
+    """
+    if np.any(pencil.L0.imag):
+        raise ArithmeticError(
+            f"L0 is not real at mu={pencil.mu}: the profile is not even")
+    return pencil.L0.real, pencil.L1.diagonal().imag
+
+
 def spectrum_slice(pencil):
     """All finite eigenvalues of the pencil from a real standard eigenproblem.
 
-    For an even profile ``L0`` is real (each odd Toeplitz block ``i R``
-    meets ``d/dz + i mu = i diag(n + mu)``) and ``L1 = i diag(s)`` with
-    ``s = alpha (n + mu)``, ``alpha = 2c`` (A) or 1 (B).  ``T(lambda) v = 0``
-    then reads ``diag(1/s) L0 v = -i lambda v``, a real matrix, so
+    With the real ``(L0, s)`` of ``real_pencil``, ``T(lambda) v = 0`` reads
+    ``diag(1/s) L0 v = -i lambda v``, a real matrix, so
     ``lambda -> -conj(lambda)`` holds exactly.
 
     ``L1`` is never inverted where it is singular.  A mode with
@@ -189,11 +202,7 @@ def spectrum_slice(pencil):
     graded downward; left in the middle, its ``1/s_n`` row spoils the other
     eigenvalues at small nonzero ``mu`` (by 2e-2 at ``mu = 1e-18``).
     """
-    if np.any(pencil.L0.imag):
-        raise ArithmeticError(
-            f"L0 is not real at mu={pencil.mu}: the profile is not even")
-    l0 = pencil.L0.real
-    s = pencil.L1.diagonal().imag
+    l0, s = real_pencil(pencil)
     tiny = (np.abs(s) * INFINITE_EIGENVALUE_CUTOFF
             <= np.finfo(float).eps * np.abs(l0.diagonal()))
     keep = ~tiny

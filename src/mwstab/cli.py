@@ -25,6 +25,10 @@ EXIT_INDETERMINATE = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
+#: largest ``--modes``: the pencils are dense complex (2N+1)^2 matrices,
+#: 67 MB each at N = 1024
+MAX_MODES = 1024
+
 
 class ConfigError(ValueError):
     """Bad flag, config-file entry, or parameter combination."""
@@ -155,6 +159,8 @@ def resolve_config(args):
         raise ConfigError("k must be positive")
     if config.n_modes < 8:
         raise ConfigError("modes must be at least 8")
+    if config.n_modes > MAX_MODES:
+        raise ConfigError(f"modes must be at most {MAX_MODES}")
     if config.tol <= 0:
         raise ConfigError("tol must be positive")
     if config.format not in (None, "csv", "json"):
@@ -277,8 +283,8 @@ def cmd_expand(args):
     config = resolve_config(args)
     exact = det_and_discriminant(config.model)
     if args.check_golden:
-        diffs = check_against_golden(exact)
         golden = load_golden(config.model)
+        diffs = check_against_golden(exact, golden)
         lines = [f"model {config.model}: {len(diffs)} diffs against "
                  f"{len(golden)} transcribed sections"]
         lines.extend(diffs)

@@ -304,14 +304,16 @@ def load_golden(model_variant):
         return json.load(handle)
 
 
-def check_against_golden(exact):
+def check_against_golden(exact, golden=None):
     """Diff the dump of an :class:`ExactModulation` against the
-    transcribed golden tables of its model.
+    transcribed golden tables of its model (``golden``, as returned by
+    ``load_golden``; read here when not given).
 
     Returns a list of human-readable differences; empty means exact
     agreement on every golden section.
     """
-    golden = load_golden(exact.variant)
+    if golden is None:
+        golden = load_golden(exact.variant)
     dump = build_dump(exact)
     diffs = []
     for section, expected in golden.items():

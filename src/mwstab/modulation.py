@@ -17,8 +17,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from .fourier import TrigSeries
-from .waves import Model, solve_wave, branch_derivative, DEFAULT_TOL
-from .bloch import assemble_pencil, spectrum_slice, dispersion, parallel_map
+from .waves import (Model, ConvergenceError, solve_wave, branch_derivative,
+                    DEFAULT_TOL)
+from .bloch import assemble_pencil, real_pencil, dispersion, parallel_map
 
 __all__ = [
     "CriticalBasis", "QuadraticDet", "StabilityReport",
@@ -32,6 +33,13 @@ GROWTH_TOLERANCE = 1e-6
 
 #: below this |mu| the d_j are taken from the mu -> 0 limit path
 _MU_LIMIT_THRESHOLD = 1e-4
+
+#: ``critical_growth``'s subspace has settled once a step moves it by less
+#: than this; it stops moving at 1e-16 to 2e-15 (N = 64 to 256)
+_SUBSPACE_TOL = 512 * np.finfo(float).eps
+#: subspace steps before ``critical_growth`` gives up; the most needed in
+#: the small-amplitude range is 27 (a k^2 = 0.45, |mu| = 0.1)
+_MAX_SUBSPACE_STEPS = 50
 
 
 class DegeneratePairError(RuntimeError):
@@ -160,28 +168,74 @@ def projected_det(model, branch, basis, mu, n_modes=None):
                         d0=d0, d1=d1, d2=d2, disc=disc)
 
 
+def _critical_shift(model, k, mu):
+    """``critical_growth``'s shift: ``|Omega_2| / 30`` on the far side of
+    zero from the critical pair, whose frequencies share the sign of
+    ``mu``."""
+    sigma = abs(dispersion(model, 2, 0.0, k)) / 30.0
+    return -sigma if mu > 0 else sigma
+
+
 def critical_growth(model, branch, mu, n_modes=None):
     """The two pencil eigenvalues continuing the double zero at the origin.
 
     Returns ``(lambda_plus, lambda_minus)`` tracked to the unperturbed
-    modes ``+1`` and ``-1`` by nearest-dispersion assignment.
+    modes ``+1`` and ``-1`` by nearest-dispersion assignment; a reflected
+    pair ``lambda, -conj(lambda)``, which ties there, comes with the
+    growing member first.
+
+    Only this pair is computed, by shift-and-invert subspace iteration on
+    the real pencil ``L0 v = omega diag(s) v``, ``lambda = i omega`` (see
+    ``real_pencil``).  The span of the unit vectors of modes +1 and -1 is
+    mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, which is
+    ``(M - sigma)^-1`` for ``M = diag(1/s) L0`` but never divides by ``s``
+    (the ``n + mu = 0`` mode maps to 0), and re-orthonormalized until a
+    step moves it by less than ``_SUBSPACE_TOL``; the pair are the
+    eigenvalues of the 2x2 pencil projected onto that span.  For
+    ``|mu| <= 0.1`` both critical frequencies lie within about
+    ``0.15 |Omega_2|`` of zero on the side of ``mu`` (both modes have
+    positive group velocity) and the other modes beyond ``0.9 |Omega_2|``,
+    ``Omega_2`` the mode-2 dispersion at ``mu = 0``.  The shift
+    ``sigma = -+|Omega_2| / 30`` lies on the far side of zero, so the
+    shifted matrix stays far from singular, and each step shrinks the other
+    modes' share of the subspace by a factor of about 0.2.
+    ``ConvergenceError`` after ``_MAX_SUBSPACE_STEPS`` steps.
     """
     if abs(mu) > 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
-    sample = spectrum_slice(assemble_pencil(model, branch, mu,
-                                            n_modes=n_modes))
-    lam = sample.eigenvalues
-    idx = np.argsort(np.abs(lam))[:2]
-    pair = lam[idx]
+    pencil = assemble_pencil(model, branch, mu, n_modes=n_modes)
+    l0, s = real_pencil(pencil)
+    n = pencil.n_modes
+    sigma = _critical_shift(model, branch.k, mu)
+    basis = np.zeros((2 * n + 1, 2))
+    basis[n + 1, 0] = basis[n - 1, 1] = 1.0
+    try:
+        step = np.linalg.inv(l0 - sigma * np.diag(s)) * s[None, :]
+        for _ in range(_MAX_SUBSPACE_STEPS):
+            image, _ = np.linalg.qr(step @ basis)
+            move = np.linalg.norm(image - basis @ (basis.T @ image))
+            basis = image
+            if move <= _SUBSPACE_TOL:
+                break
+        else:
+            raise ConvergenceError(
+                f"critical subspace still moving by {move:.3e} at mu={mu} "
+                f"after {_MAX_SUBSPACE_STEPS} steps", move)
+        pair = 1j * np.linalg.eigvals(np.linalg.solve(
+            basis.T @ (s[:, None] * basis), basis.T @ (l0 @ basis)))
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"critical pair solve failed at mu={mu}: {exc}") from exc
     if abs(pair[0] - pair[1]) < 1e-12:
         raise DegeneratePairError(
             f"critical eigenvalues coincide at mu={mu} "
             f"(spacing {abs(pair[0] - pair[1]):.3e})")
-    targets = [1j * dispersion(model, s, mu, branch.k) for s in (1, -1)]
-    if (abs(pair[0] - targets[0]) + abs(pair[1] - targets[1])
-            <= abs(pair[0] - targets[1]) + abs(pair[1] - targets[0])):
-        return complex(pair[0]), complex(pair[1])
-    return complex(pair[1]), complex(pair[0])
+    targets = [1j * dispersion(model, m, mu, branch.k) for m in (1, -1)]
+    kept = abs(pair[0] - targets[0]) + abs(pair[1] - targets[1])
+    swapped = abs(pair[0] - targets[1]) + abs(pair[1] - targets[0])
+    if kept > swapped or (kept == swapped and pair[0].real < pair[1].real):
+        pair = pair[::-1]
+    return complex(pair[0]), complex(pair[1])
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):

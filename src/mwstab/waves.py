@@ -104,6 +104,9 @@ def _check_domain(model, a, k):
         raise ValidityError(
             f"|a| k^2={abs(a) * k * k} outside the small-amplitude range "
             f"(limit {EXPANSION_LIMIT})")
+    # k^2 and k^4 appear in the expansions; Python's ** raises on overflow
+    if not np.isfinite(k * k * k * k):
+        raise ValidityError(f"k={k} is too large: k^4 overflows")
 
 
 def wave_speed_expansion(model, a, k):

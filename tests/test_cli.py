@@ -109,6 +109,16 @@ class TestWaveCommand:
         assert payload["error"] == "validity"
         assert "|a| k^2" in payload["message"]
 
+    # a = 0 passes both amplitude guards; Python's k**2 overflowed (exit 3)
+    @pytest.mark.parametrize("k", ["1e200", "1e80"])
+    def test_huge_wavenumber_is_a_validity_error(self, capsys, k):
+        code, out, err = run_cli(capsys, "wave", "--k", k, "--a", "0",
+                                 "--modes", "16")
+        assert code == EXIT_CONFIG and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validity"
+        assert "k^4 overflows" in payload["message"]
+
     def test_solver_failure_is_machine_readable(self, capsys, monkeypatch):
         from mwstab.waves import ConvergenceError
 
@@ -236,6 +246,23 @@ class TestExpandCommand:
         assert code == EXIT_OK
         assert "0 diffs" in out
 
+    def test_check_golden_reads_the_tables_once(self, capsys, monkeypatch):
+        from mwstab.exact import expansions
+
+        load = expansions.load_golden
+        reads = []
+
+        def counted(variant):
+            reads.append(variant)
+            return load(variant)
+
+        monkeypatch.setattr(cli, "load_golden", counted)
+        monkeypatch.setattr(expansions, "load_golden", counted)
+        code, out, _ = run_cli(capsys, "expand", "--model", "A",
+                               "--check-golden")
+        assert code == EXIT_OK and "0 diffs" in out
+        assert reads == ["A"]
+
     def test_model_b_leading_discriminant_text(self, capsys):
         _, out, _ = run_cli(capsys, "expand", "--model", "B",
                             "--check-golden")
@@ -288,6 +315,25 @@ class TestArgumentErrors:
         assert payload["error"] == "config"
         assert "is not a finite number" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["wave", "spectrum", "index"])
+    def test_modes_above_the_cap_exit_config(self, capsys, monkeypatch,
+                                             command):
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve started before the check")
+
+        for name in ("solve_wave", "sweep_mus", "discriminant_sweep"):
+            monkeypatch.setattr(cli, name, solve)
+        code, out, err = run_cli(capsys, command, "--modes", str(10**9))
+        assert code == EXIT_CONFIG and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert payload["message"] == f"modes must be at most {cli.MAX_MODES}"
+
+    def test_modes_cap_admits_its_value(self):
+        config = resolve_config(cli.build_parser().parse_args(
+            ["wave", "--modes", str(cli.MAX_MODES)]))
+        assert config.n_modes == cli.MAX_MODES
+
 
 def _strict_json(text):
     def reject(constant):
@@ -328,6 +374,19 @@ class TestSolverFailures:
                                "--modes", "16")
         assert code == EXIT_SOLVER
         assert _strict_json(err)["error"] == "numeric"
+
+    def test_unsettled_critical_subspace_exits_solver(self, capsys,
+                                                      monkeypatch):
+        from mwstab import modulation
+
+        monkeypatch.setattr(modulation, "_MAX_SUBSPACE_STEPS", 1)
+        code, out, err = run_cli(capsys, "index", "--a", "0.02",
+                                 "--modes", "16")
+        assert code == EXIT_SOLVER and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "convergence"
+        assert "critical subspace" in payload["message"]
+        assert payload["residual_norm"] > 0.0
 
     def test_non_finite_residual_is_null(self, capsys, monkeypatch):
         from mwstab.waves import ConvergenceError

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mwstab import modulation
 from mwstab.fourier import TrigSeries
-from mwstab.waves import Model, solve_wave, SQRT3
+from mwstab.waves import Model, solve_wave, SQRT3, ConvergenceError
+from mwstab.bloch import assemble_pencil, spectrum_slice
 from mwstab.modulation import (critical_basis, projected_det,
                                discriminant_sweep, critical_growth,
                                threshold_bisect, DegeneratePairError,
@@ -153,6 +156,82 @@ class TestCriticalGrowth:
         lam_plus, _ = critical_growth(model, branch, mu)
         predicted = mu * np.sqrt(-det.disc) / (2.0 * det.d2)
         assert lam_plus.real == pytest.approx(predicted, rel=0.2)
+
+    @pytest.mark.parametrize("mu", [0.005, -0.005])
+    def test_growing_member_comes_first(self, mu):
+        # the reflected pair ties under the nearest-dispersion labelling
+        model = Model("B", gamma=3.0)
+        branch = solve_wave(model, 0.02, 1.0, n_modes=32)
+        lam_plus, lam_minus = critical_growth(model, branch, mu)
+        assert lam_plus.real > 1e-5
+        assert lam_minus == pytest.approx(-lam_plus.conjugate(), abs=1e-15)
+
+    def test_pair_where_it_crosses_the_shift_level(self):
+        # a shift of the pair's own sign would be a critical frequency here,
+        # and the shifted matrix singular to rounding
+        from mwstab.bloch import dispersion
+        model = Model("B", gamma=0.5)
+        branch = solve_wave(model, 0.05, 1.0, n_modes=32)
+        level = abs(modulation._critical_shift(model, 1.0, 0.05))
+        assert level == pytest.approx(dispersion(model, 2, 0.0, 1.0) / 30.0)
+
+        def slice_pair(mu):
+            lam = spectrum_slice(assemble_pencil(model, branch, mu)) \
+                .eigenvalues
+            return np.sort_complex(lam[np.argsort(np.abs(lam))[:2]])
+
+        lo, hi = 1e-3, 0.1
+        assert slice_pair(lo)[1].imag < level < slice_pair(hi)[1].imag
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slice_pair(mid)[1].imag < level \
+                else (lo, mid)
+        pair = np.sort_complex(np.array(critical_growth(model, branch, lo)))
+        assert pair[1].imag == pytest.approx(level, abs=1e-12)
+        assert np.abs(pair - slice_pair(lo)).max() <= 1e-12
+        # at -mu the frequencies change sign, and so does the shift
+        minus = np.array(critical_growth(model, branch, -lo))
+        assert np.abs(np.sort_complex(minus.conj()) - pair).max() <= 1e-12
+
+    def test_unsettled_subspace_is_a_convergence_error(self, branch_a005,
+                                                       monkeypatch):
+        monkeypatch.setattr(modulation, "_MAX_SUBSPACE_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="critical subspace") as err:
+            critical_growth(MODEL_A, branch_a005, 0.03)
+        assert err.value.residual_norm > modulation._SUBSPACE_TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
+       k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0),
+       mu=st.one_of(st.just(0.0),
+                    st.floats(-0.1, 0.1).filter(
+                        lambda mu: abs(mu) >= 1e-3)))
+def test_critical_pair_is_the_slice_pair_nearest_zero(variant, a, k, gamma,
+                                                      mu):
+    """``critical_growth`` gives the two smallest-|lambda| eigenvalues of
+    the whole slice, to 1e-10 max(1, |lambda|) + min(r, r^2 / gap) with
+    r = sqrt(eps max|L0|) and ``gap`` the distance to the nearest other
+    eigenvalue, the bound ``test_real_reduction_matches_qz`` uses; a growing
+    pair comes with its growing member first."""
+    n = 32
+    model = Model(variant, gamma=gamma if variant == "B" else 0.0)
+    branch = solve_wave(model, a, k, n_modes=n)
+    pencil = assemble_pencil(model, branch, mu)
+    full = spectrum_slice(pencil).eigenvalues
+    nearest = np.argsort(np.abs(full))[:2]
+    ref = full[nearest]
+    gaps = np.abs(full[nearest, None] - full[None, :])
+    gaps[[0, 1], nearest] = np.inf
+    r = np.sqrt(np.finfo(float).eps * np.abs(pencil.L0).max())
+    tol = 1e-10 * np.maximum(1.0, np.abs(ref)) \
+        + np.minimum(r, r * r / gaps.min(axis=1))
+    pair = np.array(critical_growth(model, branch, mu))
+    assert (np.all(np.abs(pair - ref) <= tol)
+            or np.all(np.abs(pair[::-1] - ref) <= tol))
+    if mu != 0.0 and ref.real.max() > tol.max():
+        assert pair[0].real > 0.0
+        assert pair[0].real == pytest.approx(ref.real.max(), rel=1e-9)
 
 
 class TestVerdicts:
