@@ -304,16 +304,14 @@ def load_golden(model_variant):
         return json.load(handle)
 
 
-def check_against_golden(exact, golden=None):
+def check_against_golden(exact, golden):
     """Diff the dump of an :class:`ExactModulation` against the
     transcribed golden tables of its model (``golden``, as returned by
-    ``load_golden``; read here when not given).
+    ``load_golden``).
 
     Returns a list of human-readable differences; empty means exact
     agreement on every golden section.
     """
-    if golden is None:
-        golden = load_golden(exact.variant)
     dump = build_dump(exact)
     diffs = []
     for section, expected in golden.items():

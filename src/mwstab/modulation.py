@@ -34,12 +34,19 @@ GROWTH_TOLERANCE = 1e-6
 #: below this |mu| the d_j are taken from the mu -> 0 limit path
 _MU_LIMIT_THRESHOLD = 1e-4
 
-#: ``critical_growth``'s subspace has settled once a step moves it by less
-#: than this; it stops moving at 1e-16 to 2e-15 (N = 64 to 256)
-_SUBSPACE_TOL = 512 * np.finfo(float).eps
-#: subspace steps before ``critical_growth`` gives up; the most needed in
-#: the small-amplitude range is 27 (a k^2 = 0.45, |mu| = 0.1)
-_MAX_SUBSPACE_STEPS = 50
+#: ``critical_growth``'s subspace has settled once a step moves it by no
+#: less than the step before (the move has reached its rounding floor) and
+#: by at most this.  The floor measured 1e-16 to 4e-14 over N = 64 to 1024,
+#: k in [0.05, 100] and gamma in [-1000, 1000]
+_SUBSPACE_TOL = 1e-9
+#: subspace steps before ``critical_growth`` gives up, enough for a
+#: contraction of 0.83 per step; the slowest measured was 0.45 (45 steps,
+#: model B, gamma = -1000, a = 0.02, k = 1.4, |mu| = 0.1)
+_MAX_SUBSPACE_STEPS = 200
+#: a critical frequency may lie on the shift's side of zero by this share
+#: of ``|sigma|``, for the rounding noise of the double zero near
+#: ``mu = 0`` (measured up to 1.1e-5)
+_SHIFT_SIDE_NOISE = 1e-3
 
 
 class DegeneratePairError(RuntimeError):
@@ -190,16 +197,22 @@ def critical_growth(model, branch, mu, n_modes=None):
     mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, which is
     ``(M - sigma)^-1`` for ``M = diag(1/s) L0`` but never divides by ``s``
     (the ``n + mu = 0`` mode maps to 0), and re-orthonormalized until a
-    step moves it by less than ``_SUBSPACE_TOL``; the pair are the
-    eigenvalues of the 2x2 pencil projected onto that span.  For
-    ``|mu| <= 0.1`` both critical frequencies lie within about
+    step's move stops shrinking at rounding level (``_SUBSPACE_TOL``); the
+    pair are the eigenvalues of the 2x2 pencil projected onto that span.
+    For ``|mu| <= 0.1`` both critical frequencies lie within about
     ``0.15 |Omega_2|`` of zero on the side of ``mu`` (both modes have
     positive group velocity) and the other modes beyond ``0.9 |Omega_2|``,
     ``Omega_2`` the mode-2 dispersion at ``mu = 0``.  The shift
     ``sigma = -+|Omega_2| / 30`` lies on the far side of zero, so the
     shifted matrix stays far from singular, and each step shrinks the other
     modes' share of the subspace by a factor of about 0.2.
-    ``ConvergenceError`` after ``_MAX_SUBSPACE_STEPS`` steps.
+
+    The span settles on the two eigenvalues nearest ``sigma``.  A mode on
+    ``sigma``'s side of zero is nearer ``sigma`` than any mode on the far
+    side that is as near zero, so a pair found on the far side (up to
+    ``_SHIFT_SIDE_NOISE``) leaves no mode on ``sigma``'s side nearer zero.
+    A frequency found on ``sigma``'s side, or no settled span after
+    ``_MAX_SUBSPACE_STEPS`` steps, raises ``ConvergenceError``.
     """
     if abs(mu) > 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
@@ -211,21 +224,29 @@ def critical_growth(model, branch, mu, n_modes=None):
     basis[n + 1, 0] = basis[n - 1, 1] = 1.0
     try:
         step = np.linalg.inv(l0 - sigma * np.diag(s)) * s[None, :]
+        last = np.inf
         for _ in range(_MAX_SUBSPACE_STEPS):
             image, _ = np.linalg.qr(step @ basis)
             move = np.linalg.norm(image - basis @ (basis.T @ image))
             basis = image
-            if move <= _SUBSPACE_TOL:
+            if last <= move <= _SUBSPACE_TOL:
                 break
+            last = move
         else:
             raise ConvergenceError(
                 f"critical subspace still moving by {move:.3e} at mu={mu} "
                 f"after {_MAX_SUBSPACE_STEPS} steps", move)
-        pair = 1j * np.linalg.eigvals(np.linalg.solve(
+        omega = np.linalg.eigvals(np.linalg.solve(
             basis.T @ (s[:, None] * basis), basis.T @ (l0 @ basis)))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"critical pair solve failed at mu={mu}: {exc}") from exc
+    if np.max(omega.real * np.sign(sigma)) > _SHIFT_SIDE_NOISE * abs(sigma):
+        raise ConvergenceError(
+            f"critical subspace at mu={mu} settled on frequencies "
+            f"{omega[0].real:.6g}, {omega[1].real:.6g}, one on the side of "
+            f"the shift {sigma:.6g}: not the pair nearest zero", move)
+    pair = 1j * omega
     if abs(pair[0] - pair[1]) < 1e-12:
         raise DegeneratePairError(
             f"critical eigenvalues coincide at mu={mu} "

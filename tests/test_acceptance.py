@@ -12,7 +12,8 @@ from mwstab.bloch import (assemble_pencil, dispersion, find_collisions,
 from mwstab.modulation import (critical_basis, projected_det,
                                discriminant_sweep, critical_growth,
                                threshold_bisect)
-from mwstab.exact import check_against_golden, det_and_discriminant, Coeff
+from mwstab.exact import (check_against_golden, det_and_discriminant, Coeff,
+                          load_golden)
 
 N_MODES = 64
 
@@ -178,7 +179,8 @@ def test_c06_model_b_threshold():
 def test_c07_exact_series_golden_suite():
     """The exact engine reproduces every transcribed coefficient."""
     for variant in ("A", "B"):
-        diffs = check_against_golden(det_and_discriminant(variant))
+        diffs = check_against_golden(det_and_discriminant(variant),
+                                     load_golden(variant))
         assert diffs == [], "\n".join(diffs)
     lead_a = det_and_discriminant("A").disc_leading()
     assert lead_a.coefficient(0, 2) == Coeff.monomial(16, ek=-2) / 3

@@ -257,7 +257,8 @@ class TestProjection:
 class TestGolden:
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_zero_diffs(self, variant):
-        assert check_against_golden(det_and_discriminant(variant)) == []
+        assert check_against_golden(det_and_discriminant(variant),
+                                    load_golden(variant)) == []
 
     def test_golden_files_are_nontrivial(self):
         golden = load_golden("A")

@@ -200,6 +200,82 @@ class TestCriticalGrowth:
             critical_growth(MODEL_A, branch_a005, 0.03)
         assert err.value.residual_norm > modulation._SUBSPACE_TOL
 
+    def test_a_stall_above_the_tolerance_does_not_stop(self, branch_a005,
+                                                       monkeypatch):
+        # a move that stops shrinking marks the rounding floor only when it
+        # is small; here the first two steps read as a stall at 1
+        lam = spectrum_slice(assemble_pencil(MODEL_A, branch_a005, 0.03)) \
+            .eigenvalues
+        ref = np.sort_complex(lam[np.argsort(np.abs(lam))[:2]])
+        norm = np.linalg.norm
+        moves = []
+
+        def stalled(x):
+            moves.append(norm(x))
+            return 1.0 if len(moves) <= 2 else moves[-1]
+
+        monkeypatch.setattr(np.linalg, "norm", stalled)
+        pair = np.sort_complex(np.array(
+            critical_growth(MODEL_A, branch_a005, 0.03)))
+        assert len(moves) > 2
+        assert np.abs(pair - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_pair_on_the_side_of_the_shift_is_refused(self, branch_a005,
+                                                      monkeypatch):
+        # with the shift on the pair's side the span settles on the pair,
+        # but nothing then shows that no other mode lies nearer zero
+        shift = modulation._critical_shift
+        monkeypatch.setattr(modulation, "_critical_shift",
+                            lambda model, k, mu: -shift(model, k, mu))
+        with pytest.raises(ConvergenceError, match="side of the shift"):
+            critical_growth(MODEL_A, branch_a005, 0.03)
+
+    @pytest.mark.parametrize("variant,gamma,a,mu", [
+        ("A", 0.0, 0.05, 0.03), ("B", 2.0, 0.05, -0.01),
+        ("B", 3.0, 0.2, 0.1), ("A", 0.0, 0.0, 0.05)])
+    def test_subspace_runs_to_its_rounding_floor(self, variant, gamma, a, mu,
+                                                 monkeypatch):
+        # a stop at a move of 1e-6 leaves the pair off by up to 1e-11
+        # relative, too little for a comparison with the slice to see
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, a, 1.0, n_modes=32)
+        spans = []
+        qr = np.linalg.qr
+
+        def recorded(matrix):
+            q, r = qr(matrix)
+            spans.append(q)
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        critical_growth(model, branch, mu)
+        n = branch.n_modes
+        start = np.zeros((2 * n + 1, 2))
+        start[n + 1, 0] = start[n - 1, 1] = 1.0
+        moves = [np.linalg.norm(q - p @ (p.T @ q))
+                 for p, q in zip([start] + spans, spans)]
+        assert moves[-1] <= 64 * np.finfo(float).eps
+        # and stopped at the first step whose move did not shrink
+        assert moves[-2] <= moves[-1]
+        assert not any(m <= m_next <= modulation._SUBSPACE_TOL
+                       for m, m_next in zip(moves[:-2], moves[1:-1]))
+
+    @pytest.mark.parametrize("variant,gamma,a,k", [
+        ("B", -1000.0, 0.02, 1.4), ("B", 1000.0, 0.005, 1.0),
+        ("B", -3.0, 0.2, 1.4), ("A", 0.0, 0.0005, 30.0),
+        ("A", 0.0, 0.2, 0.05)])
+    @pytest.mark.parametrize("mu", [0.1, -0.1, 1e-3])
+    def test_pair_at_the_edges_of_the_accepted_domain(self, variant, gamma,
+                                                      a, k, mu):
+        # far outside gamma in [0, 3] and k in [0.8, 1.5], where the wave
+        # still converges; gamma = -1000 contracts the slowest (0.45 a step)
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, a, k, n_modes=32)
+        lam = spectrum_slice(assemble_pencil(model, branch, mu)).eigenvalues
+        ref = np.sort_complex(lam[np.argsort(np.abs(lam))[:2]])
+        pair = np.sort_complex(np.array(critical_growth(model, branch, mu)))
+        assert np.abs(pair - ref).max() <= 1e-10 * max(1.0, abs(ref).max())
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
