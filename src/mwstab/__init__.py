@@ -1,7 +1,7 @@
 """Periodic traveling waves of two extended Hunter-Saxton models and the
 numerical / exact machinery deciding their modulational stability."""
 
-from .fourier import TrigSeries, ComplexFourierVector
+from .fourier import TrigSeries
 from .waves import (
     Model, WaveBranch, ConvergenceError, ValidityError,
     analytic_wave, residual, solve_wave, branch_derivative,
@@ -20,7 +20,7 @@ from .modulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TrigSeries", "ComplexFourierVector",
+    "TrigSeries",
     "Model", "WaveBranch", "ConvergenceError", "ValidityError",
     "analytic_wave", "residual", "solve_wave", "branch_derivative",
     "BlochPencil", "SpectrumSample", "CollisionRecord",

@@ -7,21 +7,22 @@ Localized perturbations of a periodic wave decompose into Bloch waves
 a spectral point iff the pencil is singular.  The pencil matrices are
 assembled in the exponential basis, where ``d/dz + i*mu`` is diagonal and
 multiplication by a trigonometric polynomial is a banded Toeplitz block.
-For an even profile ``L0`` is real there, so each slice is a real
+For an even profile ``L0`` is real there and quadratic in ``mu``, and
+``L1 = i diag(s)`` with ``s`` real and linear in ``mu``, so one set of
+real coefficients serves a whole branch and each slice is a real
 standard eigenproblem.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .fourier import ComplexFourierVector
 from .waves import Model, SQRT3, linearized_operator
 
 __all__ = [
-    "BlochPencil", "SpectrumSample", "CollisionRecord", "SymmetryReport",
-    "assemble_pencil", "apply_bloch", "dispersion", "find_collisions",
-    "real_pencil", "spectrum_slice", "symmetry_check", "hausdorff_distance",
-    "sweep_mus", "INFINITE_EIGENVALUE_CUTOFF",
+    "BlochPencil", "PencilCoefficients", "SpectrumSample", "CollisionRecord",
+    "SymmetryReport", "assemble_pencil", "pencil_coefficients", "dispersion",
+    "find_collisions", "spectrum_slice", "symmetry_check",
+    "hausdorff_distance", "sweep_mus", "INFINITE_EIGENVALUE_CUTOFF",
 ]
 
 #: eigenvalues beyond this magnitude belong to the (near-)singular direction
@@ -31,16 +32,41 @@ INFINITE_EIGENVALUE_CUTOFF = 1e8
 
 @dataclass(frozen=True)
 class BlochPencil:
-    """Finite section of ``T(lambda) = L0 + lambda*L1`` at fixed ``mu``."""
+    """Finite section of ``T(lambda) = L0 + lambda*L1`` at fixed ``mu``,
+    with ``L0`` real and ``L1 = i diag(s)``: ``T(i omega) v = 0`` reads
+    ``L0 v = omega diag(s) v``."""
 
     model: Model
     mu: float
     n_modes: int
     L0: np.ndarray
-    L1: np.ndarray
-    a: float
+    s: np.ndarray
     k: float
-    c: float
+
+
+@dataclass(frozen=True)
+class PencilCoefficients:
+    """The Bloch pencil of one branch point as exact polynomials in ``mu``:
+    ``L0(mu) = A0 + mu A1 + mu^2 A2`` and ``s(mu) = alpha (n + mu)``, with
+    ``alpha = 2c`` (model A) or 1 (model B)."""
+
+    model: Model
+    n_modes: int
+    A0: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
+    alpha: float
+    k: float
+
+    def at(self, mu):
+        """The pencil at one Floquet exponent."""
+        if not -0.5 < mu <= 0.5:
+            raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
+        l0 = self.A0 + mu * self.A1
+        l0 += (mu * mu) * self.A2
+        s = self.alpha * (np.arange(-self.n_modes, self.n_modes + 1) + mu)
+        return BlochPencil(model=self.model, mu=mu, n_modes=self.n_modes,
+                           L0=l0, s=s, k=self.k)
 
 
 @dataclass(frozen=True)
@@ -82,27 +108,25 @@ class SymmetryReport:
                 and self.hausdorff_conjugation <= self.tol)
 
 
+def pencil_coefficients(model, branch, n_modes=None):
+    """The Bloch pencil's coefficients in ``mu`` at a branch point (see
+    ``PencilCoefficients`` and ``waves.linearized_operator``)."""
+    n = branch.n_modes if n_modes is None else n_modes
+    a0, a1, a2 = linearized_operator(model, branch.eta.resized(n), branch.c,
+                                     branch.k)
+    return PencilCoefficients(model=model, n_modes=n, A0=a0, A1=a1, A2=a2,
+                              alpha=2.0 * branch.c if model.is_a else 1.0,
+                              k=branch.k)
+
+
 def assemble_pencil(model, branch, mu, n_modes=None):
     """Build the Bloch pencil at the given Floquet exponent.
 
-    ``L0`` is the linearized traveling-wave operator at ``mu``; ``L1`` is
-    diagonal, ``2c (d/dz + i mu)`` for model A and ``d/dz + i mu`` for B.
+    ``L0`` is the linearized traveling-wave operator at ``mu``;
+    ``L1 = i diag(s)`` is ``2c (d/dz + i mu)`` for model A and
+    ``d/dz + i mu`` for B.
     """
-    if not -0.5 < mu <= 0.5:
-        raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
-    n = branch.n_modes if n_modes is None else n_modes
-    k, c = branch.k, branch.c
-    l0 = linearized_operator(model, branch.eta.resized(n), c, k, mu)
-    dz = 1j * (np.arange(-n, n + 1) + mu)
-    l1 = np.diag(2.0 * c * dz if model.is_a else dz)
-    return BlochPencil(model=model, mu=mu, n_modes=n, L0=l0, L1=l1,
-                       a=branch.a, k=k, c=c)
-
-
-def apply_bloch(pencil, lam, vec):
-    """Apply ``T(lambda)`` to a mode vector through the pencil matrices."""
-    modes = vec.modes if isinstance(vec, ComplexFourierVector) else vec
-    return ComplexFourierVector(pencil.L0 @ modes + lam * (pencil.L1 @ modes))
+    return pencil_coefficients(model, branch, n_modes).at(mu)
 
 
 def dispersion(model, n, mu, k):
@@ -171,25 +195,10 @@ def _branch_labels(model, eigenvalues, mu, k, n_modes):
     return labels
 
 
-def real_pencil(pencil):
-    """``(L0, s)`` as real arrays, with ``L1 = i diag(s)``.
-
-    For an even profile ``L0`` is real (each odd Toeplitz block ``i R``
-    meets ``d/dz + i mu = i diag(n + mu)``) and ``s = alpha (n + mu)``,
-    ``alpha = 2c`` (A) or 1 (B); ``T(i omega) v = 0`` reads
-    ``L0 v = omega diag(s) v``.  A non-real ``L0`` raises
-    ``ArithmeticError``.
-    """
-    if np.any(pencil.L0.imag):
-        raise ArithmeticError(
-            f"L0 is not real at mu={pencil.mu}: the profile is not even")
-    return pencil.L0.real, pencil.L1.diagonal().imag
-
-
 def spectrum_slice(pencil):
     """All finite eigenvalues of the pencil from a real standard eigenproblem.
 
-    With the real ``(L0, s)`` of ``real_pencil``, ``T(lambda) v = 0`` reads
+    With the pencil's real ``(L0, s)``, ``T(lambda) v = 0`` reads
     ``diag(1/s) L0 v = -i lambda v``, a real matrix, so
     ``lambda -> -conj(lambda)`` holds exactly.
 
@@ -202,7 +211,7 @@ def spectrum_slice(pencil):
     graded downward; left in the middle, its ``1/s_n`` row spoils the other
     eigenvalues at small nonzero ``mu`` (by 2e-2 at ``mu = 1e-18``).
     """
-    l0, s = real_pencil(pencil)
+    l0, s = pencil.L0, pencil.s
     tiny = (np.abs(s) * INFINITE_EIGENVALUE_CUTOFF
             <= np.finfo(float).eps * np.abs(l0.diagonal()))
     keep = ~tiny
@@ -267,7 +276,6 @@ def parallel_map(fn, items):
 
 
 def sweep_mus(model, branch, mus, n_modes=None):
-    """Spectra over a Floquet grid."""
-    return parallel_map(
-        lambda mu: spectrum_slice(assemble_pencil(model, branch, mu,
-                                                  n_modes=n_modes)), mus)
+    """Spectra over a Floquet grid, from one set of pencil coefficients."""
+    coefficients = pencil_coefficients(model, branch, n_modes)
+    return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)), mus)

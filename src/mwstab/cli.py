@@ -25,8 +25,8 @@ EXIT_INDETERMINATE = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
-#: largest ``--modes``: the pencils are dense complex (2N+1)^2 matrices,
-#: 67 MB each at N = 1024
+#: largest ``--modes``: the pencils are dense real (2N+1)^2 matrices,
+#: 34 MB each at N = 1024, and a branch holds four of them
 MAX_MODES = 1024
 
 

@@ -1,12 +1,10 @@
 """Truncated trigonometric-series arithmetic on the 2*pi torus.
 
-Two coefficient layouts are used throughout the package:
-
-* :class:`TrigSeries` stores split cosine/sine coefficients of a real
-  series, which makes even/odd symmetry structural (an even series has an
-  all-zero sine block).
-* :class:`ComplexFourierVector` stores the coefficients of ``exp(i*n*z)``
-  for ``n = -N..N``; the basis in which ``d/dz + i*mu`` is diagonal.
+:class:`TrigSeries` stores split cosine/sine coefficients of a real
+series, which makes even/odd symmetry structural (an even series has an
+all-zero sine block).  ``to_modes`` gives the coefficients of
+``exp(i*n*z)`` for ``n = -N..N``, the basis in which ``d/dz + i*mu`` is
+diagonal, and ``mult_matrix`` the action of a product there.
 
 Series are value-semantic: coefficient arrays are copied on construction
 and marked read-only, and every operation returns a new object.
@@ -14,7 +12,7 @@ and marked read-only, and every operation returns a new object.
 
 import numpy as np
 
-__all__ = ["TrigSeries", "ComplexFourierVector"]
+__all__ = ["TrigSeries"]
 
 
 class TrigSeries:
@@ -177,12 +175,6 @@ class TrigSeries:
         z = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
         return float(np.max(np.abs(self.eval(z))))
 
-    def translate(self, dz):
-        """The series ``z -> f(z + dz)``."""
-        modes = self.to_modes()
-        n = np.arange(-self.n_modes, self.n_modes + 1)
-        return TrigSeries.from_modes(modes * np.exp(1j * n * dz))
-
     def resized(self, n_modes):
         """Pad with zeros or truncate to a new harmonic cutoff."""
         cos = np.zeros(n_modes + 1)
@@ -220,60 +212,19 @@ class TrigSeries:
         sin = (pos - neg).imag * -1.0
         return cls(cos, sin)
 
-    def to_complex(self):
-        return ComplexFourierVector(self.to_modes())
-
     def mult_matrix(self):
-        """Toeplitz matrix of multiplication by this series in the
-        exponential basis: entry ``(p, q)`` is the ``exp(i(p-q)z)``
-        coefficient, products truncated to ``|p| <= N`` as in ``*``."""
+        """Multiplication by a series of one parity in the exponential
+        basis, as a real Toeplitz matrix ``R``: multiplication is ``R`` for
+        an even series and ``i R`` for an odd one.  Entry ``(p, q)`` comes
+        from the ``exp(i(p-q)z)`` coefficient, and products are truncated to
+        ``|p| <= N`` as in ``*``.  A series with both parts raises
+        ``ValueError``."""
         n = self.n_modes
-        padded = np.concatenate([np.zeros(n), self.to_modes(), np.zeros(n)])
+        if not (self.is_even() or self.is_odd()):
+            raise ValueError("a series with both cosines and sines has no "
+                             "real multiplication matrix")
+        modes = self.to_modes()
+        band = modes.real if self.is_even() else modes.imag
+        padded = np.concatenate([np.zeros(n), band, np.zeros(n)])
         idx = np.arange(2 * n + 1)
         return padded[idx[:, None] - idx[None, :] + 2 * n]
-
-
-class ComplexFourierVector:
-    """Coefficients of ``exp(i*n*z)``, n = -N..N, as a dense complex array."""
-
-    __slots__ = ("modes",)
-
-    def __init__(self, modes):
-        modes = np.array(modes, dtype=complex)
-        if modes.ndim != 1 or modes.size % 2 != 1:
-            raise ValueError("modes must be a 1-d array of odd length")
-        modes.setflags(write=False)
-        self.modes = modes
-
-    @property
-    def n_modes(self):
-        return self.modes.size // 2
-
-    def mode(self, n):
-        if abs(n) > self.n_modes:
-            raise IndexError("harmonic outside cutoff")
-        return complex(self.modes[n + self.n_modes])
-
-    def is_real_series(self, tol=1e-14):
-        """True when the vector represents a real function."""
-        return bool(np.max(np.abs(self.modes - np.conj(self.modes[::-1])))
-                    <= tol)
-
-    def deriv(self, order=1):
-        n = np.arange(-self.n_modes, self.n_modes + 1)
-        return ComplexFourierVector(self.modes * (1j * n) ** order)
-
-    def inner(self, other):
-        """Sesquilinear inner product ``sum_n f_n conj(g_n)``."""
-        if self.n_modes != other.n_modes:
-            raise ValueError("cutoff mismatch")
-        return complex(self.modes @ np.conj(other.modes))
-
-    def to_trig(self):
-        return TrigSeries.from_modes(self.modes)
-
-    def eval(self, z):
-        z = np.asarray(z, dtype=float)
-        n = np.arange(-self.n_modes, self.n_modes + 1)
-        val = np.exp(1j * np.multiply.outer(z, n)) @ self.modes
-        return val if val.ndim else complex(val)

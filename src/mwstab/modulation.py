@@ -10,7 +10,9 @@ projected 2x2 determinant is quadratic in ``lambda``,
 and after the rescaling ``lambda = i*mu*X`` its roots are governed by
 ``Q(X) = d0 - d1*X - d2*X^2`` with ``b_j = d_j * mu^(2-j)``.  The sign of
 the discriminant ``D = d1^2 + 4*d0*d2`` decides the verdict: two real
-roots (``D > 0``) keep the critical pair on the imaginary axis.
+roots (``D > 0``) keep the critical pair on the imaginary axis.  The
+pencil is polynomial in ``mu`` and the basis does not depend on it, so
+each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch.
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from .fourier import TrigSeries
 from .waves import (Model, ConvergenceError, solve_wave, branch_derivative,
                     DEFAULT_TOL)
-from .bloch import assemble_pencil, real_pencil, dispersion, parallel_map
+from .bloch import (assemble_pencil, pencil_coefficients, dispersion,
+                    parallel_map)
 
 __all__ = [
     "CriticalBasis", "QuadraticDet", "StabilityReport",
@@ -30,9 +33,6 @@ __all__ = [
 
 #: real parts below this are considered numerically zero
 GROWTH_TOLERANCE = 1e-6
-
-#: below this |mu| the d_j are taken from the mu -> 0 limit path
-_MU_LIMIT_THRESHOLD = 1e-4
 
 #: ``critical_growth``'s subspace has settled once a step moves it by no
 #: less than the step before (the move has reached its rounding floor) and
@@ -49,7 +49,7 @@ _MAX_SUBSPACE_STEPS = 200
 _SHIFT_SIDE_NOISE = 1e-3
 
 
-class DegeneratePairError(RuntimeError):
+class DegeneratePairError(ArithmeticError):
     """The two critical eigenvalues are too close to track separately."""
 
 
@@ -113,66 +113,65 @@ def critical_basis(model, branch):
     exact branch tangent); at ``a = 0`` the pair is exactly
     ``(sin z, cos z)``.
     """
-    phi1 = TrigSeries.sine(1, branch.n_modes) if branch.a == 0 \
-        else (-1.0 / branch.a) * branch.eta.deriv()
+    n = branch.n_modes
+    # divided by a: the factor 1/a overflows for a subnormal amplitude
+    phi1 = TrigSeries.sine(1, n) if branch.a == 0 \
+        else TrigSeries(np.zeros(n + 1), branch.eta.deriv().sin / -branch.a)
     return CriticalBasis(phi1=phi1, phi2=branch_derivative(branch),
                          a=branch.a, k=branch.k)
 
 
-def _det_coefficients(model, branch, basis, mu, n_modes=None):
-    """Raw (b0, b1, b2) of the projected determinant at one ``mu``."""
-    pencil = assemble_pencil(model, branch, mu, n_modes=n_modes)
-    vecs = [basis.phi1.resized(pencil.n_modes).to_modes(),
-            basis.phi2.resized(pencil.n_modes).to_modes()]
-    norms = [np.vdot(v, v).real for v in vecs]
-    if min(norms) < 1e-12:
+def _det_polynomials(coefficients, basis):
+    """``d0, d1, d2`` of the projected determinant as polynomials in
+    ``mu^2``: row ``j`` holds the constant and the ``mu^2`` coefficient.
+
+    With ``phi1 = i u1`` (odd), ``phi2 = u2`` (even) and ``U = [u1, u2]``
+    real, the entries ``<T phi_i, phi_j> / <phi_i, phi_i>`` give
+    ``det = det(P + t S) / (|u1|^2 |u2|^2)`` at ``lambda = -i t``, where
+    ``P = U^T L0 U`` is quadratic and ``S = U^T diag(s) U`` linear in
+    ``mu``.  So ``b0, b1, -b2``, its ``t^0, t^1, t^2`` parts, are exact
+    polynomials of degree 4, 3 and 2, even, odd and even; the terms parity
+    forbids, and the double zero's constant in ``b0``, are rounding noise
+    and are dropped.
+    """
+    n = coefficients.n_modes
+    u = np.column_stack([basis.phi1.resized(n).to_modes().imag,
+                         basis.phi2.resized(n).to_modes().real])
+    norms = np.sum(u * u, axis=0)
+    if norms.min() < 1e-12:
         raise ArithmeticError("critical basis is numerically degenerate")
-    # entry (i, j): <T phi_i, phi_j> / <phi_i, phi_i>, affine in lambda
-    p = np.empty((2, 2), dtype=complex)
-    q = np.empty((2, 2), dtype=complex)
-    for i, v in enumerate(vecs):
-        l0v = pencil.L0 @ v
-        l1v = pencil.L1 @ v
-        for j, w in enumerate(vecs):
-            p[i, j] = np.vdot(w, l0v) / norms[i]
-            q[i, j] = np.vdot(w, l1v) / norms[i]
-    c0 = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    c1 = (p[0, 0] * q[1, 1] + q[0, 0] * p[1, 1]
-          - p[0, 1] * q[1, 0] - q[0, 1] * p[1, 0])
-    c2 = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-    return c0.real, c1.imag, c2.real
+    # p[i, j] and q[i, j]: entry polynomials in mu, ascending powers
+    p = np.stack([u.T @ m @ u for m in (coefficients.A0, coefficients.A1,
+                                        coefficients.A2)], axis=-1)
+    modes = np.arange(-n, n + 1)
+    q = coefficients.alpha * np.stack(
+        [u.T @ (modes[:, None] * u), u.T @ u], axis=-1)
+    conv = np.convolve
+    b0 = conv(p[0, 0], p[1, 1]) - conv(p[0, 1], p[1, 0])
+    b1 = (conv(p[0, 0], q[1, 1]) + conv(q[0, 0], p[1, 1])
+          - conv(p[0, 1], q[1, 0]) - conv(q[0, 1], p[1, 0]))
+    b2 = conv(q[0, 1], q[1, 0]) - conv(q[0, 0], q[1, 1])
+    return np.array([b0[2::2], b1[1::2], b2[0::2]]) / (norms[0] * norms[1])
+
+
+def _quadratic_det(d, mu, a, k):
+    """``QuadraticDet`` at ``mu`` from ``_det_polynomials``."""
+    d0, d1, d2 = d[:, 0] + d[:, 1] * (mu * mu)
+    return QuadraticDet(mu=mu, a=a, k=k, b0=d0 * mu * mu, b1=d1 * mu, b2=d2,
+                        d0=d0, d1=d1, d2=d2, disc=d1 * d1 + 4.0 * d0 * d2)
 
 
 def projected_det(model, branch, basis, mu, n_modes=None):
     """Projected determinant, rescaled coefficients, and discriminant.
 
-    For ``|mu|`` above a small threshold the ``d_j`` come from the exact
-    parity relations ``b_j = d_j mu^(2-j)``; at and near ``mu = 0`` they
-    are extracted by centered differences in ``mu`` (step 1e-3) with one
-    Richardson step, using that b0, b2 are even and b1 is odd in ``mu``.
+    ``b0, b2`` are even and ``b1`` odd in ``mu``, so ``d_j = b_j /
+    mu^(2-j)`` are polynomials in ``mu^2`` (see ``_det_polynomials``),
+    evaluated directly, ``mu = 0`` included.
     """
     if abs(mu) > 0.2 or abs(branch.a) > 0.2:
         raise ValueError("projection is meaningful only for small (a, mu)")
-    b0, b1, b2 = _det_coefficients(model, branch, basis, mu, n_modes)
-    if abs(mu) >= _MU_LIMIT_THRESHOLD:
-        d0 = b0 / mu**2
-        d1 = b1 / mu
-        d2 = b2
-    else:
-        delta = 1e-3
-
-        def djs(step):
-            s0, s1, _ = _det_coefficients(model, branch, basis, step, n_modes)
-            return s0 / step**2, s1 / step
-
-        c0, c1 = djs(delta)
-        f0, f1 = djs(delta / 2.0)
-        d0 = (4.0 * f0 - c0) / 3.0
-        d1 = (4.0 * f1 - c1) / 3.0
-        d2 = b2
-    disc = d1 * d1 + 4.0 * d0 * d2
-    return QuadraticDet(mu=mu, a=branch.a, k=branch.k, b0=b0, b1=b1, b2=b2,
-                        d0=d0, d1=d1, d2=d2, disc=disc)
+    d = _det_polynomials(pencil_coefficients(model, branch, n_modes), basis)
+    return _quadratic_det(d, mu, branch.a, branch.k)
 
 
 def _critical_shift(model, k, mu):
@@ -193,7 +192,7 @@ def critical_growth(model, branch, mu, n_modes=None):
 
     Only this pair is computed, by shift-and-invert subspace iteration on
     the real pencil ``L0 v = omega diag(s) v``, ``lambda = i omega`` (see
-    ``real_pencil``).  The span of the unit vectors of modes +1 and -1 is
+    ``BlochPencil``).  The span of the unit vectors of modes +1 and -1 is
     mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, which is
     ``(M - sigma)^-1`` for ``M = diag(1/s) L0`` but never divides by ``s``
     (the ``n + mu = 0`` mode maps to 0), and re-orthonormalized until a
@@ -216,10 +215,14 @@ def critical_growth(model, branch, mu, n_modes=None):
     """
     if abs(mu) > 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
-    pencil = assemble_pencil(model, branch, mu, n_modes=n_modes)
-    l0, s = real_pencil(pencil)
+    return _critical_pair(assemble_pencil(model, branch, mu, n_modes=n_modes))
+
+
+def _critical_pair(pencil):
+    """``critical_growth`` on an assembled pencil."""
+    model, mu, l0, s = pencil.model, pencil.mu, pencil.L0, pencil.s
     n = pencil.n_modes
-    sigma = _critical_shift(model, branch.k, mu)
+    sigma = _critical_shift(model, pencil.k, mu)
     basis = np.zeros((2 * n + 1, 2))
     basis[n + 1, 0] = basis[n - 1, 1] = 1.0
     try:
@@ -251,7 +254,7 @@ def critical_growth(model, branch, mu, n_modes=None):
         raise DegeneratePairError(
             f"critical eigenvalues coincide at mu={mu} "
             f"(spacing {abs(pair[0] - pair[1]):.3e})")
-    targets = [1j * dispersion(model, m, mu, branch.k) for m in (1, -1)]
+    targets = [1j * dispersion(model, m, mu, pencil.k) for m in (1, -1)]
     kept = abs(pair[0] - targets[0]) + abs(pair[1] - targets[1])
     swapped = abs(pair[0] - targets[1]) + abs(pair[1] - targets[0])
     if kept > swapped or (kept == swapped and pair[0].real < pair[1].real):
@@ -267,8 +270,9 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     ``D < -margin`` and the measured growth is at least ten times the
     growth the margin itself would imply.  Anything else is indeterminate.
     At ``mu = 0`` both growths are zero (the pair is the double zero, whose
-    measured real part is rounding noise), so there ``D``, the ``mu -> 0``
-    limit, decides alone.
+    measured real part is rounding noise), so the pair is not computed
+    there and ``D`` decides alone.  The pencil's coefficients and their
+    projection are built once for the whole grid.
     """
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
@@ -278,15 +282,14 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
         solve_wave(model, a, k, n_modes=n_modes, tol=tol)
     basis = critical_basis(model, branch)
+    coefficients = pencil_coefficients(model, branch, n_modes)
+    d = _det_polynomials(coefficients, basis)
 
-    dets = parallel_map(
-        lambda mu: projected_det(model, branch, basis, mu, n_modes=n_modes),
-        mu_grid)
-    pairs = parallel_map(
-        lambda mu: critical_growth(model, branch, mu, n_modes=n_modes),
-        mu_grid)
+    dets = [_quadratic_det(d, mu, a, k) for mu in mu_grid]
+    pairs = parallel_map(lambda mu: _critical_pair(coefficients.at(mu)),
+                         [mu for mu in mu_grid if mu != 0.0])
     # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
-    growth = max(0.0, *(max(lp.real, lm.real) for lp, lm in pairs))
+    growth = max([0.0, *(max(lp.real, lm.real) for lp, lm in pairs)])
 
     samples = tuple((d.mu, d.disc) for d in dets)
     margins = [positivity_margin(d.mu, a) for d in dets]
@@ -309,9 +312,10 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
                      tol=DEFAULT_TOL):
     """Bisection for the model-B parameter where the verdict flips.
 
-    Operates on the sign of the small-``mu`` limit of the discriminant
-    (its ``a^2`` coefficient changes sign at the threshold); the endpoints
-    must bracket a sign change.
+    Operates on the sign of the discriminant at ``mu = 0`` (its ``a^2``
+    coefficient changes sign at the threshold); the endpoints must bracket
+    a sign change.  Each evaluation solves one wave and projects its
+    pencil once.
     """
 
     def disc_at(gamma):

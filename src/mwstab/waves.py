@@ -104,9 +104,13 @@ def _check_domain(model, a, k):
         raise ValidityError(
             f"|a| k^2={abs(a) * k * k} outside the small-amplitude range "
             f"(limit {EXPANSION_LIMIT})")
-    # k^2 and k^4 appear in the expansions; Python's ** raises on overflow
-    if not np.isfinite(k * k * k * k):
+    # k^2 and k^4 appear in the expansions, 1/k and 1/k^2 in the speeds;
+    # Python's ** raises on overflow and / on a zero divisor
+    k4 = k * k * k * k
+    if not np.isfinite(k4):
         raise ValidityError(f"k={k} is too large: k^4 overflows")
+    if k4 == 0.0 or not np.isfinite(1.0 / k4):
+        raise ValidityError(f"k={k} is too small: 1/k^4 overflows")
 
 
 def wave_speed_expansion(model, a, k):
@@ -157,48 +161,60 @@ def residual(model, eta, c, k):
         - 0.5 * model.gamma * k**4 * (d2 * sq) - eta
 
 
-def linearized_operator(model, eta, c, k, mu=0.0):
+def linearized_operator(model, eta, c, k):
     """Linearized traveling-wave ODE about ``(eta, c)`` on Bloch modes
     ``exp(i mu z) V(z)``: the matrix on the ``exp(inz)`` coefficients of
     ``V``, ``|n| <= eta.n_modes``, and the ``L0`` of the Bloch pencil.  At
     ``mu = 0`` it is minus (model A) or plus (model B) the derivative of
-    ``residual`` in the profile.
+    ``residual`` in the profile.  ``mu`` enters only through
+    ``D = d/dz + i mu``, at most squared, so ``L0(mu) = A0 + mu A1 +
+    mu^2 A2``; the real ``(A0, A1, A2)`` of an even profile are returned,
+    and a profile that is not even raises ``ValueError``.
 
-    ``(d/dz + i mu)^2`` acts *after* multiplication by the profile
-    coefficient in the ``k^2 (.)''`` terms; the model-B ``(w')^2`` term
-    multiplies *after* differentiation.
+    ``D^2`` acts *after* multiplication by the profile coefficient in the
+    ``k^2 (.)''`` terms; the model-B ``(w')^2`` term multiplies *after*
+    differentiation.
     """
+    if not eta.is_even():
+        raise ValueError("the linearized operator is built for an even "
+                         "profile only")
     n = eta.n_modes
-    dz = 1j * (np.arange(-n, n + 1) + mu)
-    eye = np.eye(2 * n + 1, dtype=complex)
-    if model.is_a:
-        # L0 = -2 k^2 eta' (d+imu) + k^2 (d+imu)^2 [(2 eta - 3c^2) .] - 1
-        coef = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
-        return (-2.0 * k**2) * (eta.deriv().mult_matrix() * dz[None, :]) \
-            + k**2 * (dz**2)[:, None] * coef.mult_matrix() - eye
-    g = model.gamma
     wz = eta.deriv()
-    first = (-k**2) * wz + (-g * k**4) * (wz * eta.deriv(2))
-    return first.mult_matrix() * dz[None, :] \
-        + k**2 * (dz**2)[:, None] * (
-            eta + TrigSeries.constant(-c, n)).mult_matrix() \
-        - 0.5 * g * k**4 * ((wz * wz).mult_matrix() * (dz**2)[None, :]) \
-        - eye
+    if model.is_a:
+        # L0 = -2 k^2 eta' D + k^2 D^2 [(2 eta - 3c^2) .] - 1
+        odd = (-2.0 * k**2) * wz
+        left = k**2 * (2.0 * eta + TrigSeries.constant(-3.0 * c**2, n))
+        right = TrigSeries.zero(n)
+    else:
+        # L0 = [(-k^2 w' - g k^4 w' w'') .] D + k^2 D^2 [(w - c) .]
+        #      - (g k^4 / 2) (w')^2 D^2 - 1
+        g = model.gamma
+        odd = (-k**2) * wz + (-g * k**4) * (wz * eta.deriv(2))
+        left = k**2 * (eta + TrigSeries.constant(-c, n))
+        right = (-0.5 * g * k**4) * (wz * wz)
+    # with X = diag(n + mu), D = i X, multiplication by the odd term i R and
+    # by the even terms C (left) and E (right): L0 = -R X - X^2 C - E X^2 - 1
+    r, cl, er = odd.mult_matrix(), left.mult_matrix(), right.mult_matrix()
+    m = np.arange(-n, n + 1.0)
+    a0 = -(r * m) - (m**2)[:, None] * cl - er * m**2 - np.eye(2 * n + 1)
+    a1 = -r - (2.0 * m)[:, None] * cl - er * (2.0 * m)
+    a2 = -cl - er
+    return a0, a1, a2
 
 
 def _jacobian(model, eta, c, k):
     """Newton Jacobian of (cosine residual, amplitude) in (cosines, c);
-    the profile block folds ``exp(+-ijz)`` of the ``mu = 0`` operator onto
-    ``cos(jz)`` (Toeplitz plus Hankel part)."""
+    the profile block folds ``exp(+-ijz)`` of the ``mu = 0`` operator
+    ``A0`` onto ``cos(jz)`` (Toeplitz plus Hankel part)."""
     n = eta.n_modes
-    op = linearized_operator(model, eta, c, k)
+    op = linearized_operator(model, eta, c, k)[0]
     fold = op[n:, n:].copy()
     fold[:, 1:] += op[n:, n - 1::-1]
     scale = np.full(n + 1, 2.0)
     scale[0] = 1.0
     sign = -1.0 if model.is_a else 1.0
     jac = np.zeros((n + 2, n + 2))
-    jac[:n + 1, :n + 1] = sign * (scale[:, None] / scale[None, :]) * fold.real
+    jac[:n + 1, :n + 1] = sign * (scale[:, None] / scale[None, :]) * fold
     dc = 6.0 * c * k**2 if model.is_a else -k**2
     jac[:n + 1, n + 1] = dc * eta.deriv(2).cos
     jac[n + 1, 1] = 1.0
@@ -215,7 +231,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     ``2 <eta, cos z> = a``.  Seeded from the analytic expansion
     (``seed_order`` 1 keeps only ``a cos z``, useful for convergence
     studies).  The Jacobian is the cosine restriction of
-    ``linearized_operator`` at ``mu = 0``, bordered by the speed column and
+    ``linearized_operator``'s ``A0``, bordered by the speed column and
     the amplitude row.  Raises ``ConvergenceError`` when the iteration
     stalls above ``tol``, runs out of steps, or meets a singular Jacobian.
     """

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from mwstab.fourier import TrigSeries
 from mwstab.waves import Model, solve_wave, SQRT3, linearized_operator
-from mwstab.bloch import (assemble_pencil, apply_bloch, dispersion,
+from mwstab.bloch import (assemble_pencil, pencil_coefficients, dispersion,
                           find_collisions, spectrum_slice, symmetry_check,
                           hausdorff_distance, sweep_mus,
                           INFINITE_EIGENVALUE_CUTOFF)
@@ -82,8 +82,7 @@ class TestPencilAssembly:
         off0 = pencil.L0 - np.diag(np.diag(pencil.L0))
         assert np.max(np.abs(off0)) == 0.0
         assert_allclose(np.diag(pencil.L0), (n + 0.3) ** 2 - 1.0, atol=1e-14)
-        assert_allclose(np.diag(pencil.L1),
-                        2.0 * branch.c * 1j * (n + 0.3), atol=1e-14)
+        assert_allclose(pencil.s, 2.0 * branch.c * (n + 0.3), atol=1e-14)
 
     def test_flat_state_is_diagonal_model_b(self):
         model = Model("B", gamma=2.0)
@@ -91,45 +90,48 @@ class TestPencilAssembly:
         pencil = assemble_pencil(model, branch, 0.2)
         n = np.arange(-16, 17)
         assert_allclose(np.diag(pencil.L0), (n + 0.2) ** 2 - 1.0, atol=1e-14)
-        assert_allclose(np.diag(pencil.L1), 1j * (n + 0.2), atol=1e-14)
+        assert_allclose(pencil.s, n + 0.2, atol=1e-14)
 
     def test_real_operator_conjugate_flip_at_mu_zero(self):
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=12)
         pencil = assemble_pencil(MODEL_A, branch, 0.0)
-        for mat in (pencil.L0, pencil.L1):
-            assert np.max(np.abs(mat - np.conj(mat[::-1, ::-1]))) < 1e-14
+        # L0 = conj(L0) flipped, L1 = i diag(s) likewise, with L0 and s real
+        assert np.max(np.abs(pencil.L0 - pencil.L0[::-1, ::-1])) < 1e-14
+        assert np.max(np.abs(pencil.s + pencil.s[::-1])) < 1e-14
 
     @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)])
     def test_operator_of_an_even_profile_is_real(self, model):
+        # real coefficients in mu, whose sum at mu acts as the operator
+        # with d/dz + i mu does
+        rng = np.random.default_rng(3)
         branch = solve_wave(model, 0.05, 1.0, n_modes=32)
+        coeffs = linearized_operator(model, branch.eta, branch.c, 1.0)
+        assert all(m.dtype == np.float64 for m in coeffs)
+        v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
         for mu in (0.0, 0.2, -0.37):
-            op = linearized_operator(model, branch.eta, branch.c, 1.0, mu)
-            assert np.max(np.abs(op.imag)) == 0.0
+            op = coeffs[0] + mu * coeffs[1] + mu**2 * coeffs[2]
+            direct = l0_by_convolution(model, branch, mu, v)
+            assert np.max(np.abs(op @ v - direct)) < 1e-10
 
     def test_mu_domain_guard(self):
         branch = flat_branch(MODEL_A)
         with pytest.raises(ValueError):
             assemble_pencil(MODEL_A, branch, 0.7)
 
-    def test_matrix_action_matches_direct_application(self):
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(mu=st.floats(-0.5, 0.5, exclude_min=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matrix_action_matches_direct_application(self, mu, seed):
         # independent path: convolution in mode space, model A operator
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng(seed)
         branch = solve_wave(MODEL_A, 0.05, 1.3, n_modes=24)
-        mu, lam, n = 0.17, 0.3 + 0.2j, 24
+        lam, n = 0.3 + 0.2j, 24
         pencil = assemble_pencil(MODEL_A, branch, mu)
         v = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-
-        def convolve(series, vec):
-            full = np.convolve(series.to_modes(), vec)
-            return full[n:3 * n + 1]
-
-        k, c = branch.k, branch.c
         dz = 1j * (np.arange(-n, n + 1) + mu)
-        coef = 2.0 * branch.eta + TrigSeries.constant(-3.0 * c**2, n)
-        direct = (2.0 * c * lam * dz * v
-                  - 2.0 * k**2 * convolve(branch.eta.deriv(), dz * v)
-                  + k**2 * dz**2 * convolve(coef, v) - v)
-        via_matrix = apply_bloch(pencil, lam, v).modes
+        direct = (2.0 * branch.c * lam * dz * v
+                  + l0_by_convolution(MODEL_A, branch, mu, v))
+        via_matrix = pencil.L0 @ v + lam * 1j * pencil.s * v
         assert np.max(np.abs(direct - via_matrix)) < 1e-10
 
     def test_matrix_action_matches_direct_application_model_b(self):
@@ -139,21 +141,9 @@ class TestPencilAssembly:
         mu, lam, n = 0.21, -0.1 + 0.4j, 20
         pencil = assemble_pencil(model, branch, mu)
         v = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-
-        def convolve(series, vec):
-            full = np.convolve(series.to_modes(), vec)
-            return full[n:3 * n + 1]
-
-        k, c, g = branch.k, branch.c, model.gamma
         dz = 1j * (np.arange(-n, n + 1) + mu)
-        w, wz = branch.eta, branch.eta.deriv()
-        wzz = branch.eta.deriv(2)
-        first = (-k**2) * wz + (-g * k**4) * (wz * wzz)
-        direct = (lam * dz * v + convolve(first, dz * v)
-                  + k**2 * dz**2 * convolve(
-                      w + TrigSeries.constant(-c, n), v)
-                  - 0.5 * g * k**4 * convolve(wz * wz, dz**2 * v) - v)
-        via_matrix = apply_bloch(pencil, lam, v).modes
+        direct = lam * dz * v + l0_by_convolution(model, branch, mu, v)
+        via_matrix = pencil.L0 @ v + lam * 1j * pencil.s * v
         assert np.max(np.abs(direct - via_matrix)) < 1e-10
 
 
@@ -190,12 +180,15 @@ class TestSpectrum:
             assert np.max(np.abs(sample.eigenvalues[idx].real)) <= 1e-6
 
     def test_complex_l0_is_rejected(self):
+        # a profile with a sine part has a complex operator: it is refused
+        # before any matrix is built
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
-        pencil = assemble_pencil(MODEL_A, branch, 0.2)
-        l0 = pencil.L0.copy()
-        l0[3, 5] += 1e-12j
-        with pytest.raises(ArithmeticError, match="mu=0.2"):
-            spectrum_slice(dataclasses.replace(pencil, L0=l0))
+        sine = np.zeros(16)
+        sine[2] = 1e-12
+        odd = dataclasses.replace(branch,
+                                  eta=TrigSeries(branch.eta.cos, sine))
+        with pytest.raises(ValueError, match="even profile"):
+            assemble_pencil(MODEL_A, odd, 0.2)
 
     @pytest.mark.parametrize("mu", [1.3877787807814457e-17, -1e-12, 1e-20,
                                     1e-300, 5e-324])
@@ -258,6 +251,39 @@ class TestSweep:
         samples = sweep_mus(MODEL_A, branch, mus)
         assert [s.mu for s in samples] == mus
 
+    def test_sweep_is_the_slice_of_each_assembled_pencil(self):
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.05, 1.0, n_modes=16)
+        mus = [-0.3, 0.0, 0.02, 0.5]
+        coeffs = pencil_coefficients(model, branch)
+        for mu, sample in zip(mus, sweep_mus(model, branch, mus)):
+            pencil = assemble_pencil(model, branch, mu)
+            assert np.array_equal(coeffs.at(mu).L0, pencil.L0)
+            assert np.array_equal(
+                sample.eigenvalues, spectrum_slice(pencil).eigenvalues)
+
+
+def l0_by_convolution(model, branch, mu, v):
+    """``L0 v`` at ``mu``, independently of the pencil matrices: products
+    with the profile's series by ``np.convolve`` in mode space and
+    ``d/dz + i mu`` as a complex diagonal."""
+    n, k, c = branch.n_modes, branch.k, branch.c
+
+    def convolve(series, vec):
+        return np.convolve(series.to_modes(), vec)[n:3 * n + 1]
+
+    dz = 1j * (np.arange(-n, n + 1) + mu)
+    w, wz = branch.eta, branch.eta.deriv()
+    if model.is_a:
+        coef = 2.0 * w + TrigSeries.constant(-3.0 * c**2, n)
+        return (-2.0 * k**2 * convolve(wz, dz * v)
+                + k**2 * dz**2 * convolve(coef, v) - v)
+    g = model.gamma
+    first = (-k**2) * wz + (-g * k**4) * (wz * w.deriv(2))
+    return (convolve(first, dz * v)
+            + k**2 * dz**2 * convolve(w + TrigSeries.constant(-c, n), v)
+            - 0.5 * g * k**4 * convolve(wz * wz, dz**2 * v) - v)
+
 
 def assert_matches_qz(pencil, sample):
     """``spectrum_slice`` against the complex QZ of ``L0 + lambda L1``,
@@ -266,7 +292,7 @@ def assert_matches_qz(pencil, sample):
     rounding-sized change r^2 of the pencil moves an eigenvalue whose
     nearest neighbour is ``gap`` away by about r^2 / gap, and splits a
     double eigenvalue with a Jordan block (the mu = 0 zero) by about r."""
-    ref = scipy.linalg.eig(pencil.L0, -pencil.L1, right=False)
+    ref = scipy.linalg.eig(pencil.L0, -1j * np.diag(pencil.s), right=False)
     ref = ref[np.isfinite(ref)]
     ref = ref[np.abs(ref) <= INFINITE_EIGENVALUE_CUTOFF]
     lam = sample.eigenvalues

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwstab import cli
 from mwstab.cli import (main, RunConfig, parse_mu_grid,
@@ -109,6 +113,17 @@ class TestWaveCommand:
         assert payload["error"] == "validity"
         assert "|a| k^2" in payload["message"]
 
+    # a = 0 passes both amplitude guards; Python's 1/k**2 divided by zero
+    # (exit 3)
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_tiny_wavenumber_is_a_validity_error(self, capsys, model):
+        code, out, err = run_cli(capsys, "wave", "--model", model,
+                                 "--k", "1e-200", "--a", "0", "--modes", "16")
+        assert code == EXIT_CONFIG and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validity"
+        assert "1/k^4 overflows" in payload["message"]
+
     # a = 0 passes both amplitude guards; Python's k**2 overflowed (exit 3)
     @pytest.mark.parametrize("k", ["1e200", "1e80"])
     def test_huge_wavenumber_is_a_validity_error(self, capsys, k):
@@ -197,6 +212,25 @@ class TestIndexCommand:
                                "--mu-grid", "0.001:0.005:2")
         assert code == EXIT_INDETERMINATE
         assert json.loads(out)["verdict"] == "indeterminate"
+
+    def test_noise_of_the_double_zero_is_not_growth(self, capsys):
+        # D > 0 at every sample; the mu = 0 pair's rounding noise (4.6e-5)
+        # used to set max_growth and make this indeterminate
+        code, out, _ = run_cli(capsys, "index", "--model", "A", "--k", "30",
+                               "--a", "0.0005", "--mu-grid=0:0.05:6")
+        assert code == EXIT_OK
+        payload = _strict_json(out)
+        assert payload["verdict"] == "stable"
+        assert payload["max_growth"] == 0.0
+        assert min(disc for _, disc in payload["disc_samples"]) > 0.0
+
+    def test_coinciding_critical_pair_exits_solver(self, capsys):
+        code, out, err = run_cli(capsys, "index", "--a", "0", "--modes", "16",
+                                 "--mu-grid=1e-13:2e-13:2")
+        assert code == EXIT_SOLVER and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "numeric"
+        assert "coincide" in payload["message"]
 
     def test_threshold_requires_model_b(self, capsys):
         code, _, err = run_cli(capsys, "index", "--model", "A",
@@ -398,3 +432,37 @@ class TestSolverFailures:
         code, _, err = run_cli(capsys, "wave", "--a", "0.05")
         assert code == EXIT_SOLVER
         assert _strict_json(err)["residual_norm"] is None
+
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from("AB"), log_k=st.floats(-76.0, 76.0),
+       a_share=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       gamma=st.floats(-10.0, 10.0),
+       ends=st.lists(st.one_of(st.just(0.0), st.floats(-0.1, 0.1)),
+                     min_size=2, max_size=2, unique=True),
+       count=st.integers(2, 6))
+def test_accepted_index_runs_end_in_json(model, log_k, a_share, gamma, ends,
+                                         count):
+    """Every ``index`` run that the guards accept ends with exit 0 or 2 and
+    a verdict on stdout, or exit 3 and a JSON error on stderr, never with a
+    traceback.  The guards accept |a| <= min(0.2, 0.45 / k^2) at any k whose
+    k^4 and 1/k^4 are finite, and |mu| <= 0.1."""
+    k = 10.0**log_k
+    a = a_share * min(0.2, 0.45 / k**2)
+    start, stop = sorted(ends)
+    argv = ["index", "--model", model, f"--k={k!r}", f"--a={a!r}",
+            f"--gamma={gamma!r}", f"--mu-grid={start!r}:{stop!r}:{count}",
+            "--modes", "16"]
+    out, err = io.StringIO(), io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INDETERMINATE, EXIT_SOLVER), argv
+    if code == EXIT_SOLVER:
+        assert out.getvalue() == ""
+        assert _strict_json(err.getvalue())["error"] in ("convergence",
+                                                         "numeric")
+    else:
+        assert _strict_json(out.getvalue())["verdict"] in (
+            "stable", "unstable", "indeterminate")

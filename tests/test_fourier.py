@@ -109,10 +109,6 @@ class TestInnerAndEval:
         z = rng.uniform(-10, 10, size=20)
         assert_allclose(f.eval(z + 2 * np.pi), f.eval(z), atol=1e-12)
 
-    def test_translate(self):
-        f = TrigSeries.cosine(1, 6)
-        g = f.translate(np.pi)
-        assert_allclose(g.cos[1], -1.0, atol=1e-14)
 
 
 class TestComplexConversion:
@@ -125,16 +121,31 @@ class TestComplexConversion:
 
     def test_real_series_is_conjugate_symmetric(self):
         rng = np.random.default_rng(4)
-        vec = random_series(rng, 7).to_complex()
-        assert vec.is_real_series()
+        modes = random_series(rng, 7).to_modes()
+        assert np.max(np.abs(modes - np.conj(modes[::-1]))) <= 1e-14
 
     def test_vector_helpers(self):
-        vec = TrigSeries.cosine(2, 5).to_complex()
-        assert vec.mode(2) == pytest.approx(0.5)
-        assert vec.mode(-2) == pytest.approx(0.5)
-        assert vec.inner(vec) == pytest.approx(0.5)
-        back = vec.to_trig()
+        # cos 2z = (exp(2iz) + exp(-2iz)) / 2 in the exponential basis
+        modes = TrigSeries.cosine(2, 5).to_modes()
+        assert modes[5 + 2] == pytest.approx(0.5)
+        assert modes[5 - 2] == pytest.approx(0.5)
+        assert np.vdot(modes, modes) == pytest.approx(0.5)
+        back = TrigSeries.from_modes(modes)
         assert_allclose(back.cos[2], 1.0)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_mult_matrix_is_the_truncated_product(self, parity):
+        rng = np.random.default_rng(6)
+        f, g = random_series(rng, 9), random_series(rng, 9)
+        f = TrigSeries(f.cos) if parity == "even" \
+            else TrigSeries(np.zeros(10), f.sin)
+        unit = 1.0 if parity == "even" else 1j
+        product = unit * (f.mult_matrix() @ g.to_modes())
+        assert np.max(np.abs(product - (f * g).to_modes())) <= 1e-14
+
+    def test_mult_matrix_needs_one_parity(self):
+        with pytest.raises(ValueError, match="both"):
+            (TrigSeries.cosine(1, 4) + TrigSeries.sine(2, 4)).mult_matrix()
 
 
 class TestValueSemantics:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwstab import modulation
+from mwstab import bloch, modulation
 from mwstab.fourier import TrigSeries
 from mwstab.waves import Model, solve_wave, SQRT3, ConvergenceError
 from mwstab.bloch import assemble_pencil, spectrum_slice
@@ -43,6 +43,12 @@ class TestCriticalBasis:
         assert basis_a005.phi1.sin[1] == pytest.approx(0.05, abs=1e-4)
         assert basis_a005.phi1.sin[2] == pytest.approx(
             21.0 / 16.0 * 0.05**2, abs=2e-4)
+
+    def test_subnormal_amplitude_gives_the_flat_basis(self):
+        # 1/a overflows here; eta' / a does not
+        branch = solve_wave(MODEL_A, 5e-324, 1.0, n_modes=16)
+        basis = critical_basis(MODEL_A, branch)
+        assert np.array_equal(basis.phi1.sin, TrigSeries.sine(1, 16).sin)
 
     def test_norms_match_expansions(self):
         branch = solve_wave(MODEL_A, 0.1, 1.0, n_modes=32)
@@ -97,6 +103,37 @@ class TestProjectedDet:
                 lead = 16.0 * mu**2 / (3.0 * k**2) \
                     + 16.0 * 0.02**2 * k**2 / 3.0
                 assert 0.95 <= det.disc / lead <= 1.05
+
+    def test_discriminant_is_continuous_near_mu_zero(self):
+        # D(mu) - D(0) = 4 mu^2 to leading order for model B at k = 1; the
+        # parent's mu -> 0 limit path below |mu| = 1e-4 put it 4x off there
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.02, 1.0)
+        basis = critical_basis(model, branch)
+        at_zero = projected_det(model, branch, basis, 0.0).disc
+        for mu in (1e-5, 9.9e-5, 1.01e-4, 1e-3):
+            rise = projected_det(model, branch, basis, mu).disc - at_zero
+            assert rise / (4.0 * mu**2) == pytest.approx(1.0, rel=1e-2)
+
+    def test_coefficients_match_a_projection_at_each_mu(self, branch_a005,
+                                                         basis_a005):
+        # b0 + i b1 lambda + b2 lambda^2: the determinant of the 2x2 matrix
+        # <T(lambda) phi_i, phi_j> / <phi_i, phi_i> on the pencil at mu
+        vecs = [basis_a005.phi1.to_modes(), basis_a005.phi2.to_modes()]
+        for mu in (-0.1, 0.003, 0.05):
+            pencil = assemble_pencil(MODEL_A, branch_a005, mu)
+
+            def det(lam):
+                op = pencil.L0 + lam * 1j * np.diag(pencil.s)
+                return np.linalg.det([[np.vdot(w, op @ v) / np.vdot(v, v)
+                                       for w in vecs] for v in vecs])
+
+            b1 = (0.5 * (det(1.0) - det(-1.0))).imag
+            b2 = (0.5 * (det(1.0) + det(-1.0)) - det(0.0)).real
+            have = projected_det(MODEL_A, branch_a005, basis_a005, mu)
+            assert have.d0 == pytest.approx(det(0.0).real / mu**2, rel=1e-9)
+            assert have.d1 == pytest.approx(b1 / mu, rel=1e-9)
+            assert have.d2 == pytest.approx(b2, rel=1e-9)
 
     def test_guard_on_large_parameters(self, branch_a005, basis_a005):
         with pytest.raises(ValueError):
@@ -334,24 +371,44 @@ class TestVerdicts:
                                                           monkeypatch):
         # B, gamma = 2, a = 0.01: of this grid only mu = 0 lies in the band
         # mu < a k^2 sqrt(gamma - 1) / 2 = 0.005, where the critical pair is
-        # the double zero; rounding may put its noise on the axis
-        from mwstab import modulation
+        # the double zero, whose measured real part is rounding noise
+        measured = modulation._critical_pair
+        solved = []
 
-        measured = modulation.critical_growth
+        def recorded(pencil):
+            solved.append(pencil.mu)
+            return measured(pencil)
 
-        def on_the_axis_at_zero(model, branch, mu, n_modes=None):
-            if mu == 0.0:
-                return -0.0 + 1e-9j, -0.0 - 1e-9j
-            return measured(model, branch, mu, n_modes=n_modes)
-
-        monkeypatch.setattr(modulation, "critical_growth",
-                            on_the_axis_at_zero)
+        monkeypatch.setattr(modulation, "_critical_pair", recorded)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
                                     np.linspace(0.0, 0.05, 5), n_modes=32)
         assert report.disc_samples[0][1] < 0.0
         assert min(disc for _, disc in report.disc_samples[1:]) > 0.0
         assert report.verdict == "unstable"
         assert repr(report.max_growth) == "0.0"
+        # the double zero's pair is not solved for at all
+        assert solved == list(np.linspace(0.0, 0.05, 5)[1:])
+
+    def test_one_coefficient_build_per_branch(self, monkeypatch):
+        builds, solves = [], []
+        build, solve = bloch.linearized_operator, modulation.solve_wave
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bloch, "linearized_operator", counted_build)
+        monkeypatch.setattr(modulation, "solve_wave", counted_solve)
+        discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
+                           np.linspace(0.0, 0.05, 11), n_modes=16)
+        assert len(builds) == len(solves) == 1
+        threshold_bisect(1.0, 0.01, 0.0, 2.0, width=0.1, n_modes=16)
+        # one per evaluation: each evaluation solves one wave
+        assert len(builds) == len(solves) > 3
 
     def test_margin_function(self):
         assert positivity_margin(0.0, 0.0) == 1e-10

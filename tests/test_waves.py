@@ -168,7 +168,7 @@ def test_kernel_of_the_linearization(variant, a, k, gamma):
     tangent d eta/da matches a centered difference along the branch."""
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=32)
-    op = linearized_operator(model, branch.eta, branch.c, k)
+    op = linearized_operator(model, branch.eta, branch.c, k)[0]
     deta = branch.eta.deriv().to_modes()
     # L0 eta' is -/+ the derivative of the residual along the translation
     # orbit: zero at an exact solution, Newton's leftover here
