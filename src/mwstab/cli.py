@@ -248,6 +248,8 @@ def cmd_index(args):
         "verdict": report.verdict,
         "max_growth": report.max_growth,
         "disc_samples": [[mu, disc] for mu, disc in report.disc_samples],
+        "disc_at_zero": report.disc_at_zero,
+        "band_edge": report.band_edge,
         "threshold_estimate": threshold,
     }
     _emit(_json(payload), config.out)

@@ -98,6 +98,8 @@ class StabilityReport:
     verdict: str
     disc_samples: tuple
     max_growth: float
+    disc_at_zero: float
+    band_edge: float | None
     threshold_estimate: float | None = None
 
 
@@ -152,6 +154,25 @@ def _det_polynomials(coefficients, basis):
           - conv(p[0, 1], q[1, 0]) - conv(q[0, 1], p[1, 0]))
     b2 = conv(q[0, 1], q[1, 0]) - conv(q[0, 0], q[1, 1])
     return np.array([b0[2::2], b1[1::2], b2[0::2]]) / (norms[0] * norms[1])
+
+
+def _band_edge(d):
+    """Smallest ``mu`` in ``(0, 0.1]``, the sweep's domain, with ``D(mu) =
+    0``, or ``None``, from ``_det_polynomials``: ``D = c0 + c1 t + c2 t^2``
+    in ``t = mu^2``.  Roots beyond the domain are dropped: a flat wave's
+    noise-level coefficients put one near ``mu = 1e8``."""
+    (d00, d01), (d10, d11), (d20, d21) = d
+    c0 = d10 * d10 + 4.0 * d00 * d20
+    c1 = 2.0 * d10 * d11 + 4.0 * (d00 * d21 + d01 * d20)
+    c2 = d11 * d11 + 4.0 * d01 * d21
+    rad = c1 * c1 - 4.0 * c0 * c2
+    if rad < 0.0:
+        return None
+    # the two roots without cancellation: q / c2 and c0 / q
+    q = -0.5 * (c1 + np.copysign(np.sqrt(rad), c1))
+    roots = [r for r in ((q / c2) if c2 else None, (c0 / q) if q else None)
+             if r is not None and 0.0 < r <= 0.01]
+    return float(np.sqrt(min(roots))) if roots else None
 
 
 def _quadratic_det(d, mu, a, k):
@@ -305,17 +326,28 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
         if growth >= 10.0 * implied:
             verdict = "unstable"
     return StabilityReport(model=model, a=a, k=k, verdict=verdict,
-                           disc_samples=samples, max_growth=growth)
+                           disc_samples=samples, max_growth=growth,
+                           disc_at_zero=_quadratic_det(d, 0.0, a, k).disc,
+                           band_edge=_band_edge(d))
 
 
 def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
                      tol=DEFAULT_TOL):
-    """Bisection for the model-B parameter where the verdict flips.
+    """Root of the model-B discriminant ``D(gamma)`` at ``mu = 0``, where
+    the verdict flips (its ``a^2`` coefficient changes sign there).
 
-    Operates on the sign of the discriminant at ``mu = 0`` (its ``a^2``
-    coefficient changes sign at the threshold); the endpoints must bracket
-    a sign change.  Each evaluation solves one wave and projects its
-    pencil once.
+    The endpoints must bracket a sign change.  Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) keeps the bracket: each step takes the
+    secant point, with the value at an end kept twice in a row halved, or
+    the midpoint when that point leaves the open bracket or the bracket has
+    not halved over the last three steps (so it halves at least every four;
+    two would cut off the usual last step, the Illinois one after two steps
+    from one side).  ``D`` is nearly linear in ``gamma``, so a few steps
+    suffice.  The search returns an evaluated point, an endpoint included,
+    whose ``|D|`` is within the rounding floor ``8 eps (d1^2 + 4 |d0 d2|)``
+    of the cancellation in ``D``, or else the secant point of the first
+    bracket no wider than ``width``.  Each evaluation solves one wave and
+    projects its pencil once.
     """
 
     def disc_at(gamma):
@@ -323,23 +355,41 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
         branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
             solve_wave(model, a, k, n_modes=n_modes, tol=tol)
         basis = critical_basis(model, branch)
-        return projected_det(model, branch, basis, 0.0,
-                             n_modes=n_modes).disc
+        det = projected_det(model, branch, basis, 0.0, n_modes=n_modes)
+        floor = 8.0 * np.finfo(float).eps * (det.d1 * det.d1
+                                             + 4.0 * abs(det.d0 * det.d2))
+        return det.disc, abs(det.disc) <= floor
 
-    f_lo = disc_at(gamma_lo)
-    f_hi = disc_at(gamma_hi)
+    def secant(lo, f_lo, hi, f_hi):
+        return float((lo * f_hi - hi * f_lo) / (f_hi - f_lo))
+
+    (f_lo, root_lo), (f_hi, root_hi) = disc_at(gamma_lo), disc_at(gamma_hi)
+    if root_lo or root_hi:
+        return gamma_lo if root_lo else gamma_hi
     if np.sign(f_lo) == np.sign(f_hi):
         raise ValueError(
             f"endpoints do not bracket a sign change: "
             f"D({gamma_lo})={f_lo:.3e}, D({gamma_hi})={f_hi:.3e}")
     lo, hi = gamma_lo, gamma_hi
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        f_mid = disc_at(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
+    g_lo, g_hi = f_lo, f_hi     # the secant's values, halved by Illinois
+    kept, widths = None, [abs(hi - lo)]
+    while widths[-1] > width:
+        x = secant(lo, g_lo, hi, g_hi)
+        if not min(lo, hi) < x < max(lo, hi) or \
+                len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (lo + hi)
+        f_x, root = disc_at(x)
+        if root:
+            return x
+        if np.sign(f_x) == np.sign(f_lo):
+            lo, f_lo, g_lo = x, f_x, f_x
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi, g_hi = x, f_x, f_x
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
+        widths.append(abs(hi - lo))
+    return secant(lo, f_lo, hi, f_hi)

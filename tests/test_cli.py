@@ -195,6 +195,8 @@ class TestIndexCommand:
         assert payload["verdict"] == "stable"
         assert payload["threshold_estimate"] is None
         assert len(payload["disc_samples"]) == 10
+        assert payload["disc_at_zero"] > 0.0
+        assert payload["band_edge"] is None
 
     def test_model_b_unstable_with_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
@@ -205,6 +207,18 @@ class TestIndexCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "unstable"
         assert 0.95 <= payload["threshold_estimate"] <= 1.05
+
+    def test_missed_band_is_reported(self, capsys):
+        # the grid starts beyond the unstable band mu < a k^2 sqrt(gamma-1)/2,
+        # so the verdict rule says stable; D(0) and the band edge show it
+        code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
+                               "3", "--a", "0.02", "--mu-grid=0.05:0.1:6")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["verdict"] == "stable"
+        assert payload["disc_at_zero"] < 0.0
+        assert payload["band_edge"] == pytest.approx(0.02 * np.sqrt(2) / 2,
+                                                     rel=1e-2)
 
     def test_indeterminate_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",

@@ -367,6 +367,30 @@ class TestVerdicts:
                                     np.linspace(0.005, 0.05, 6), n_modes=32)
         assert report.verdict == "stable"
 
+    @pytest.mark.parametrize("gamma, k", [(2.0, 1.0), (5.0, 1.4)])
+    def test_band_edge_is_where_the_discriminant_changes_sign(self, gamma,
+                                                              k):
+        model = Model("B", gamma=gamma)
+        report = discriminant_sweep(model, 0.01, k, [0.05], n_modes=32)
+        edge = report.band_edge
+        assert edge == pytest.approx(0.01 * k**2 * np.sqrt(gamma - 1) / 2,
+                                     rel=1e-3)
+        branch = solve_wave(model, 0.01, k, n_modes=32)
+        basis = critical_basis(model, branch)
+        assert report.disc_at_zero == \
+            projected_det(model, branch, basis, 0.0).disc < 0.0
+        for mu in (edge * (1 - 1e-6), -edge * (1 - 1e-6)):
+            assert projected_det(model, branch, basis, mu).disc < 0.0
+        assert projected_det(model, branch, basis, edge * (1 + 1e-6)).disc \
+            > 0.0
+
+    @pytest.mark.parametrize("model, a", [(MODEL_A, 0.02), (MODEL_A, 0.0),
+                                          (Model("B", gamma=0.5), 0.02),
+                                          (Model("B", gamma=2.0), 0.0)])
+    def test_no_band_edge_without_a_band(self, model, a):
+        report = discriminant_sweep(model, a, 1.0, [0.05], n_modes=32)
+        assert report.band_edge is None
+
     def test_mu_zero_alone_is_decided_by_the_discriminant(self,
                                                           monkeypatch):
         # B, gamma = 2, a = 0.01: of this grid only mu = 0 lies in the band
@@ -415,12 +439,68 @@ class TestVerdicts:
         assert positivity_margin(0.1, 0.0) == pytest.approx(1e-5)
 
 
+def counted_solves(monkeypatch):
+    """Record the gamma of every wave ``modulation`` solves."""
+    gammas, solve = [], modulation.solve_wave
+
+    def counted(model, *args, **kwargs):
+        gammas.append(model.gamma)
+        return solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(modulation, "solve_wave", counted)
+    return gammas
+
+
 class TestThreshold:
     def test_bisection_brackets_unit_gamma(self):
         for k in (1.0, 2.0):
             gamma_star = threshold_bisect(k, 0.01, 0.0, 2.0, n_modes=24)
             assert 0.95 <= gamma_star <= 1.05
 
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    @pytest.mark.parametrize("bracket", [(0.0, 2.0), (0.3, 1.8)])
+    def test_root_in_a_handful_of_solves(self, monkeypatch, k, bracket):
+        gammas = counted_solves(monkeypatch)
+        gamma_star = threshold_bisect(k, 0.01, *bracket, n_modes=24)
+        assert abs(gamma_star - 1.0) <= 1e-8
+        # bisection to the default width 1e-3 took 13 solves; a midpoint
+        # fallback after two non-halving steps, not three, takes 6 at k = 2
+        assert len(gammas) <= 5
+
+    @pytest.mark.parametrize("power", [1, 9, 25])
+    def test_one_sided_convergence_is_broken(self, monkeypatch, power):
+        # D(gamma) = gamma^power - 1/2 on [0, 1.5]: for power 9 and 25
+        # plain regula falsi creeps in from one side; Illinois steps and
+        # the midpoint fallback close the bracket to the width
+        gammas = []
+
+        def stub_det(model, branch, basis, mu, n_modes=None):
+            gammas.append(model.gamma)
+            disc = model.gamma ** power - 0.5
+            return modulation.QuadraticDet(
+                mu=mu, a=0.01, k=1.0, b0=0.0, b1=0.0, b2=1.0,
+                d0=(disc - 1.0) / 4.0, d1=1.0, d2=1.0, disc=disc)
+
+        monkeypatch.setattr(modulation, "solve_wave",
+                            lambda model, *args, **kwargs: model)
+        monkeypatch.setattr(modulation, "critical_basis",
+                            lambda model, branch: None)
+        monkeypatch.setattr(modulation, "projected_det", stub_det)
+        gamma_star = threshold_bisect(1.0, 0.01, 0.0, 1.5, width=1e-6)
+        assert abs(gamma_star - 0.5 ** (1 / power)) <= 1e-6
+        # bisection takes 2 + 21 evaluations here; without the Illinois
+        # halving, power 9 and 25 took 32 and 40
+        assert len(gammas) <= 2 + 21
+
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (1.0, 2.0)])
+    def test_endpoint_at_the_root_is_the_root(self, monkeypatch, bracket):
+        # D(1) is rounding noise of either sign (3.6e-15 here)
+        gammas = counted_solves(monkeypatch)
+        assert threshold_bisect(1.0, 0.01, *bracket, n_modes=24) == 1.0
+        assert gammas == list(bracket)
+
     def test_same_sign_endpoints_rejected(self):
         with pytest.raises(ValueError, match="bracket"):
             threshold_bisect(1.0, 0.01, 0.0, 0.5, n_modes=24)
+        with pytest.raises(ValueError, match="bracket"):
+            threshold_bisect(1.0, 0.01, 1.5, 2.0, n_modes=24)
