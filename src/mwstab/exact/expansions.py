@@ -243,32 +243,21 @@ def det_and_discriminant(model_variant):
 # canonical dumps and golden comparison
 # ---------------------------------------------------------------------------
 
-def _trig_str(n, par):
-    if n == 0:
-        return "1"
-    return f"{'cos' if par == 0 else 'sin'}({n}z)"
-
-
-def _dump_operator(op):
-    return {f"a^{p} mu^{q} lam^{r} i^{im} {_trig_str(n, par)} D^{s}":
-            val.canonical()
-            for (p, q, r, im, n, par, s), val in op.sorted_items()}
-
-
-def _dump_trigpoly(tp):
-    return {f"a^{p} mu^{q} lam^{r} i^{im} {_trig_str(n, par)}":
-            val.canonical()
-            for (p, q, r, im, n, par), val in tp.sorted_items()}
-
-
-def _dump_scalar(sc):
-    return {f"a^{p} mu^{q} lam^{r} i^{im}": val.canonical()
-            for (p, q, r, im), val in sc.sorted_items()}
-
-
-def _dump_real_scalar(sc):
-    return {f"a^{p} mu^{q}": val.canonical()
-            for (p, q, r, im), val in sc.sorted_items()}
+def _dump(series, fields=None):
+    """Canonical text of each term of ``series``, keyed by the named
+    fields of its key (default: every field the key has), e.g.
+    ``a^2 mu^0 lam^0 i^0 cos(2z) D^1``; terms are in key order."""
+    out = {}
+    for (p, q, r, im, *tail), val in series.sorted_items():
+        parts = {"a": f"a^{p}", "mu": f"mu^{q}", "lam": f"lam^{r}",
+                 "i": f"i^{im}"}
+        if tail:
+            n, par = tail[:2]
+            parts["trig"] = f"{('cos', 'sin')[par]}({n}z)" if n else "1"
+        if tail[2:]:
+            parts["D"] = f"D^{tail[2]}"
+        out[" ".join(parts[f] for f in fields or parts)] = val.canonical()
+    return out
 
 
 def build_dump(exact):
@@ -276,24 +265,22 @@ def build_dump(exact):
     for diffing and the CLI."""
     t1a = exact.t0a.commutator_z()
     dump = {
-        "stokes_eta": {f"a^{p} {_trig_str(n, par)}": val.canonical()
-                       for (p, _, _, _, n, par), val
-                       in exact.stokes.eta.sorted_items()},
-        "stokes_c": {f"a^{p}": val.canonical()
-                     for (p, _, _, _), val in exact.stokes.c.sorted_items()},
-        "op_T0a": _dump_operator(exact.t0a),
-        "op_T1a": _dump_operator(t1a),
-        "op_T2a": _dump_operator(t1a.commutator_z()),
+        "stokes_eta": _dump(exact.stokes.eta, ("a", "trig")),
+        "stokes_c": _dump(exact.stokes.c, ("a",)),
+        "op_T0a": _dump(exact.t0a),
+        "op_T1a": _dump(t1a),
+        "op_T2a": _dump(t1a.commutator_z()),
     }
     for tag in ("1", "cos1", "sin1", "cos2", "sin2"):
-        dump[f"act_{tag}"] = _dump_trigpoly(exact.top.apply(tag))
+        dump[f"act_{tag}"] = _dump(exact.top.apply(tag))
     for i in range(2):
         for j in range(2):
-            dump[f"matrix_{i + 1}{j + 1}"] = _dump_scalar(exact.matrix[i][j])
+            dump[f"matrix_{i + 1}{j + 1}"] = _dump(exact.matrix[i][j])
+    real = ("a", "mu")
     for idx in range(3):
-        dump[f"det_b{idx}"] = _dump_real_scalar(exact.b[idx])
-    dump["disc"] = _dump_real_scalar(exact.disc)
-    dump["disc_leading"] = _dump_real_scalar(exact.disc_leading())
+        dump[f"det_b{idx}"] = _dump(exact.b[idx], real)
+    dump["disc"] = _dump(exact.disc, real)
+    dump["disc_leading"] = _dump(exact.disc_leading(), real)
     return dump
 
 

@@ -25,34 +25,33 @@ class Coeff:
 
     ``terms`` maps ``(ek, e3, eg)`` to a nonzero :class:`Fraction`, with
     ``e3`` in ``{0, 1}`` after reduction.  Instances are immutable.
+
+    Values from outside the ring are checked where they enter, by
+    :meth:`monomial` and :meth:`rational` (and by type, for int or
+    Fraction operands of arithmetic).  The constructor trusts its
+    ``terms`` and only drops zero entries, so arithmetic builds each
+    result once.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for key, val in (terms or {}).items():
-            ek, e3, eg = key
-            frac = _as_fraction(val)
-            if e3 not in (0, 1):
-                raise ValueError("sqrt3 exponent must be reduced to 0 or 1")
-            if eg < 0:
-                raise ValueError("gamma exponent must be non-negative")
-            if frac:
-                clean[(ek, e3, eg)] = clean.get((ek, e3, eg), Fraction(0)) \
-                    + frac
-        self.terms = {key: val for key, val in clean.items() if val}
+        self.terms = {key: val for key, val in terms.items() if val} \
+            if terms else {}
 
     # ----- constructors --------------------------------------------------
 
     @classmethod
     def rational(cls, num, den=1):
-        return cls({(0, 0, 0): Fraction(num, den)})
+        return cls.monomial(_as_fraction(num) / _as_fraction(den))
 
     @classmethod
     def monomial(cls, value, ek=0, e3=0, eg=0):
-        return cls({(ek, e3, eg): _as_fraction(
-            value if isinstance(value, (int, Fraction)) else Fraction(value))})
+        if e3 not in (0, 1):
+            raise ValueError("sqrt3 exponent must be reduced to 0 or 1")
+        if eg < 0:
+            raise ValueError("gamma exponent must be non-negative")
+        return cls({(ek, e3, eg): _as_fraction(value)})
 
     @classmethod
     def zero(cls):
@@ -102,7 +101,7 @@ class Coeff:
             return NotImplemented
         merged = dict(self.terms)
         for key, val in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + val
+            merged[key] = merged[key] + val if key in merged else val
         return Coeff(merged)
 
     __radd__ = __add__
@@ -113,7 +112,7 @@ class Coeff:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
+            return Coeff({key: val * other for key, val in self.terms.items()})
         if not isinstance(other, Coeff):
             return NotImplemented
         out = {}
@@ -125,7 +124,7 @@ class Coeff:
                     e3 = 0
                     frac *= 3
                 key = (ek1 + ek2, e3, eg1 + eg2)
-                out[key] = out.get(key, Fraction(0)) + frac
+                out[key] = out[key] + frac if key in out else frac
         return Coeff(out)
 
     __rmul__ = __mul__
@@ -139,12 +138,12 @@ class Coeff:
             raise ArithmeticError("cannot invert a gamma-carrying monomial")
         if e3:
             # 1/(f sqrt3 k^e) = sqrt3 / (3 f k^e)
-            return Coeff({(-ek, 1, 0): Fraction(1) / (3 * frac)})
-        return Coeff({(-ek, 0, 0): Fraction(1) / frac})
+            return Coeff({(-ek, 1, 0): 1 / (3 * frac)})
+        return Coeff({(-ek, 0, 0): 1 / frac})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * Coeff.rational(Fraction(1, 1) / Fraction(other))
+            return self * Coeff.rational(1, other)
         if isinstance(other, Coeff):
             return self * other.reciprocal()
         return NotImplemented

@@ -81,11 +81,12 @@ class _Series:
             return  # truncated
         if key[4:6] == (0, 1):
             return  # sin(0z) vanishes
-        new = self.terms.get(key, Coeff.zero()) + coeff
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
+        if new:
             self.terms[key] = new
+        else:
+            del self.terms[key]
 
     # ----- linear structure ------------------------------------------------
 
@@ -140,9 +141,6 @@ class _Series:
         if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
         return not self.terms

@@ -82,11 +82,11 @@ class TrigSeries:
     def n_modes(self):
         return self.cos.size - 1
 
-    def is_even(self, tol=0.0):
-        return bool(np.all(np.abs(self.sin) <= tol))
+    def is_even(self):
+        return not self.sin.any()
 
-    def is_odd(self, tol=0.0):
-        return bool(np.all(np.abs(self.cos) <= tol))
+    def is_odd(self):
+        return not self.cos.any()
 
     def __repr__(self):
         return f"TrigSeries(n_modes={self.n_modes})"

@@ -344,10 +344,14 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
     two would cut off the usual last step, the Illinois one after two steps
     from one side).  ``D`` is nearly linear in ``gamma``, so a few steps
     suffice.  The search returns an evaluated point, an endpoint included,
-    whose ``|D|`` is within the rounding floor ``8 eps (d1^2 + 4 |d0 d2|)``
-    of the cancellation in ``D``, or else the secant point of the first
-    bracket no wider than ``width``.  Each evaluation solves one wave and
-    projects its pencil once.
+    whose ``|D|`` is within the floor ``(8 eps + r) (d1^2 + 4 |d0 d2|)``,
+    or else the secant point of the first bracket no wider than ``width``.
+    ``8 eps`` is the rounding of the cancellation in ``D``; ``r``, the
+    wave's Newton residual (``residual_norm``), allows for the error that
+    a profile solved only to ``tol`` puts into each ``d_j`` (at ``k = 2,
+    a = 0.01, gamma = 1`` a residual of 3.3e-13 left ``D`` at 6.1e-13,
+    11 times the rounding floor and 0.06 of this allowance).  Each
+    evaluation solves one wave and projects its pencil once.
     """
 
     def disc_at(gamma):
@@ -356,8 +360,8 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
             solve_wave(model, a, k, n_modes=n_modes, tol=tol)
         basis = critical_basis(model, branch)
         det = projected_det(model, branch, basis, 0.0, n_modes=n_modes)
-        floor = 8.0 * np.finfo(float).eps * (det.d1 * det.d1
-                                             + 4.0 * abs(det.d0 * det.d2))
+        floor = (8.0 * np.finfo(float).eps + branch.residual_norm) \
+            * (det.d1 * det.d1 + 4.0 * abs(det.d0 * det.d2))
         return det.disc, abs(det.disc) <= floor
 
     def secant(lo, f_lo, hi, f_hi):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -220,6 +221,17 @@ class TestIndexCommand:
         assert payload["band_edge"] == pytest.approx(0.02 * np.sqrt(2) / 2,
                                                      rel=1e-2)
 
+    def test_threshold_at_an_endpoint_of_a_wave_solved_to_tol(self, capsys):
+        # at k = 2 the gamma = 1 wave stops at Newton residual 3.3e-13,
+        # which leaves D(0) at 6.1e-13, above its rounding floor of 5.7e-14;
+        # the root test allows for the residual, so the endpoint is the root
+        code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
+                               "2", "--k", "2", "--a", "0.01",
+                               "--mu-grid=0.002:0.02:3",
+                               "--gamma-lo", "0", "--gamma-hi", "1")
+        assert code == EXIT_OK
+        assert abs(json.loads(out)["threshold_estimate"] - 1.0) <= 1e-6
+
     def test_indeterminate_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
                                "1.1", "--a", "0.01", "--modes", "24",
@@ -286,7 +298,33 @@ class TestCollisionsCommand:
         assert omega == pytest.approx(-np.sqrt(15.0), rel=1e-12)
 
 
+#: sha256 of each ``expand`` output; the dumps are the exact engine's
+#: regression oracle, so any change to its arithmetic or rendering shows here
+EXPAND_SHA256 = {
+    ("A", "--check-golden"):
+    "6ef05ce0b03c25173a4d91bc074695a77792c153dc70ac74ebb568576193d5ea",
+    ("A", "--format json"):
+    "3a052bf5c72d0902efa6cb77f1fc791e4bec2b45f2a1155857b79470089fea83",
+    ("A", "--format csv"):
+    "1a31176bcc02e14ce8f37cd549f83abe8ac212a59961a421e27cd14dc3b17610",
+    ("B", "--check-golden"):
+    "61d36100558fe8876aa766144392441cf50f9145c7fcf97bbab863b047f183ea",
+    ("B", "--format json"):
+    "eb83bfc51877760c7009fae50091d1892bb588db34c3e1022f9a8eb154f463f0",
+    ("B", "--format csv"):
+    "2897b9366d87a39e5c14fd66b8e178923657efcf9f0343c65aea49338aea5873",
+}
+
+
 class TestExpandCommand:
+    @pytest.mark.parametrize("variant, flags", sorted(EXPAND_SHA256))
+    def test_outputs_are_byte_identical(self, capsys, variant, flags):
+        code, out, _ = run_cli(capsys, "expand", "--model", variant,
+                               *flags.split())
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == EXPAND_SHA256[variant, flags]
+
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_check_golden_passes(self, capsys, variant):
         code, out, _ = run_cli(capsys, "expand", "--model", variant,

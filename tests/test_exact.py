@@ -58,6 +58,16 @@ class TestCoeffRing:
         g = Coeff.gamma() * Coeff.k_power(4)
         assert g.evalf(2.0, gamma=0.5) == pytest.approx(8.0)
 
+    def test_constructors_check_outside_values(self):
+        with pytest.raises(ValueError, match="sqrt3"):
+            Coeff.monomial(1, e3=2)
+        with pytest.raises(ValueError, match="gamma"):
+            Coeff.monomial(1, eg=-1)
+        with pytest.raises(TypeError):
+            Coeff.monomial(0.5)
+        with pytest.raises(TypeError):
+            Coeff.rational(1, 2.0)
+
     def test_canonical_strings(self):
         assert Coeff.rational(-7, 16).canonical() == "-7/16"
         assert (Coeff.k_power(4) - Coeff.gamma() * Coeff.k_power(4)
@@ -106,6 +116,35 @@ trig_keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
                       st.integers(0, 1), st.integers(0, 3), st.integers(0, 1))
 trig_polys = st.dictionaries(trig_keys, coeffs, max_size=4).map(
     lambda terms: TrigPolySeries(terms=terms))
+
+
+def assert_reduced(coeff):
+    """The invariants ``Coeff.__init__`` trusts its input to hold."""
+    for (_, e3, eg), val in coeff.terms.items():
+        assert type(val) is Fraction and val != 0
+        assert e3 in (0, 1) and eg >= 0
+
+
+# sums of up to three monomials, zero (the empty sum) included
+ring_elements = st.lists(coeffs, max_size=3).map(
+    lambda terms: sum(terms, Coeff.zero()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=ring_elements, y=ring_elements, n=st.integers(-3, 3))
+def test_ring_results_are_reduced(x, y, n):
+    """Ring arithmetic builds its results without re-validating them, so
+    every result must already hold nonzero Fractions with ``e3`` reduced
+    to 0 or 1, and cancellation must leave no zero entry behind."""
+    for result in (x + y, x - y, x * y, -x, x + n, x - n, x * n, n * x,
+                   x - x, x * (x - x)):
+        assert_reduced(result)
+    assert (x - x).is_zero() and (x * 0).is_zero()
+    if len(x.terms) == 1 and next(iter(x.terms))[2] == 0:
+        assert_reduced(x.reciprocal())
+        assert x * x.reciprocal() == Coeff.one()
+    if n:
+        assert_reduced(x / n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

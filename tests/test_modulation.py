@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -473,6 +475,7 @@ class TestThreshold:
         # plain regula falsi creeps in from one side; Illinois steps and
         # the midpoint fallback close the bracket to the width
         gammas = []
+        exact_wave = SimpleNamespace(residual_norm=0.0)
 
         def stub_det(model, branch, basis, mu, n_modes=None):
             gammas.append(model.gamma)
@@ -481,8 +484,9 @@ class TestThreshold:
                 mu=mu, a=0.01, k=1.0, b0=0.0, b1=0.0, b2=1.0,
                 d0=(disc - 1.0) / 4.0, d1=1.0, d2=1.0, disc=disc)
 
+        # an exact wave: the root test's residual allowance is 0
         monkeypatch.setattr(modulation, "solve_wave",
-                            lambda model, *args, **kwargs: model)
+                            lambda *args, **kwargs: exact_wave)
         monkeypatch.setattr(modulation, "critical_basis",
                             lambda model, branch: None)
         monkeypatch.setattr(modulation, "projected_det", stub_det)
