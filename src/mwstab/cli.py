@@ -7,10 +7,10 @@ byte-identical files.  Exit codes: 0 success, 2 indeterminate verdict,
 3 solver failure, 4 configuration error.
 """
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -309,74 +309,127 @@ def cmd_expand(args):
 
 
 # ---------------------------------------------------------------------------
-# parser plumbing
+# argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
+USAGE = """\
+usage: mwstab COMMAND [--flag value | --flag=value]...
+
+periodic traveling waves of two extended Hunter-Saxton models and their
+modulational stability
+
+commands:
+  wave        solve one branch point, emit JSON
+  spectrum    Floquet sweep of the pencil spectra (CSV)
+  index       discriminant sweep and verdict (JSON)
+  collisions  zero-amplitude collision table (CSV)
+  expand      exact-series canonical dump
+
+common flags:
+  --model {A,B}  --k K  --a A  --gamma GAMMA  --modes N
+  --mu-grid START:STOP:COUNT  --tol TOL  --out PATH  --format {csv,json}
+  --config PATH
+
+command flags:
+  index       --gamma-lo G --gamma-hi G  (model-B threshold bracket)
+  collisions  --n-min N  (default -3)
+  expand      --check-golden  (diff the dump against the transcribed tables)
+
+Flags are spelled in full.  -h, --help prints this text.
+"""
 
 
-def _flag_type(convert):
-    """``convert`` as an argparse ``type=``: argparse replaces the text of a
-    converter's ``ValueError`` by "invalid <name> value", so pass the
-    reason on as an ``ArgumentTypeError``, whose text it keeps."""
-    def flag(text):
+def _choice(*values):
+    def convert(text):
+        if text not in values:
+            raise ValueError(f"invalid choice {text!r} (choose from "
+                             f"{', '.join(values)})")
+        return text
+    return convert
+
+
+#: flag -> converter of its value; ``--mu-grid`` sets ``args.mu_grid``
+_COMMON_FLAGS = {
+    "--model": _choice("A", "B"),
+    "--k": finite_float,
+    "--a": finite_float,
+    "--gamma": finite_float,
+    "--modes": int,
+    "--mu-grid": parse_mu_grid,
+    "--tol": finite_float,
+    "--out": str,
+    "--format": _choice("csv", "json"),
+    "--config": str,
+}
+
+#: command -> (function, its own flags, their defaults); a converter of
+#: None marks a switch, which takes no value and defaults to False
+_COMMANDS = {
+    "wave": (cmd_wave, {}, {}),
+    "spectrum": (cmd_spectrum, {}, {}),
+    "index": (cmd_index, {"--gamma-lo": finite_float,
+                          "--gamma-hi": finite_float}, {}),
+    "collisions": (cmd_collisions, {"--n-min": int}, {"n_min": -3}),
+    "expand": (cmd_expand, {"--check-golden": None}, {}),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _attribute(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _print_usage(args):
+    sys.stdout.write(USAGE)
+    return EXIT_OK
+
+
+def parse_args(argv):
+    """The command's flags as attributes, ``func`` the function to call.
+
+    ``argv[0]`` is the command; each flag is ``--flag value`` (the value
+    taken as it is, a leading ``-`` included) or ``--flag=value``, spelled
+    in full.  ``-h`` or ``--help`` in place of the command or a flag gives
+    a ``func`` that prints the usage text.
+    """
+    argv = list(argv)
+    if not argv:
+        raise ConfigError(f"a command is required: {', '.join(_COMMANDS)}")
+    command, rest = argv[0], argv[1:]
+    if command in _HELP:
+        return SimpleNamespace(func=_print_usage)
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r} (choose from "
+                          f"{', '.join(_COMMANDS)})")
+    func, own, defaults = _COMMANDS[command]
+    flags = {**_COMMON_FLAGS, **own}
+    values = {_attribute(flag): None if convert else False
+              for flag, convert in flags.items()}
+    values.update(defaults, func=func)
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return SimpleNamespace(func=_print_usage)
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(f"unrecognized argument {token!r} for "
+                              f"{command}")
+        convert = flags[flag]
+        if convert is None:
+            if eq:
+                raise ConfigError(f"argument {flag}: takes no value")
+            values[_attribute(flag)] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ConfigError(f"argument {flag}: expected a value")
         try:
-            return convert(text)
+            values[_attribute(flag)] = convert(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return flag
-
-
-def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--model", choices=("A", "B"))
-    number = _flag_type(finite_float)
-    common.add_argument("--k", type=number)
-    common.add_argument("--a", type=number)
-    common.add_argument("--gamma", type=number)
-    common.add_argument("--modes", type=int)
-    common.add_argument("--mu-grid", dest="mu_grid",
-                        type=_flag_type(parse_mu_grid),
-                        metavar="START:STOP:COUNT")
-    common.add_argument("--tol", type=number)
-    common.add_argument("--out")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--config", metavar="PATH")
-
-    parser = _Parser(prog="mwstab",
-                     description="periodic traveling waves of two extended "
-                                 "Hunter-Saxton models and their "
-                                 "modulational stability")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_wave = sub.add_parser("wave", parents=[common],
-                            help="solve one branch point, emit JSON")
-    p_wave.set_defaults(func=cmd_wave)
-
-    p_spec = sub.add_parser("spectrum", parents=[common],
-                            help="Floquet sweep of the pencil spectra (CSV)")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_index = sub.add_parser("index", parents=[common],
-                             help="discriminant sweep and verdict (JSON)")
-    p_index.add_argument("--gamma-lo", dest="gamma_lo", type=number)
-    p_index.add_argument("--gamma-hi", dest="gamma_hi", type=number)
-    p_index.set_defaults(func=cmd_index)
-
-    p_coll = sub.add_parser("collisions", parents=[common],
-                            help="zero-amplitude collision table (CSV)")
-    p_coll.add_argument("--n-min", dest="n_min", type=int, default=-3)
-    p_coll.set_defaults(func=cmd_collisions)
-
-    p_exp = sub.add_parser("expand", parents=[common],
-                           help="exact-series canonical dump")
-    p_exp.add_argument("--check-golden", dest="check_golden",
-                       action="store_true",
-                       help="diff the dump against the transcribed tables")
-    p_exp.set_defaults(func=cmd_expand)
-    return parser
+            raise ConfigError(f"argument {flag}: {exc}") from None
+    return SimpleNamespace(**values)
 
 
 def _report(error, exc, **extra):
@@ -385,7 +438,7 @@ def _report(error, exc, **extra):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except ConfigError as exc:
         _report("config", exc)

@@ -110,6 +110,11 @@ class Coeff:
         return self + (-other if isinstance(other, Coeff)
                        else Coeff.rational(-other))
 
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Coeff({key: val * other for key, val in self.terms.items()})
@@ -146,6 +151,12 @@ class Coeff:
             return self * Coeff.rational(1, other)
         if isinstance(other, Coeff):
             return self * other.reciprocal()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        """``n / self``, defined for a gamma-free monomial ``self``."""
+        if isinstance(other, (int, Fraction)):
+            return self.reciprocal() * other
         return NotImplemented
 
     # ----- evaluation and rendering ----------------------------------------

@@ -127,13 +127,23 @@ class _Series:
     def _product(self, other, out, harmonics):
         """Accumulate into ``out`` every pair of terms: scalar parts
         multiply, and ``harmonics(tail1, tail2)`` lists the ``(Fraction,
-        tail)`` pieces that the trig parts of the two keys combine into."""
+        tail)`` pieces that the trig parts of the two keys combine into,
+        none of them ``sin(0z)``.  A pair whose a- or mu-power exceeds the
+        caps of ``out``, or that combines into no piece, is skipped before
+        its coefficients are multiplied: ``_insert`` would drop it."""
+        cap_p, cap_q = out.caps
         for (p1, q1, r1, im1, *tail1), c1 in self.terms.items():
             for (p2, q2, r2, im2, *tail2), c2 in other.terms.items():
+                p, q = p1 + p2, q1 + q2
+                if p > cap_p or q > cap_q:
+                    continue
+                pieces = harmonics(tail1, tail2)
+                if not pieces:
+                    continue
                 sign, im = _combine_im(im1, im2)
                 base = c1 * c2
-                for frac, tail in harmonics(tail1, tail2):
-                    out._insert((p1 + p2, q1 + q2, r1 + r2, im) + tail,
+                for frac, tail in pieces:
+                    out._insert((p, q, r1 + r2, im) + tail,
                                 base * (frac * sign))
         return out
 
@@ -258,7 +268,8 @@ BASIS_TAGS = {
 
 def _trig_product(tail1, tail2):
     """Product-to-sum rules for ``(n, par)`` pairs; returns
-    ``[(Fraction, (n, par))]``, where a ``sin(0z)`` piece may appear."""
+    ``[(Fraction, (n, par))]`` without the ``sin(0z)`` pieces, which
+    vanish."""
     (n1, par1), (n2, par2) = tail1, tail2
     half = Fraction(1, 2)
     diff = abs(n1 - n2)
@@ -269,7 +280,8 @@ def _trig_product(tail1, tail2):
     # sin(n1 z) cos(n2 z) = (sin s + sin((n1 - n2) z))/2, and the
     # opposite sign of the second piece for cos(n1 z) sin(n2 z)
     sign = half if (par1 == 1) == (n1 >= n2) else -half
-    return [(half, (n1 + n2, 1)), (sign, (diff, 1))]
+    return [(frac, (n, 1)) for frac, n in ((half, n1 + n2), (sign, diff))
+            if n]
 
 
 def _pairing(tail1, tail2):

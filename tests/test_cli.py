@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -416,9 +418,75 @@ class TestArgumentErrors:
         assert payload["message"] == f"modes must be at most {cli.MAX_MODES}"
 
     def test_modes_cap_admits_its_value(self):
-        config = resolve_config(cli.build_parser().parse_args(
+        config = resolve_config(cli.parse_args(
             ["wave", "--modes", str(cli.MAX_MODES)]))
         assert config.n_modes == cli.MAX_MODES
+
+    @pytest.mark.parametrize("argv", [
+        ("wave", "--k"),
+        ("index", "--a", "0.01", "--gamma-lo"),
+        ("wave", "--gamma-lo", "0"),
+        ("index", "--check-golden"),
+        ("expand", "--check-golden=yes"),
+        ("spectrum", "--mu=0:0.5:3"),
+        ("wave", "extra"),
+        (),
+        ("frequency",),
+        ("--model", "A"),
+    ])
+    def test_malformed_command_line_exits_config(self, capsys, argv):
+        """A missing value, a flag of another command or none, an
+        abbreviation, a stray word, and a missing or unknown command."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err)["error"] == "config"
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-min", "-5"), ("--k", "1.5"), ("--out", "-")])
+    def test_both_value_forms_agree(self, capsys, tmp_path, monkeypatch,
+                                    flag, value):
+        monkeypatch.chdir(tmp_path)
+        runs = [run_cli(capsys, "collisions", flag, value),
+                run_cli(capsys, "collisions", f"{flag}={value}")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK
+
+    def test_negative_value_after_a_space(self, capsys):
+        code, out, _ = run_cli(capsys, "collisions", "--n-min", "-5")
+        assert code == EXIT_OK
+        assert min(int(row.split(",")[1])
+                   for row in out.splitlines()[1:]) == -5
+
+    def test_negative_grid_after_a_space(self, capsys):
+        argv = ("spectrum", "--a", "0", "--modes", "8")
+        spaced = run_cli(capsys, *argv, "--mu-grid", "-0.05:0.05:3")
+        joined = run_cli(capsys, *argv, "--mu-grid=-0.05:0.05:3")
+        assert spaced == joined
+        assert spaced[0] == EXIT_OK
+        assert spaced[1].splitlines()[1].startswith("-0.05,")
+
+    def test_last_occurrence_of_a_flag_wins(self):
+        args = cli.parse_args(["wave", "--k", "2", "--k=3"])
+        assert args.k == 3.0
+
+    @pytest.mark.parametrize("argv", [
+        ("-h",), ("--help",), ("index", "-h"),
+        ("expand", "--model", "B", "--help")])
+    def test_help_prints_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("usage: mwstab")
+        for command in ("wave", "spectrum", "index", "collisions", "expand"):
+            assert f"\n  {command} " in out
+
+    def test_import_loads_no_argparse(self):
+        code = ("import sys, mwstab.cli; "
+                "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
 
 def _strict_json(text):

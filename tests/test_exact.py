@@ -136,13 +136,16 @@ def test_ring_results_are_reduced(x, y, n):
     """Ring arithmetic builds its results without re-validating them, so
     every result must already hold nonzero Fractions with ``e3`` reduced
     to 0 or 1, and cancellation must leave no zero entry behind."""
-    for result in (x + y, x - y, x * y, -x, x + n, x - n, x * n, n * x,
-                   x - x, x * (x - x)):
+    for result in (x + y, x - y, x * y, -x, x + n, x - n, n - x, x * n,
+                   n * x, x - x, x * (x - x)):
         assert_reduced(result)
     assert (x - x).is_zero() and (x * 0).is_zero()
+    assert n - x == -(x - n)
     if len(x.terms) == 1 and next(iter(x.terms))[2] == 0:
         assert_reduced(x.reciprocal())
         assert x * x.reciprocal() == Coeff.one()
+        assert_reduced(n / x)
+        assert n / x == x.reciprocal() * n
     if n:
         assert_reduced(x / n)
 
@@ -155,6 +158,10 @@ def test_trig_poly_product_and_derivative_rules(f, g, h):
     ``d^2 M[f]`` acts as the second derivative of the product."""
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
+    # truncation commutes with the product: wider caps, then the caps of f
+    wide_f, wide_g = f.copy(caps=(4, 4)), g.copy(caps=(4, 4))
+    assert f * g == (wide_f * wide_g).copy(caps=f.caps)
+    assert f.inner(g) == wide_f.inner(wide_g).copy(caps=f.caps)
     assert (f * g).deriv() == f.deriv() * g + f * g.deriv()
     assert f.deriv(0) == f
     op = OperatorSeries()
