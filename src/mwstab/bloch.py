@@ -4,19 +4,18 @@ Localized perturbations of a periodic wave decompose into Bloch waves
 ``exp(i*mu*z) V(z)`` with Floquet exponent ``mu`` in ``(-1/2, 1/2]`` and
 ``V`` periodic.  For each ``mu`` the linearized operator becomes a pencil
 ``T(lambda) = L0 + lambda*L1`` acting on periodic functions; ``lambda`` is
-a spectral point iff the pencil is singular.  The pencil matrices are
-assembled in the exponential basis, where ``d/dz + i*mu`` is diagonal and
-multiplication by a trigonometric polynomial is a banded Toeplitz block.
-For an even profile ``L0`` is real there and quadratic in ``mu``, and
-``L1 = i diag(s)`` with ``s`` real and linear in ``mu``, so one set of
-real coefficients serves a whole branch and each slice is a real
-standard eigenproblem.
+a spectral point iff the pencil is singular.  In the exponential basis,
+where ``d/dz + i*mu`` is diagonal and multiplication by a trigonometric
+polynomial is a Toeplitz block, an even profile gives a real ``L0``
+quadratic in ``mu`` and ``L1 = i diag(s)`` with ``s`` real and linear in
+``mu``: one set of real coefficients serves a whole branch and each slice
+is a real standard eigenproblem.  Pencils and spectra are at ``k = 1``.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .waves import Model, SQRT3, linearized_operator
+from .waves import Model, SQRT3, Units, linearized_operator
 
 __all__ = [
     "BlochPencil", "PencilCoefficients", "SpectrumSample", "CollisionRecord",
@@ -32,16 +31,15 @@ INFINITE_EIGENVALUE_CUTOFF = 1e8
 
 @dataclass(frozen=True)
 class BlochPencil:
-    """Finite section of ``T(lambda) = L0 + lambda*L1`` at fixed ``mu``,
-    with ``L0`` real and ``L1 = i diag(s)``: ``T(i omega) v = 0`` reads
-    ``L0 v = omega diag(s) v``."""
+    """Finite section of ``T(lambda) = L0 + lambda*L1`` at fixed ``mu``
+    and ``k = 1``, with ``L0`` real and ``L1 = i diag(s)``:
+    ``T(i omega) v = 0`` reads ``L0 v = omega diag(s) v``."""
 
     model: Model
     mu: float
     n_modes: int
     L0: np.ndarray
     s: np.ndarray
-    k: float
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class PencilCoefficients:
     A1: np.ndarray
     A2: np.ndarray
     alpha: float
-    k: float
 
     def at(self, mu):
         """The pencil at one Floquet exponent."""
@@ -66,16 +63,13 @@ class PencilCoefficients:
         l0 += (mu * mu) * self.A2
         s = self.alpha * (np.arange(-self.n_modes, self.n_modes + 1) + mu)
         return BlochPencil(model=self.model, mu=mu, n_modes=self.n_modes,
-                           L0=l0, s=s, k=self.k)
+                           L0=l0, s=s)
 
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """All finite pencil eigenvalues at one Floquet exponent.
-
-    ``branch_ids[i]`` is the unperturbed mode index whose zero-amplitude
-    eigenvalue lies nearest ``eigenvalues[i]`` (greedy assignment).
-    """
+    """All finite pencil eigenvalues at one Floquet exponent; ``branch_ids``
+    holds the mode whose dispersion value lies nearest each (greedy)."""
 
     mu: float
     eigenvalues: np.ndarray
@@ -100,7 +94,6 @@ class SymmetryReport:
     hausdorff_reflection: float   # spectrum(mu) vs -conj(spectrum(mu))
     hausdorff_conjugation: float  # spectrum(-mu) vs conj(spectrum(mu))
     tol: float
-    unmatched: tuple
 
     @property
     def ok(self):
@@ -112,11 +105,11 @@ def pencil_coefficients(model, branch, n_modes=None):
     """The Bloch pencil's coefficients in ``mu`` at a branch point (see
     ``PencilCoefficients`` and ``waves.linearized_operator``)."""
     n = branch.n_modes if n_modes is None else n_modes
-    a0, a1, a2 = linearized_operator(model, branch.eta.resized(n), branch.c,
-                                     branch.k)
+    a0, a1, a2 = linearized_operator(model, branch.unit_eta.resized(n),
+                                     branch.unit_c)
     return PencilCoefficients(model=model, n_modes=n, A0=a0, A1=a1, A2=a2,
-                              alpha=2.0 * branch.c if model.is_a else 1.0,
-                              k=branch.k)
+                              alpha=2.0 * branch.unit_c if model.is_a
+                              else 1.0)
 
 
 def assemble_pencil(model, branch, mu, n_modes=None):
@@ -129,86 +122,79 @@ def assemble_pencil(model, branch, mu, n_modes=None):
     return pencil_coefficients(model, branch, n_modes).at(mu)
 
 
-def dispersion(model, n, mu, k):
+def dispersion(model, n, mu, k=1.0):
     """Zero-amplitude dispersion: the real Omega with ``lambda = i*Omega``
     annihilating mode ``n``.
 
     Model A gives ``(sqrt3 k / 2)(x - 1/x)`` and model B ``x - 1/x`` with
-    ``x = n + mu``.
+    ``x = n + mu``; ``n`` may be an array of modes.
     """
     x = n + mu
-    if x == 0:
+    if np.any(x == 0):
         raise ZeroDivisionError("dispersion is singular at n + mu = 0")
     base = x - 1.0 / x
-    return (SQRT3 * k / 2.0) * base if model.is_a else base
+    return Units(model, k).frequency((SQRT3 / 2.0) * base) if model.is_a \
+        else base
 
 
 def find_collisions(n_min=-3, mu_tol=1e-12, k=1.0):
     """Tabulate all collisions of zero-amplitude eigenvalues.
 
     At ``mu = 0`` the only collision is the double zero of modes -1 and 1.
-    For ``mu in (0, 1/2]`` mode 0 collides with mode ``n <= -3`` at
-    ``mu0 = (-n - sqrt(n^2 - 4))/2``; mode -2 never collides.  Each record
-    is certified by ``(n + mu0)(m + mu0) = -1`` and by re-evaluating both
-    dispersion values.
+    For ``mu in (0, 1/2]`` mode 0 collides with mode ``n <= -3`` at the
+    root ``mu0 = 2/(-n + sqrt(n^2 - 4))`` of ``mu^2 + n mu + 1`` (the form
+    without cancellation); mode -2 never collides.  Each record is
+    certified at ``k = 1`` by both dispersion values; ``omega`` is at ``k``.
     """
     if n_min > -3:
         raise ValueError("n_min must be <= -3")
     model = Model("A")
     records = [CollisionRecord(n=-1, m=1, mu0=0.0, omega=0.0)]
     for n in range(-3, n_min - 1, -1):
-        mu0 = (-n - np.sqrt(n * n - 4.0)) / 2.0
-        omega = dispersion(model, 0, mu0, k)
-        gap = abs(dispersion(model, n, mu0, k) - omega)
+        mu0 = 2.0 / (-n + np.sqrt(n * n - 4.0))
+        omega = dispersion(model, 0, mu0)
+        gap = abs(dispersion(model, n, mu0) - omega)
         if gap > mu_tol:
             raise ArithmeticError(
                 f"collision certificate failed for n={n}: gap {gap:.3e}")
-        records.append(CollisionRecord(n=0, m=n, mu0=mu0, omega=omega))
+        records.append(CollisionRecord(
+            n=0, m=n, mu0=mu0, omega=Units(model, k).frequency(omega)))
     return records
 
 
-def _branch_labels(model, eigenvalues, mu, k, n_modes):
+def _branch_labels(model, eigenvalues, mu, n_modes):
     """Greedy nearest-dispersion assignment of eigenvalues to mode indices."""
-    targets = []
-    for n in range(-n_modes, n_modes + 1):
-        if n + mu == 0:
-            continue
-        targets.append((n, 1j * dispersion(model, n, mu, k)))
-    dist = np.abs(eigenvalues[:, None]
-                  - np.array([t[1] for t in targets])[None, :])
+    modes = np.arange(-n_modes, n_modes + 1)
+    modes = modes[modes + mu != 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # subnormal n + mu
+        targets = 1j * dispersion(model, modes, mu)
+    dist = np.abs(eigenvalues[:, None] - targets[None, :])
     labels = np.full(eigenvalues.size, 10**9, dtype=int)
-    used_rows = np.zeros(dist.shape[0], dtype=bool)
-    used_cols = np.zeros(dist.shape[1], dtype=bool)
-    order = np.argsort(dist, axis=None)
-    assigned = 0
-    limit = min(dist.shape)
-    for flat in order:
+    free_rows = np.ones(dist.shape[0], dtype=bool)
+    free_cols = np.ones(dist.shape[1], dtype=bool)
+    left = min(dist.shape)
+    for flat in np.argsort(dist, axis=None):
         i, j = divmod(int(flat), dist.shape[1])
-        if used_rows[i] or used_cols[j]:
-            continue
-        used_rows[i] = True
-        used_cols[j] = True
-        labels[i] = targets[j][0]
-        assigned += 1
-        if assigned == limit:
-            break
+        if free_rows[i] and free_cols[j]:
+            free_rows[i] = free_cols[j] = False
+            labels[i] = modes[j]
+            left -= 1
+            if not left:
+                break
     return labels
 
 
 def spectrum_slice(pencil):
-    """All finite eigenvalues of the pencil from a real standard eigenproblem.
+    """All finite eigenvalues of the pencil from a real standard eigenproblem:
+    ``T(lambda) v = 0`` reads ``diag(1/s) L0 v = -i lambda v``, a real
+    matrix, so ``lambda -> -conj(lambda)`` holds exactly.
 
-    With the pencil's real ``(L0, s)``, ``T(lambda) v = 0`` reads
-    ``diag(1/s) L0 v = -i lambda v``, a real matrix, so
-    ``lambda -> -conj(lambda)`` holds exactly.
-
-    ``L1`` is never inverted where it is singular.  A mode with
-    ``|s_n| * INFINITE_EIGENVALUE_CUTOFF <= eps |L0_nn|`` (``n = 0`` at
-    ``mu = 0``) is removed by a Schur complement on ``L0_nn``: dropping its
-    ``lambda s_n`` moves that pivot by under a rounding error for every
-    eigenvalue below the cutoff, and its own eigenvalue lies beyond it.
-    The mode of smallest ``|n + mu|`` is put first so the scaled matrix is
-    graded downward; left in the middle, its ``1/s_n`` row spoils the other
+    A mode with ``|s_n| * INFINITE_EIGENVALUE_CUTOFF <= eps |L0_nn|``
+    (``n = 0`` at ``mu = 0``) is removed by a Schur complement on
+    ``L0_nn``: dropping its ``lambda s_n`` moves that pivot by under a
+    rounding error for every eigenvalue below the cutoff.  The mode
+    of smallest ``|n + mu|`` is put first so the scaled matrix is graded
+    downward; left in the middle, its ``1/s_n`` row spoils the other
     eigenvalues at small nonzero ``mu`` (by 2e-2 at ``mu = 1e-18``).
     """
     l0, s = pencil.L0, pencil.s
@@ -229,8 +215,7 @@ def spectrum_slice(pencil):
     vals = vals[np.abs(vals) <= INFINITE_EIGENVALUE_CUTOFF]
     order = np.lexsort((vals.real, vals.imag))
     vals = vals[order]
-    labels = _branch_labels(pencil.model, vals, pencil.mu, pencil.k,
-                            pencil.n_modes)
+    labels = _branch_labels(pencil.model, vals, pencil.mu, pencil.n_modes)
     return SpectrumSample(mu=pencil.mu, eigenvalues=vals, branch_ids=labels)
 
 
@@ -245,37 +230,25 @@ def hausdorff_distance(set_a, set_b):
 
 
 def symmetry_check(sample_plus, sample_minus, tol=1e-8):
-    """Verify the two spectral symmetries.
-
-    The eigenvalue set at ``mu`` maps onto itself under
-    ``lambda -> -conj(lambda)`` and onto the set at ``-mu`` under
-    ``lambda -> conj(lambda)``.
-    """
+    """Verify the two spectral symmetries: the eigenvalue set at ``mu``
+    maps onto itself under ``lambda -> -conj(lambda)`` and onto the set at
+    ``-mu`` under ``lambda -> conj(lambda)``."""
     lam = sample_plus.eigenvalues
     lam_minus = sample_minus.eigenvalues
     h_self = hausdorff_distance(lam, -np.conj(lam))
     h_cross = hausdorff_distance(np.conj(lam), lam_minus)
-    unmatched = []
-    if h_self > tol or h_cross > tol:
-        refl = -np.conj(lam)
-        for val in lam:
-            if np.min(np.abs(refl - val)) > tol:
-                unmatched.append(complex(val))
     return SymmetryReport(mu=sample_plus.mu, hausdorff_reflection=h_self,
-                          hausdorff_conjugation=h_cross, tol=tol,
-                          unmatched=tuple(unmatched))
+                          hausdorff_conjugation=h_cross, tol=tol)
 
 
 def parallel_map(fn, items):
-    """Ordered map over a Floquet grid.
-
-    Every sweep passes through this one function, which ``perfbench``
-    traces by name.
-    """
+    """Ordered map over a Floquet grid; every sweep passes through it, and
+    ``perfbench`` traces it by name."""
     return [fn(item) for item in items]
 
 
 def sweep_mus(model, branch, mus, n_modes=None):
-    """Spectra over a Floquet grid, from one set of pencil coefficients."""
+    """Spectra over a Floquet grid at ``k = 1``, from one set of pencil
+    coefficients."""
     coefficients = pencil_coefficients(model, branch, n_modes)
     return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)), mus)

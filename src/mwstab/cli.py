@@ -26,7 +26,8 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
 #: largest ``--modes``: the pencils are dense real (2N+1)^2 matrices,
-#: 34 MB each at N = 1024, and a branch holds four of them
+#: 34 MB each at N = 1024, and a branch holds four of them; also the
+#: deepest ``--n-min``, since no pencil has a mode below -MAX_MODES
 MAX_MODES = 1024
 
 
@@ -49,10 +50,7 @@ class RunConfig:
     format: str | None = None
 
     def model_tag(self):
-        try:
-            return Model(self.model, gamma=self.gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return Model(self.model, gamma=self.gamma)
 
     def serialize(self):
         lines = [
@@ -124,9 +122,8 @@ def parse_config_file(path):
 
 def resolve_config(args):
     """Merge built-in defaults, config file, and explicit flags."""
-    file_entries = {}
-    if getattr(args, "config", None):
-        file_entries = parse_config_file(args.config)
+    file_entries = parse_config_file(args.config) \
+        if getattr(args, "config", None) else {}
 
     def pick(flag_value, file_key, convert, default):
         if flag_value is not None:
@@ -184,6 +181,12 @@ def _json(payload, **kwargs):
     return json.dumps(payload, allow_nan=False, **kwargs) + "\n"
 
 
+def _run_keys(config):
+    """The wave a JSON result is about, in the units of the run."""
+    return {"model": config.model, "gamma": config.gamma, "k": config.k,
+            "a": config.a}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -193,10 +196,7 @@ def cmd_wave(args):
     branch = solve_wave(config.model_tag(), config.a, config.k,
                         n_modes=config.n_modes, tol=config.tol)
     payload = {
-        "model": config.model,
-        "gamma": config.gamma,
-        "k": config.k,
-        "a": config.a,
+        **_run_keys(config),
         "c": branch.c,
         "cos_coeffs": list(branch.eta.cos),
         "residual_norm": branch.residual_norm,
@@ -212,13 +212,16 @@ def cmd_spectrum(args):
     branch = solve_wave(config.model_tag(), config.a, config.k,
                         n_modes=config.n_modes, tol=config.tol)
     samples = sweep_mus(config.model_tag(), branch, mus)
+    frequency = branch.units.frequency
     lines = ["mu,re_lambda,im_lambda,branch_id"]
     for sample in samples:
-        rows = sorted(zip(sample.branch_ids, sample.eigenvalues),
-                      key=lambda row: (row[0], row[1].imag, row[1].real))
-        for branch_id, lam in rows:
-            lines.append(f"{_float(sample.mu)},{_float(lam.real)},"
-                         f"{_float(lam.imag)},{branch_id}")
+        lam = sample.eigenvalues
+        # ordered by the k = 1 values, printed at k
+        rows = sorted(zip(sample.branch_ids, lam.imag, lam.real,
+                          frequency(lam.real), frequency(lam.imag)))
+        for branch_id, _, _, re, im in rows:
+            lines.append(f"{_float(sample.mu)},{_float(re)},{_float(im)},"
+                         f"{branch_id}")
     _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK
 
@@ -241,10 +244,7 @@ def cmd_index(args):
                                      args.gamma_hi, n_modes=config.n_modes,
                                      tol=config.tol)
     payload = {
-        "model": config.model,
-        "gamma": config.gamma,
-        "k": config.k,
-        "a": config.a,
+        **_run_keys(config),
         "verdict": report.verdict,
         "max_growth": report.max_growth,
         "disc_samples": [[mu, disc] for mu, disc in report.disc_samples],
@@ -259,6 +259,8 @@ def cmd_index(args):
 
 def cmd_collisions(args):
     config = resolve_config(args)
+    if args.n_min < -MAX_MODES:
+        raise ConfigError(f"n-min must be at least -{MAX_MODES}")
     records = find_collisions(n_min=args.n_min, k=config.k)
     lines = ["n,m,mu0,omega"]
     for rec in records:
@@ -332,7 +334,7 @@ common flags:
 
 command flags:
   index       --gamma-lo G --gamma-hi G  (model-B threshold bracket)
-  collisions  --n-min N  (default -3)
+  collisions  --n-min N  (default -3, at least -1024)
   expand      --check-golden  (diff the dump against the transcribed tables)
 
 Flags are spelled in full.  -h, --help prints this text.

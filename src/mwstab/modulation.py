@@ -12,15 +12,16 @@ and after the rescaling ``lambda = i*mu*X`` its roots are governed by
 the discriminant ``D = d1^2 + 4*d0*d2`` decides the verdict: two real
 roots (``D > 0``) keep the critical pair on the imaginary axis.  The
 pencil is polynomial in ``mu`` and the basis does not depend on it, so
-each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch.
+each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch,
+at ``k = 1`` (``projected_det`` and reports give it at the wave's ``k``).
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .fourier import TrigSeries
-from .waves import (Model, ConvergenceError, solve_wave, branch_derivative,
-                    DEFAULT_TOL)
+from .waves import (Model, Units, ConvergenceError, solve_wave,
+                    branch_derivative, DEFAULT_N_MODES, DEFAULT_TOL)
 from .bloch import (assemble_pencil, pencil_coefficients, dispersion,
                     parallel_map)
 
@@ -36,8 +37,8 @@ GROWTH_TOLERANCE = 1e-6
 
 #: ``critical_growth``'s subspace has settled once a step moves it by no
 #: less than the step before (the move has reached its rounding floor) and
-#: by at most this.  The floor measured 1e-16 to 4e-14 over N = 64 to 1024,
-#: k in [0.05, 100] and gamma in [-1000, 1000]
+#: by at most this.  The floor measured 1e-16 to 4e-14 over N = 64 to 1024
+#: and gamma in [-1000, 1000]
 _SUBSPACE_TOL = 1e-9
 #: subspace steps before ``critical_growth`` gives up, enough for a
 #: contraction of 0.83 per step; the slowest measured was 0.45 (45 steps,
@@ -109,16 +110,14 @@ def positivity_margin(mu, a):
 
 
 def critical_basis(model, branch):
-    """Basis of the critical subspace at the branch point.
-
-    ``phi1 = -(1/a) d eta/dz`` (odd) and ``phi2 = d eta/d a`` (even, the
-    exact branch tangent); at ``a = 0`` the pair is exactly
-    ``(sin z, cos z)``.
-    """
+    """Basis of the critical subspace at the branch point: ``phi1 = -(1/a)
+    d eta/dz`` (odd) and ``phi2 = d eta/d a`` (even, the exact branch
+    tangent), exactly ``(sin z, cos z)`` at ``a = 0``."""
     n = branch.n_modes
     # divided by a: the factor 1/a overflows for a subnormal amplitude
-    phi1 = TrigSeries.sine(1, n) if branch.a == 0 \
-        else TrigSeries(np.zeros(n + 1), branch.eta.deriv().sin / -branch.a)
+    phi1 = TrigSeries.sine(1, n) if branch.unit_a == 0 \
+        else TrigSeries(np.zeros(n + 1),
+                        branch.unit_eta.deriv().sin / -branch.unit_a)
     return CriticalBasis(phi1=phi1, phi2=branch_derivative(branch),
                          a=branch.a, k=branch.k)
 
@@ -175,64 +174,57 @@ def _band_edge(d):
     return float(np.sqrt(min(roots))) if roots else None
 
 
-def _quadratic_det(d, mu, a, k):
-    """``QuadraticDet`` at ``mu`` from ``_det_polynomials``."""
+def _quadratic_det(d, mu, a, units):
+    """``QuadraticDet`` at ``mu`` from ``_det_polynomials``, in ``units``
+    (``d_j`` scales as a frequency to the power ``-j``, ``D`` as ``d2``)."""
     d0, d1, d2 = d[:, 0] + d[:, 1] * (mu * mu)
-    return QuadraticDet(mu=mu, a=a, k=k, b0=d0 * mu * mu, b1=d1 * mu, b2=d2,
-                        d0=d0, d1=d1, d2=d2, disc=d1 * d1 + 4.0 * d0 * d2)
+    disc = units.frequency(d1 * d1 + 4.0 * d0 * d2, -2)
+    d1, d2 = units.frequency(d1, -1), units.frequency(d2, -2)
+    return QuadraticDet(mu=mu, a=a, k=units.k, b0=d0 * mu * mu, b1=d1 * mu,
+                        b2=d2, d0=d0, d1=d1, d2=d2, disc=disc)
 
 
 def projected_det(model, branch, basis, mu, n_modes=None):
-    """Projected determinant, rescaled coefficients, and discriminant.
-
-    ``b0, b2`` are even and ``b1`` odd in ``mu``, so ``d_j = b_j /
-    mu^(2-j)`` are polynomials in ``mu^2`` (see ``_det_polynomials``),
-    evaluated directly, ``mu = 0`` included.
-    """
-    if abs(mu) > 0.2 or abs(branch.a) > 0.2:
-        raise ValueError("projection is meaningful only for small (a, mu)")
+    """Projected determinant, rescaled coefficients, and discriminant at
+    the branch's ``k``; ``d_j = b_j / mu^(2-j)`` are polynomials in
+    ``mu^2`` (``_det_polynomials``), evaluated directly, ``mu = 0`` too."""
+    if abs(mu) > 0.2:
+        raise ValueError("projection is meaningful only for |mu| <= 0.2")
     d = _det_polynomials(pencil_coefficients(model, branch, n_modes), basis)
-    return _quadratic_det(d, mu, branch.a, branch.k)
+    return _quadratic_det(d, mu, branch.a, branch.units)
 
 
-def _critical_shift(model, k, mu):
+def _critical_shift(model, mu):
     """``critical_growth``'s shift: ``|Omega_2| / 30`` on the far side of
-    zero from the critical pair, whose frequencies share the sign of
-    ``mu``."""
-    sigma = abs(dispersion(model, 2, 0.0, k)) / 30.0
+    zero from the critical pair, whose frequencies share the sign of mu."""
+    sigma = abs(dispersion(model, 2, 0.0)) / 30.0
     return -sigma if mu > 0 else sigma
 
 
 def critical_growth(model, branch, mu, n_modes=None):
-    """The two pencil eigenvalues continuing the double zero at the origin.
+    """The two pencil eigenvalues continuing the double zero at the origin,
+    at ``k = 1`` like the pencil (``Units.frequency`` gives them at ``k``).
 
     Returns ``(lambda_plus, lambda_minus)`` tracked to the unperturbed
     modes ``+1`` and ``-1`` by nearest-dispersion assignment; a reflected
     pair ``lambda, -conj(lambda)``, which ties there, comes with the
     growing member first.
 
-    Only this pair is computed, by shift-and-invert subspace iteration on
-    the real pencil ``L0 v = omega diag(s) v``, ``lambda = i omega`` (see
-    ``BlochPencil``).  The span of the unit vectors of modes +1 and -1 is
-    mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, which is
-    ``(M - sigma)^-1`` for ``M = diag(1/s) L0`` but never divides by ``s``
-    (the ``n + mu = 0`` mode maps to 0), and re-orthonormalized until a
-    step's move stops shrinking at rounding level (``_SUBSPACE_TOL``); the
-    pair are the eigenvalues of the 2x2 pencil projected onto that span.
-    For ``|mu| <= 0.1`` both critical frequencies lie within about
-    ``0.15 |Omega_2|`` of zero on the side of ``mu`` (both modes have
-    positive group velocity) and the other modes beyond ``0.9 |Omega_2|``,
-    ``Omega_2`` the mode-2 dispersion at ``mu = 0``.  The shift
-    ``sigma = -+|Omega_2| / 30`` lies on the far side of zero, so the
-    shifted matrix stays far from singular, and each step shrinks the other
-    modes' share of the subspace by a factor of about 0.2.
-
-    The span settles on the two eigenvalues nearest ``sigma``.  A mode on
-    ``sigma``'s side of zero is nearer ``sigma`` than any mode on the far
-    side that is as near zero, so a pair found on the far side (up to
-    ``_SHIFT_SIDE_NOISE``) leaves no mode on ``sigma``'s side nearer zero.
-    A frequency found on ``sigma``'s side, or no settled span after
-    ``_MAX_SUBSPACE_STEPS`` steps, raises ``ConvergenceError``.
+    Only this pair is computed, on the real pencil ``L0 v = omega diag(s)
+    v``, ``lambda = i omega``: the span of the unit vectors of modes +1 and
+    -1 is mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, which never
+    divides by ``s``, and re-orthonormalized until a step's move stops
+    shrinking at rounding level (``_SUBSPACE_TOL``); the pair are the
+    eigenvalues of the 2x2 pencil projected onto that span.  For
+    ``|mu| <= 0.1`` both critical frequencies lie within about
+    ``0.15 |Omega_2|`` of zero on the side of ``mu`` and the other modes
+    beyond ``0.9 |Omega_2|`` (``Omega_2`` the mode-2 dispersion at
+    ``mu = 0``); the shift ``sigma = -+|Omega_2| / 30`` on the far side of
+    zero keeps the shifted matrix far from singular.  The span settles on
+    the two eigenvalues nearest ``sigma``, so only a pair on the far side
+    (up to ``_SHIFT_SIDE_NOISE``) is the pair nearest zero: a frequency on
+    ``sigma``'s side, or no settled span after ``_MAX_SUBSPACE_STEPS``
+    steps, raises ``ConvergenceError``.
     """
     if abs(mu) > 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
@@ -243,7 +235,7 @@ def _critical_pair(pencil):
     """``critical_growth`` on an assembled pencil."""
     model, mu, l0, s = pencil.model, pencil.mu, pencil.L0, pencil.s
     n = pencil.n_modes
-    sigma = _critical_shift(model, pencil.k, mu)
+    sigma = _critical_shift(model, mu)
     basis = np.zeros((2 * n + 1, 2))
     basis[n + 1, 0] = basis[n - 1, 1] = 1.0
     try:
@@ -275,7 +267,7 @@ def _critical_pair(pencil):
         raise DegeneratePairError(
             f"critical eigenvalues coincide at mu={mu} "
             f"(spacing {abs(pair[0] - pair[1]):.3e})")
-    targets = [1j * dispersion(model, m, mu, pencil.k) for m in (1, -1)]
+    targets = [1j * dispersion(model, m, mu) for m in (1, -1)]
     kept = abs(pair[0] - targets[0]) + abs(pair[1] - targets[1])
     swapped = abs(pair[0] - targets[1]) + abs(pair[1] - targets[0])
     if kept > swapped or (kept == swapped and pair[0].real < pair[1].real):
@@ -292,28 +284,31 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     growth the margin itself would imply.  Anything else is indeterminate.
     At ``mu = 0`` both growths are zero (the pair is the double zero, whose
     measured real part is rounding noise), so the pair is not computed
-    there and ``D`` decides alone.  The pencil's coefficients and their
-    projection are built once for the whole grid.
+    there and ``D`` decides alone.  The rule is applied at ``k = 1``, so
+    the verdict depends on ``a k^2`` alone; the report gives ``D`` and the
+    growth at ``k``.  The pencil's coefficients and their projection are
+    built once for the whole grid.
     """
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
         raise ValueError("mu grid is empty")
     if max(abs(m) for m in mu_grid) > 0.1:
         raise ValueError("sweep grid must satisfy |mu| <= 0.1")
-    branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
-        solve_wave(model, a, k, n_modes=n_modes, tol=tol)
+    branch = solve_wave(model, a, k, n_modes=n_modes or DEFAULT_N_MODES,
+                        tol=tol)
     basis = critical_basis(model, branch)
     coefficients = pencil_coefficients(model, branch, n_modes)
     d = _det_polynomials(coefficients, basis)
 
-    dets = [_quadratic_det(d, mu, a, k) for mu in mu_grid]
+    unit_a, shown = branch.unit_a, branch.units
+    dets = [_quadratic_det(d, mu, unit_a, Units(model, 1.0))
+            for mu in mu_grid]
     pairs = parallel_map(lambda mu: _critical_pair(coefficients.at(mu)),
                          [mu for mu in mu_grid if mu != 0.0])
     # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
     growth = max([0.0, *(max(lp.real, lm.real) for lp, lm in pairs)])
 
-    samples = tuple((d.mu, d.disc) for d in dets)
-    margins = [positivity_margin(d.mu, a) for d in dets]
+    margins = [positivity_margin(d.mu, unit_a) for d in dets]
     all_positive = all(d.disc > m for d, m in zip(dets, margins))
     negatives = [(d, m) for d, m in zip(dets, margins) if d.disc < -m]
 
@@ -325,10 +320,13 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
         implied = abs(worst.mu) * np.sqrt(margin) / abs(2.0 * worst.d2)
         if growth >= 10.0 * implied:
             verdict = "unstable"
-    return StabilityReport(model=model, a=a, k=k, verdict=verdict,
-                           disc_samples=samples, max_growth=growth,
-                           disc_at_zero=_quadratic_det(d, 0.0, a, k).disc,
-                           band_edge=_band_edge(d))
+    return StabilityReport(
+        model=model, a=a, k=k, verdict=verdict,
+        disc_samples=tuple((d.mu, shown.frequency(d.disc, -2))
+                           for d in dets),
+        max_growth=shown.frequency(growth),
+        disc_at_zero=_quadratic_det(d, 0.0, a, shown).disc,
+        band_edge=_band_edge(d))
 
 
 def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
@@ -340,24 +338,23 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
     (Dowell & Jarratt, BIT 11, 1971) keeps the bracket: each step takes the
     secant point, with the value at an end kept twice in a row halved, or
     the midpoint when that point leaves the open bracket or the bracket has
-    not halved over the last three steps (so it halves at least every four;
-    two would cut off the usual last step, the Illinois one after two steps
-    from one side).  ``D`` is nearly linear in ``gamma``, so a few steps
-    suffice.  The search returns an evaluated point, an endpoint included,
-    whose ``|D|`` is within the floor ``(8 eps + r) (d1^2 + 4 |d0 d2|)``,
-    or else the secant point of the first bracket no wider than ``width``.
+    not halved over the last three steps.  ``D`` is nearly linear in
+    ``gamma``, so a few steps suffice.  The search returns an evaluated
+    point, an endpoint included, whose ``|D|`` is within the floor
+    ``(8 eps + r) (d1^2 + 4 |d0 d2|)``, or else the secant point of the
+    first bracket no wider than ``width``.
     ``8 eps`` is the rounding of the cancellation in ``D``; ``r``, the
     wave's Newton residual (``residual_norm``), allows for the error that
-    a profile solved only to ``tol`` puts into each ``d_j`` (at ``k = 2,
-    a = 0.01, gamma = 1`` a residual of 3.3e-13 left ``D`` at 6.1e-13,
-    11 times the rounding floor and 0.06 of this allowance).  Each
-    evaluation solves one wave and projects its pencil once.
+    a profile solved only to ``tol`` puts into each ``d_j`` (at
+    ``a k^2 = 0.035, gamma = 1`` a residual of 4.6e-13 left ``D`` at
+    2.1e-13, 3.6 times the rounding floor and 0.014 of this allowance).
+    Each evaluation solves one wave and projects its pencil once.
     """
 
     def disc_at(gamma):
         model = Model("B", gamma=gamma)
-        branch = solve_wave(model, a, k, tol=tol) if n_modes is None else \
-            solve_wave(model, a, k, n_modes=n_modes, tol=tol)
+        branch = solve_wave(model, a, k, n_modes=n_modes or DEFAULT_N_MODES,
+                            tol=tol)
         basis = critical_basis(model, branch)
         det = projected_det(model, branch, basis, 0.0, n_modes=n_modes)
         floor = (8.0 * np.finfo(float).eps + branch.residual_norm) \

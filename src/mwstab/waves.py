@@ -9,11 +9,24 @@ model B is the cubic variant whose profile ``w`` satisfies
 
     k^2 (w - c) w'' + (k^2/2) (w')^2 - (gamma/2) k^4 w'' (w')^2 - w = 0.
 
-Both carry a one-parameter branch of even solutions bifurcating from the
-first harmonic; ``analytic_wave`` evaluates the third-order expansion of
-that branch and ``solve_wave`` refines it with a Newton-Galerkin iteration
-restricted to the cosine subspace (which removes the translation
-zero-mode and keeps every iterate even).
+Both are unchanged under ``a -> a k^2``, ``eta -> eta / k^2`` and
+``c -> c / k`` (A) or ``c / k^2`` (B), so every layer solves, projects and
+decides at ``k = 1`` with the amplitude ``a k^2``, and ``Units`` carries
+what is reported to wavenumber ``k``:
+
+    quantity                          model A           model B
+    eta and a                         1/k^2             1/k^2
+    c                                 1/k               1/k^2
+    lambda, omega, collision omega    k                 1
+    d0, d1, d2                        1, 1/k, 1/k^2     1
+    D                                 1/k^2             1
+
+``mu``, the band edge and the gamma threshold do not scale.
+
+Both carry a branch of even solutions bifurcating from the first harmonic:
+``analytic_wave`` is its third-order expansion, which ``solve_wave``
+refines by Newton-Galerkin in the cosine subspace (no translation
+zero-mode, every iterate even).
 """
 
 import numpy as np
@@ -22,19 +35,16 @@ from dataclasses import dataclass, field
 from .fourier import TrigSeries
 
 __all__ = [
-    "Model", "WaveBranch", "ConvergenceError", "ValidityError",
+    "Model", "Units", "WaveBranch", "ConvergenceError", "ValidityError",
     "analytic_wave", "residual", "linearized_operator", "solve_wave",
-    "branch_derivative", "wave_speed_expansion", "AMPLITUDE_LIMIT",
-    "EXPANSION_LIMIT",
+    "branch_derivative", "wave_speed_expansion", "EXPANSION_LIMIT",
 ]
 
 SQRT3 = np.sqrt(3.0)
 
-#: validity guard for the small-amplitude expansions
-AMPLITUDE_LIMIT = 0.2
-#: validity guard on the expansion parameter |a| k^2: model A's profile
-#: equation loses its leading derivative where 2 eta k^2 reaches
-#: 3 c^2 k^2 ~ 1, so near a k^2 = 1/2 (Newton at N = 64 fails from 0.50)
+#: the one validity guard, on |a| k^2: model A's profile equation loses its
+#: leading derivative where 2 eta reaches 3 c^2 ~ 1 at k = 1, so near
+#: a k^2 = 1/2 (Newton at N = 64 fails from 0.50)
 EXPANSION_LIMIT = 0.45
 
 DEFAULT_N_MODES = 64
@@ -70,110 +80,135 @@ class Model:
 
     def c0(self, k):
         """Bifurcation speed of the trivial branch point."""
-        return 1.0 / (SQRT3 * k) if self.is_a else 1.0 / k**2
+        return Units(self, k).speed(1.0 / SQRT3 if self.is_a else 1.0)
+
+
+@dataclass(frozen=True)
+class Units:
+    """Carries a ``k = 1`` quantity to wavenumber ``k`` by the table above."""
+
+    model: Model
+    k: float
+
+    def amplitude(self, x):
+        return x * self.k**-2
+
+    def speed(self, x):
+        return x * self.k**(-1 if self.model.is_a else -2)
+
+    def frequency(self, x, power=1):
+        """``d_j`` scales as ``power = -j``, ``D`` as ``power = -2``."""
+        return x * self.k**(power if self.model.is_a else 0)
 
 
 @dataclass(frozen=True)
 class WaveBranch:
-    """One point on the small-amplitude branch."""
+    """One point on the small-amplitude branch, solved at ``k = 1`` with
+    amplitude ``unit_a = a k^2`` (``unit_eta``, ``unit_c`` and the residual
+    there); ``eta`` and ``c`` are that wave at wavenumber ``k``."""
 
     model: Model
     a: float
     k: float
-    c: float
-    eta: TrigSeries
+    unit_a: float
+    unit_eta: TrigSeries
+    unit_c: float
     residual_norm: float
     #: sup-norm residual after each Newton step (diagnostic)
     newton_residuals: tuple = field(default=(), repr=False)
 
     @property
+    def units(self):
+        return Units(self.model, self.k)
+
+    @property
+    def eta(self):
+        return self.units.amplitude(self.unit_eta)
+
+    @property
+    def c(self):
+        return self.units.speed(self.unit_c)
+
+    @property
     def n_modes(self):
-        return self.eta.n_modes
+        return self.unit_eta.n_modes
 
 
-def _check_domain(model, a, k):
+def _unit_amplitude(model, a, k):
+    """The one guard, returning ``a k^2``: ``|a| k^2 <= EXPANSION_LIMIT``
+    at a positive ``k`` whose ``k^4`` and ``1/k^4`` are finite, which keeps
+    the reported values finite."""
     if not isinstance(model, Model):
         raise TypeError("model must be a Model instance")
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got k={k}")
-    if abs(a) > AMPLITUDE_LIMIT:
+    unit_a = a * k * k
+    if abs(unit_a) > EXPANSION_LIMIT:
         raise ValidityError(
-            f"|a|={abs(a)} outside the small-amplitude range "
-            f"(limit {AMPLITUDE_LIMIT})")
-    if abs(a) * k * k > EXPANSION_LIMIT:
-        raise ValidityError(
-            f"|a| k^2={abs(a) * k * k} outside the small-amplitude range "
+            f"|a| k^2={abs(unit_a)} outside the small-amplitude range "
             f"(limit {EXPANSION_LIMIT})")
-    # k^2 and k^4 appear in the expansions, 1/k and 1/k^2 in the speeds;
-    # Python's ** raises on overflow and / on a zero divisor
     k4 = k * k * k * k
     if not np.isfinite(k4):
         raise ValidityError(f"k={k} is too large: k^4 overflows")
     if k4 == 0.0 or not np.isfinite(1.0 / k4):
         raise ValidityError(f"k={k} is too small: 1/k^4 overflows")
+    return unit_a
 
 
-def wave_speed_expansion(model, a, k):
-    """Third-order wave speed ``c0 + a^2 c2``."""
+def wave_speed_expansion(model, a):
+    """Third-order wave speed ``c0 + a^2 c2`` at ``k = 1``."""
     if model.is_a:
-        return 1.0 / (SQRT3 * k) + a**2 * k**3 / (4.0 * SQRT3)
-    return 1.0 / k**2 + a**2 * (1.0 - model.gamma) * k**2 / 8.0
+        return 1.0 / SQRT3 + a**2 / (4.0 * SQRT3)
+    return 1.0 + a**2 * (1.0 - model.gamma) / 8.0
 
 
 def analytic_wave(model, a, k, n_modes=DEFAULT_N_MODES):
     """Third-order truncation of the small-amplitude branch.
 
-    Model A: ``eta = a cos z + a^2 (k^2/2)(cos 2z - 1) + a^3 (7k^4/16) cos 3z``
-    with ``c = 1/(sqrt3 k) + a^2 k^3/(4 sqrt3)``.  Model B:
-    ``w = a cos z + a^2 (k^2/4)(cos 2z - 1) + a^3 ((7+gamma) k^4/64) cos 3z``
-    with ``c = 1/k^2 + a^2 (1-gamma) k^2/8``.
+    At ``k = 1``, model A: ``eta = a cos z + (a^2/2)(cos 2z - 1) +
+    (7a^3/16) cos 3z`` with ``c = 1/sqrt3 + a^2/(4 sqrt3)``; model B:
+    ``w = a cos z + (a^2/4)(cos 2z - 1) + a^3 ((7+gamma)/64) cos 3z`` with
+    ``c = 1 + a^2 (1-gamma)/8``.
     """
-    _check_domain(model, a, k)
+    unit_a = _unit_amplitude(model, a, k)
     if n_modes < 3:
         raise ValueError("need at least 3 modes for the cubic truncation")
     cos = np.zeros(n_modes + 1)
     if model.is_a:
-        a0, a2, a3 = -k**2 / 2.0, k**2 / 2.0, 7.0 * k**4 / 16.0
+        a0, a2, a3 = -0.5, 0.5, 7.0 / 16.0
     else:
-        a0, a2 = -k**2 / 4.0, k**2 / 4.0
-        a3 = (7.0 + model.gamma) * k**4 / 64.0
-    cos[0] = a**2 * a0
-    cos[1] = a
-    cos[2] = a**2 * a2
-    cos[3] = a**3 * a3
+        a0, a2, a3 = -0.25, 0.25, (7.0 + model.gamma) / 64.0
+    cos[:4] = unit_a**2 * a0, unit_a, unit_a**2 * a2, unit_a**3 * a3
     eta = TrigSeries(cos + 0.0)  # normalizes -0.0 at a = 0
-    c = wave_speed_expansion(model, a, k)
-    res = residual(model, eta, c, k).sup_norm()
-    return WaveBranch(model=model, a=a, k=k, c=c, eta=eta, residual_norm=res)
+    c = wave_speed_expansion(model, unit_a)
+    return WaveBranch(model=model, a=a, k=k, unit_a=unit_a, unit_eta=eta,
+                      unit_c=c, residual_norm=residual(model, eta,
+                                                       c).sup_norm())
 
 
-def residual(model, eta, c, k):
-    """Traveling-wave ODE residual as a series; zero iff (eta, c) solves it."""
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got k={k}")
+def residual(model, eta, c):
+    """Traveling-wave ODE residual at ``k = 1`` as a series; zero iff
+    ``(eta, c)`` solves it."""
     d1 = eta.deriv()
     d2 = eta.deriv(2)
     if model.is_a:
-        return (3.0 * c**2 * k**2) * d2 - 2.0 * k**2 * (eta * d2) \
-            - k**2 * (d1 * d1) + eta
+        return (3.0 * c**2) * d2 - 2.0 * (eta * d2) - (d1 * d1) + eta
     sq = d1 * d1
-    return k**2 * (eta * d2) - (k**2 * c) * d2 + 0.5 * k**2 * sq \
-        - 0.5 * model.gamma * k**4 * (d2 * sq) - eta
+    return (eta * d2) - c * d2 + 0.5 * sq \
+        - 0.5 * model.gamma * (d2 * sq) - eta
 
 
-def linearized_operator(model, eta, c, k):
-    """Linearized traveling-wave ODE about ``(eta, c)`` on Bloch modes
-    ``exp(i mu z) V(z)``: the matrix on the ``exp(inz)`` coefficients of
-    ``V``, ``|n| <= eta.n_modes``, and the ``L0`` of the Bloch pencil.  At
-    ``mu = 0`` it is minus (model A) or plus (model B) the derivative of
-    ``residual`` in the profile.  ``mu`` enters only through
-    ``D = d/dz + i mu``, at most squared, so ``L0(mu) = A0 + mu A1 +
-    mu^2 A2``; the real ``(A0, A1, A2)`` of an even profile are returned,
-    and a profile that is not even raises ``ValueError``.
-
-    ``D^2`` acts *after* multiplication by the profile coefficient in the
-    ``k^2 (.)''`` terms; the model-B ``(w')^2`` term multiplies *after*
-    differentiation.
+def linearized_operator(model, eta, c):
+    """Linearized traveling-wave ODE at ``k = 1`` about ``(eta, c)`` on
+    Bloch modes ``exp(i mu z) V(z)``, as the matrix on the ``exp(inz)``
+    coefficients of ``V``, ``|n| <= eta.n_modes``: the ``L0`` of the Bloch
+    pencil, and at ``mu = 0`` minus (A) or plus (B) the derivative of
+    ``residual`` in the profile.  ``mu`` enters only through ``D = d/dz +
+    i mu``, at most squared, so ``L0(mu) = A0 + mu A1 + mu^2 A2``; the real
+    ``(A0, A1, A2)`` of an even profile are returned (any other profile
+    raises ``ValueError``).  ``D^2`` acts *after* multiplication by the
+    profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
+    term multiplies *after* differentiation.
     """
     if not eta.is_even():
         raise ValueError("the linearized operator is built for an even "
@@ -181,17 +216,16 @@ def linearized_operator(model, eta, c, k):
     n = eta.n_modes
     wz = eta.deriv()
     if model.is_a:
-        # L0 = -2 k^2 eta' D + k^2 D^2 [(2 eta - 3c^2) .] - 1
-        odd = (-2.0 * k**2) * wz
-        left = k**2 * (2.0 * eta + TrigSeries.constant(-3.0 * c**2, n))
+        # L0 = -2 eta' D + D^2 [(2 eta - 3c^2) .] - 1
+        odd = -2.0 * wz
+        left = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
         right = TrigSeries.zero(n)
     else:
-        # L0 = [(-k^2 w' - g k^4 w' w'') .] D + k^2 D^2 [(w - c) .]
-        #      - (g k^4 / 2) (w')^2 D^2 - 1
+        # L0 = [(-w' - g w' w'') .] D + D^2 [(w - c) .] - (g/2) w'^2 D^2 - 1
         g = model.gamma
-        odd = (-k**2) * wz + (-g * k**4) * (wz * eta.deriv(2))
-        left = k**2 * (eta + TrigSeries.constant(-c, n))
-        right = (-0.5 * g * k**4) * (wz * wz)
+        odd = -wz + (-g) * (wz * eta.deriv(2))
+        left = eta + TrigSeries.constant(-c, n)
+        right = (-0.5 * g) * (wz * wz)
     # with X = diag(n + mu), D = i X, multiplication by the odd term i R and
     # by the even terms C (left) and E (right): L0 = -R X - X^2 C - E X^2 - 1
     r, cl, er = odd.mult_matrix(), left.mult_matrix(), right.mult_matrix()
@@ -202,12 +236,12 @@ def linearized_operator(model, eta, c, k):
     return a0, a1, a2
 
 
-def _jacobian(model, eta, c, k):
+def _jacobian(model, eta, c):
     """Newton Jacobian of (cosine residual, amplitude) in (cosines, c);
     the profile block folds ``exp(+-ijz)`` of the ``mu = 0`` operator
     ``A0`` onto ``cos(jz)`` (Toeplitz plus Hankel part)."""
     n = eta.n_modes
-    op = linearized_operator(model, eta, c, k)[0]
+    op = linearized_operator(model, eta, c)[0]
     fold = op[n:, n:].copy()
     fold[:, 1:] += op[n:, n - 1::-1]
     scale = np.full(n + 1, 2.0)
@@ -215,7 +249,7 @@ def _jacobian(model, eta, c, k):
     sign = -1.0 if model.is_a else 1.0
     jac = np.zeros((n + 2, n + 2))
     jac[:n + 1, :n + 1] = sign * (scale[:, None] / scale[None, :]) * fold
-    dc = 6.0 * c * k**2 if model.is_a else -k**2
+    dc = 6.0 * c if model.is_a else -1.0
     jac[:n + 1, n + 1] = dc * eta.deriv(2).cos
     jac[n + 1, 1] = 1.0
     return jac
@@ -223,43 +257,42 @@ def _jacobian(model, eta, c, k):
 
 def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
                max_iter=25, seed_order=3):
-    """Newton-Galerkin solution of the traveling-wave system.
+    """Newton-Galerkin solution of the traveling-wave system at ``k = 1``
+    (see ``WaveBranch``).
 
-    Unknowns are the cosine coefficients of the profile together with the
-    speed ``c``; equations are the cosine coefficients of the ODE residual
-    for harmonics ``0..N`` plus the amplitude normalization
-    ``2 <eta, cos z> = a``.  Seeded from the analytic expansion
-    (``seed_order`` 1 keeps only ``a cos z``, useful for convergence
-    studies).  The Jacobian is the cosine restriction of
-    ``linearized_operator``'s ``A0``, bordered by the speed column and
-    the amplitude row.  Raises ``ConvergenceError`` when the iteration
-    stalls above ``tol``, runs out of steps, or meets a singular Jacobian.
+    Unknowns are the profile's cosine coefficients and the speed ``c``;
+    equations are the residual's cosine coefficients for harmonics
+    ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
+    analytic expansion (``seed_order`` 1 keeps only ``a cos z``).  The
+    Jacobian is ``linearized_operator``'s ``A0`` on cosines, bordered by
+    the speed column and the amplitude row.  ``tol`` bounds the ``k = 1``
+    residual; ``ConvergenceError`` is raised when the iteration stalls
+    above it, runs out of steps, or meets a singular Jacobian.
     """
-    _check_domain(model, a, k)
+    unit_a = _unit_amplitude(model, a, k)
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = n_modes
 
     if seed_order >= 2:
         seed = analytic_wave(model, a, k, n_modes=n)
-        x = np.concatenate([seed.eta.cos, [seed.c]])
+        x = np.concatenate([seed.unit_eta.cos, [seed.unit_c]])
     else:
-        cos = np.zeros(n + 1)
-        cos[1] = a
-        x = np.concatenate([cos, [model.c0(k)]])
+        x = np.zeros(n + 2)
+        x[1], x[n + 1] = unit_a, model.c0(1.0)
 
     history = []
     best, misses, step = np.inf, 0, np.inf
     for _ in range(max_iter):
         eta = TrigSeries(x[:n + 1])
         c = x[n + 1]
-        res = residual(model, eta, c, k)
+        res = residual(model, eta, c)
         sup = res.sup_norm()
         history.append(sup)
-        err = max(sup, abs(x[1] - a))
+        err = max(sup, abs(x[1] - unit_a))
         if err <= tol:
-            return WaveBranch(model=model, a=a, k=k, c=c, eta=eta,
-                              residual_norm=sup,
+            return WaveBranch(model=model, a=a, k=k, unit_a=unit_a,
+                              unit_eta=eta, unit_c=c, residual_norm=sup,
                               newton_residuals=tuple(history))
         misses = 0 if err <= 0.5 * best else misses + 1
         best = min(best, err)
@@ -270,9 +303,9 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
             raise ConvergenceError(
                 f"Newton iteration stalled at {best:.3e} above tol={tol} "
                 f"after {len(history)} steps", best)
-        rhs = np.concatenate([res.cos, [x[1] - a]])
+        rhs = np.concatenate([res.cos, [x[1] - unit_a]])
         try:
-            dx = np.linalg.solve(_jacobian(model, eta, c, k), rhs)
+            dx = np.linalg.solve(_jacobian(model, eta, c), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular Newton Jacobian at step {len(history)}",
@@ -286,16 +319,16 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
 
 
 def branch_derivative(branch):
-    """``d eta / d a`` along the branch: differentiating the Newton system
-    ``F(eta, c; a) = 0`` in ``a`` gives the bordered solve ``J t = e_{N+1}``
-    at the converged point.  At ``a = 0`` that ``J`` is singular (``dR/dc``
-    vanishes with the profile) and the tangent is ``cos z`` exactly."""
+    """``d eta / d a`` along the branch, the same at every ``k``: the
+    Newton system ``F(eta, c; a) = 0`` differentiated in ``a`` is the
+    bordered solve ``J t = e_{N+1}``.  At ``a = 0`` that ``J`` is singular
+    (``dR/dc`` vanishes with the profile) and the tangent is ``cos z``."""
     n = branch.n_modes
-    if branch.a == 0:
+    if branch.unit_a == 0:
         return TrigSeries.cosine(1, n)
     rhs = np.zeros(n + 2)
     rhs[n + 1] = 1.0
-    jac = _jacobian(branch.model, branch.eta, branch.c, branch.k)
+    jac = _jacobian(branch.model, branch.unit_eta, branch.unit_c)
     try:
         tangent = np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:

@@ -105,7 +105,7 @@ class TestPencilAssembly:
         # with d/dz + i mu does
         rng = np.random.default_rng(3)
         branch = solve_wave(model, 0.05, 1.0, n_modes=32)
-        coeffs = linearized_operator(model, branch.eta, branch.c, 1.0)
+        coeffs = linearized_operator(model, branch.unit_eta, branch.unit_c)
         assert all(m.dtype == np.float64 for m in coeffs)
         v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
         for mu in (0.0, 0.2, -0.37):
@@ -129,7 +129,7 @@ class TestPencilAssembly:
         pencil = assemble_pencil(MODEL_A, branch, mu)
         v = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
         dz = 1j * (np.arange(-n, n + 1) + mu)
-        direct = (2.0 * branch.c * lam * dz * v
+        direct = (2.0 * branch.unit_c * lam * dz * v
                   + l0_by_convolution(MODEL_A, branch, mu, v))
         via_matrix = pencil.L0 @ v + lam * 1j * pencil.s * v
         assert np.max(np.abs(direct - via_matrix)) < 1e-10
@@ -185,8 +185,8 @@ class TestSpectrum:
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
         sine = np.zeros(16)
         sine[2] = 1e-12
-        odd = dataclasses.replace(branch,
-                                  eta=TrigSeries(branch.eta.cos, sine))
+        odd = dataclasses.replace(branch, unit_eta=TrigSeries(
+            branch.unit_eta.cos, sine))
         with pytest.raises(ValueError, match="even profile"):
             assemble_pencil(MODEL_A, odd, 0.2)
 

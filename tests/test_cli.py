@@ -224,15 +224,28 @@ class TestIndexCommand:
                                                      rel=1e-2)
 
     def test_threshold_at_an_endpoint_of_a_wave_solved_to_tol(self, capsys):
-        # at k = 2 the gamma = 1 wave stops at Newton residual 3.3e-13,
-        # which leaves D(0) at 6.1e-13, above its rounding floor of 5.7e-14;
-        # the root test allows for the residual, so the endpoint is the root
+        # solved at k = 2, the gamma = 1 wave stopped at Newton residual
+        # 3.3e-13 and left D(0) at 6.1e-13; solved at k = 1 (a k^2 = 0.04)
+        # it reaches 2.8e-19, and D(0) lies within its rounding floor
         code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
                                "2", "--k", "2", "--a", "0.01",
                                "--mu-grid=0.002:0.02:3",
                                "--gamma-lo", "0", "--gamma-hi", "1")
         assert code == EXIT_OK
         assert abs(json.loads(out)["threshold_estimate"] - 1.0) <= 1e-6
+
+    def test_threshold_at_an_endpoint_left_at_its_newton_residual(self,
+                                                                  capsys):
+        # at a k^2 = 0.035 the gamma = 1 wave stops at Newton residual
+        # 4.6e-13, which leaves D(0) at 2.1e-13, above its rounding floor of
+        # 5.7e-14; the root test allows for the residual, so the endpoint is
+        # the root (without the allowance the bracket [0, 1] has no sign
+        # change)
+        code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
+                               "2", "--a", "0.035", "--mu-grid=0.002:0.02:3",
+                               "--gamma-lo", "0", "--gamma-hi", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["threshold_estimate"] == 1.0
 
     def test_indeterminate_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
@@ -298,6 +311,70 @@ class TestCollisionsCommand:
         _, out, _ = run_cli(capsys, "collisions", "--k", "2.0")
         omega = float(out.strip().splitlines()[2].split(",")[3])
         assert omega == pytest.approx(-np.sqrt(15.0), rel=1e-12)
+
+
+class TestWavenumberIsAUnit:
+    """Waves with the same ``a k^2`` are one wave in other units: the
+    verdict and the exit code follow ``a k^2``, and what is reported scales
+    by the table in ``mwstab.waves``."""
+
+    def test_large_k_reads_as_its_unit_twin(self, capsys):
+        grid = "--mu-grid=0.01:0.05:3"
+        code, out, _ = run_cli(capsys, "index", "--model", "A", "--k",
+                               "2000", "--a", "4.75e-8", grid)
+        assert code == EXIT_OK
+        far = _strict_json(out)
+        assert far["verdict"] == "stable"
+        _, out, _ = run_cli(capsys, "index", "--model", "A", "--k", "1",
+                            "--a", "0.19", grid)
+        near = _strict_json(out)
+        for (mu, disc), (mu_1, disc_1) in zip(far["disc_samples"],
+                                             near["disc_samples"]):
+            assert mu == mu_1
+            assert disc * 2000.0**2 == pytest.approx(disc_1, rel=1e-9)
+
+    def test_huge_k_with_a_tiny_amplitude_is_solved(self, capsys):
+        code, out, _ = run_cli(capsys, "index", "--model", "A", "--k=5e5",
+                               "--a=1e-12", "--mu-grid=0.01:0.05:3",
+                               "--modes", "16")
+        assert code == EXIT_OK
+        assert _strict_json(out)["verdict"] == "stable"
+
+    def test_the_one_bound_is_on_a_k2(self, capsys):
+        # a k^2 = 0.45 both; |a| = 0.3125 passes now that |a| alone is free
+        code, out, _ = run_cli(capsys, "wave", "--k", "1.2", "--a", "0.3125")
+        assert code == EXIT_OK
+        assert _strict_json(out)["residual_norm"] <= 1e-12
+        verdicts = []
+        for k, a in (("1.2", "0.3125"), ("2", "0.1125")):
+            code, out, _ = run_cli(capsys, "index", "--k", k, "--a", a)
+            assert code == EXIT_OK
+            verdicts.append(_strict_json(out)["verdict"])
+        assert verdicts == ["stable", "stable"]
+        code, out, err = run_cli(capsys, "wave", "--k", "1", "--a", "0.46")
+        assert code == EXIT_CONFIG and out == ""
+        assert _strict_json(err)["error"] == "validity"
+
+    def test_collision_table_is_certified_at_unit_k(self, capsys):
+        code, out, _ = run_cli(capsys, "collisions", "--k", "100",
+                               "--n-min", "-10")
+        assert code == EXIT_OK
+        _, unit, _ = run_cli(capsys, "collisions", "--n-min", "-10")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        unit_rows = [line.split(",") for line in unit.splitlines()[1:]]
+        assert len(rows) == len(unit_rows) == 9
+        for row, unit_row in zip(rows, unit_rows):
+            assert row[:3] == unit_row[:3]
+            assert float(row[3]) == pytest.approx(100.0 * float(unit_row[3]),
+                                                  rel=1e-15)
+
+    def test_collision_table_reaches_the_deepest_mode(self, capsys):
+        code, out, _ = run_cli(capsys, "collisions", "--n-min", "-1024")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1 + 1023
+        code, out, err = run_cli(capsys, "collisions", "--n-min", "-1025")
+        assert code == EXIT_CONFIG and out == ""
+        assert _strict_json(err)["message"] == "n-min must be at least -1024"
 
 
 #: sha256 of each ``expand`` output; the dumps are the exact engine's
@@ -509,7 +586,7 @@ class TestSolverFailures:
         from mwstab import waves
 
         monkeypatch.setattr(waves, "_jacobian",
-                            lambda model, eta, c, k: np.zeros(
+                            lambda model, eta, c: np.zeros(
                                 (eta.n_modes + 2, eta.n_modes + 2)))
         code, _, err = run_cli(capsys, "wave", "--a", "0.05",
                                "--modes", "16")
@@ -566,10 +643,10 @@ def test_accepted_index_runs_end_in_json(model, log_k, a_share, gamma, ends,
                                          count):
     """Every ``index`` run that the guards accept ends with exit 0 or 2 and
     a verdict on stdout, or exit 3 and a JSON error on stderr, never with a
-    traceback.  The guards accept |a| <= min(0.2, 0.45 / k^2) at any k whose
-    k^4 and 1/k^4 are finite, and |mu| <= 0.1."""
+    traceback.  The guards accept |a| k^2 <= 0.45 at any k whose k^4 and
+    1/k^4 are finite, and |mu| <= 0.1."""
     k = 10.0**log_k
-    a = a_share * min(0.2, 0.45 / k**2)
+    a = a_share * 0.45 / k**2
     start, stop = sorted(ends)
     argv = ["index", "--model", model, f"--k={k!r}", f"--a={a!r}",
             f"--gamma={gamma!r}", f"--mu-grid={start!r}:{stop!r}:{count}",
@@ -586,3 +663,71 @@ def test_accepted_index_runs_end_in_json(model, log_k, a_share, gamma, ends,
     else:
         assert _strict_json(out.getvalue())["verdict"] in (
             "stable", "unstable", "indeterminate")
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _scaled(x, k, power):
+    """``x`` at k = 1 scaled by ``k**power``, compared loosely enough for
+    the two roundings of the scaling and for a subnormal ``x``."""
+    return pytest.approx(x * k**power, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from("AB"), log_k=st.floats(-3.0, 3.0),
+       share=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       gamma=st.floats(-10.0, 10.0),
+       ends=st.lists(st.one_of(st.just(0.0), st.floats(-0.1, 0.1)),
+                     min_size=2, max_size=2, unique=True),
+       count=st.integers(2, 6))
+def test_results_depend_on_a_k2_alone(model, log_k, share, gamma, ends,
+                                      count):
+    """``index`` and a two-mu ``spectrum`` at (a, k) and at (a k^2, 1) give
+    the same verdict, exit code, band edge and threshold, and ``D`` and the
+    eigenvalues agree after the unit table's scaling: lambda by k and D by
+    1/k^2 for model A, neither for model B."""
+    k = 10.0**log_k
+    a = share * 0.45 / k**2
+    power = 1 if model == "A" else 0
+    start, stop = sorted(ends)
+    common = ["--model", model, f"--gamma={gamma!r}", "--modes", "16"]
+    index = ["index", *common, f"--mu-grid={start!r}:{stop!r}:{count}"]
+    if model == "B":
+        index += ["--gamma-lo", "0", "--gamma-hi", "2"]
+    spectrum = ["spectrum", *common, f"--mu-grid={start!r}:{stop!r}:2"]
+    for argv in (index, spectrum):
+        code, out, err = _run_quietly(
+            argv + [f"--k={k!r}", f"--a={a!r}"])
+        unit_code, unit_out, unit_err = _run_quietly(
+            argv + ["--k=1.0", f"--a={a * k * k!r}"])
+        assert code == unit_code, argv
+        if code == EXIT_SOLVER:
+            assert _strict_json(err)["message"] == \
+                _strict_json(unit_err)["message"]
+            continue
+        if argv is index:
+            have, want = _strict_json(out), _strict_json(unit_out)
+            for key in ("verdict", "band_edge", "threshold_estimate"):
+                assert have[key] == want[key]
+            for (mu, disc), (unit_mu, unit_disc) in zip(
+                    have["disc_samples"], want["disc_samples"]):
+                assert mu == unit_mu
+                assert disc == _scaled(unit_disc, k, -2 * power)
+            assert have["disc_at_zero"] == \
+                _scaled(want["disc_at_zero"], k, -2 * power)
+            assert have["max_growth"] == \
+                _scaled(want["max_growth"], k, power)
+        else:
+            rows = [line.split(",") for line in out.splitlines()]
+            unit_rows = [line.split(",") for line in unit_out.splitlines()]
+            assert len(rows) == len(unit_rows)
+            for row, unit_row in zip(rows[1:], unit_rows[1:]):
+                assert (row[0], row[3]) == (unit_row[0], unit_row[3])
+                for part, unit_part in zip(row[1:3], unit_row[1:3]):
+                    assert float(part) == _scaled(float(unit_part), k, power)

@@ -334,3 +334,58 @@ class TestOracleAgreement:
         assert abs(numeric.b0 - expected[0]) <= bound
         assert abs(numeric.b1 - expected[1]) <= bound
         assert abs(numeric.b2 - expected[2]) <= bound
+
+    @pytest.mark.parametrize("k", [1.0, 1.5])
+    @pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 2.0)])
+    def test_numeric_d_coefficients_match_the_exact_rationals(self, variant,
+                                                             gamma, k):
+        """The mu^0 and mu^2 coefficients of each numeric d_j, fitted over
+        a ladder of a, have the a^0 and a^2 terms of the exact tables (the
+        transcribed golden tables, else the engine's dump); the rest falls
+        16x per halving of a, an a^4 term.  At k != 1 the numeric d_j come
+        through the unit scaling."""
+        from mwstab.waves import Model, solve_wave
+        from mwstab.bloch import pencil_coefficients
+        from mwstab.modulation import critical_basis, _det_polynomials
+
+        tables = build_dump(det_and_discriminant(variant))
+        tables.update(load_golden(variant))
+        model = Model(variant, gamma=gamma)
+        amps = 0.04 / 2.0**np.arange(4) / k**2
+        numeric = []
+        for a in amps:
+            branch = solve_wave(model, a, k, n_modes=32)
+            d = _det_polynomials(pencil_coefficients(model, branch),
+                                 critical_basis(model, branch))
+            numeric.append([branch.units.frequency(d[j], -j)
+                            for j in range(3)])
+        numeric = np.array(numeric)
+        # d_j's mu^(2q) coefficient is b_j's mu^(2q + 2 - j) one
+        exact = np.array([[[canonical_value(
+            tables[f"det_b{j}"].get(f"a^{p} mu^{2 * q + 2 - j}", "0"),
+            k, gamma) for q in range(2)] for j in range(3)] for p in (0, 2)])
+        # Richardson extrapolation: the polynomial in a^2 through the ladder
+        fit = np.linalg.solve(np.vander(amps**2, 4, increasing=True),
+                              numeric.reshape(4, -1)).reshape(numeric.shape)
+        assert np.all(np.abs(fit[:2] - exact)
+                      <= 1e-8 * np.maximum(1.0, np.abs(exact)))
+        rest = numeric - exact[0] - amps[:, None, None]**2 * exact[1]
+        quartic = np.abs(rest[-1]) > 1e-14
+        assert np.all(np.abs(rest[:, ~quartic]) <= 1e-14)
+        ratios = rest[:-1, quartic] / rest[1:, quartic]
+        assert np.all(np.abs(ratios - 16.0) <= 0.1)
+
+
+def canonical_value(text, k, gamma):
+    """A canonical ``Coeff`` string, such as ``1/8*k^2 + -1/8*gamma*k^2``,
+    evaluated at ``k`` and ``gamma``."""
+    total = 0.0
+    for term in text.split(" + "):
+        fraction, *factors = term.split("*")
+        value = float(Fraction(fraction))
+        for factor in factors:
+            base, _, power = factor.partition("^")
+            value *= {"sqrt3": 3.0**0.5, "gamma": gamma, "k": k}[base] \
+                ** int(power or 1)
+        total += value
+    return total

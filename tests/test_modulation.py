@@ -211,7 +211,7 @@ class TestCriticalGrowth:
         from mwstab.bloch import dispersion
         model = Model("B", gamma=0.5)
         branch = solve_wave(model, 0.05, 1.0, n_modes=32)
-        level = abs(modulation._critical_shift(model, 1.0, 0.05))
+        level = abs(modulation._critical_shift(model, 0.05))
         assert level == pytest.approx(dispersion(model, 2, 0.0, 1.0) / 30.0)
 
         def slice_pair(mu):
@@ -265,7 +265,7 @@ class TestCriticalGrowth:
         # but nothing then shows that no other mode lies nearer zero
         shift = modulation._critical_shift
         monkeypatch.setattr(modulation, "_critical_shift",
-                            lambda model, k, mu: -shift(model, k, mu))
+                            lambda model, mu: -shift(model, mu))
         with pytest.raises(ConvergenceError, match="side of the shift"):
             critical_growth(MODEL_A, branch_a005, 0.03)
 

@@ -28,7 +28,7 @@ class TestAnalyticWave:
     def test_model_b_gamma_one_speed_constant(self):
         model = Model("B", gamma=1.0)
         for a in (0.0, 0.05, 0.1):
-            assert wave_speed_expansion(model, a, 1.0) == 1.0
+            assert wave_speed_expansion(model, a) == 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="positive"):
@@ -48,7 +48,7 @@ class TestResidual:
     def test_zero_wave(self):
         eta = TrigSeries.zero(16)
         for model in (MODEL_A, Model("B", gamma=2.0)):
-            assert residual(model, eta, 1.3, 0.7).sup_norm() == 0.0
+            assert residual(model, eta, 1.3).sup_norm() == 0.0
 
     def test_analytic_wave_small_residual(self):
         branch = analytic_wave(MODEL_A, 1e-3, 1.0)
@@ -57,7 +57,7 @@ class TestResidual:
     def test_wrong_speed_leaves_linear_residual(self):
         a = 1e-3
         eta = TrigSeries.cosine(1, 16, amplitude=a)
-        res = residual(MODEL_A, eta, 1.0, 1.0)
+        res = residual(MODEL_A, eta, 1.0)
         # leading term a*(1 - 3 c^2 k^2) cos z with c = k = 1
         assert res.sup_norm() >= a * abs(1.0 - 3.0) / 2.0
 
@@ -87,7 +87,7 @@ class TestSolveWave:
 
     def test_speed_matches_expansion_to_fourth_order(self):
         branch = solve_wave(MODEL_A, 0.05, 1.0)
-        assert abs(branch.c - wave_speed_expansion(MODEL_A, 0.05, 1.0)) < 5e-6
+        assert abs(branch.c - wave_speed_expansion(MODEL_A, 0.05)) < 5e-6
 
     def test_second_harmonic_fit(self):
         amps = np.array([0.005, 0.01, 0.02])
@@ -129,8 +129,10 @@ class TestSolveWave:
         assert info.value.residual_norm > 0.0
 
     def test_validity_guard(self):
-        with pytest.raises(ValidityError):
-            solve_wave(MODEL_A, 0.21, 1.0)
+        # the one bound is |a| k^2 <= 0.45
+        for a, k in ((0.46, 1.0), (0.115, 2.0)):
+            with pytest.raises(ValidityError):
+                solve_wave(MODEL_A, a, k)
 
 
 class TestBranchDerivative:
@@ -155,7 +157,7 @@ class TestBranchDerivative:
                                                           monkeypatch):
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
         monkeypatch.setattr(waves, "_jacobian",
-                            lambda model, eta, c, k: np.zeros((18, 18)))
+                            lambda model, eta, c: np.zeros((18, 18)))
         with pytest.raises(ArithmeticError, match="singular"):
             branch_derivative(branch)
 
@@ -168,12 +170,12 @@ def test_kernel_of_the_linearization(variant, a, k, gamma):
     tangent d eta/da matches a centered difference along the branch."""
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=32)
-    op = linearized_operator(model, branch.eta, branch.c, k)[0]
-    deta = branch.eta.deriv().to_modes()
+    op = linearized_operator(model, branch.unit_eta, branch.unit_c)[0]
+    deta = branch.unit_eta.deriv().to_modes()
     # L0 eta' is -/+ the derivative of the residual along the translation
     # orbit: zero at an exact solution, Newton's leftover here
     sign = -1.0 if model.is_a else 1.0
-    drift = sign * residual(model, branch.eta, branch.c, k).deriv()
+    drift = sign * residual(model, branch.unit_eta, branch.unit_c).deriv()
     assert np.max(np.abs(op @ deta - drift.to_modes())) \
         <= 1e-15 * np.max(np.abs(op)) * np.max(np.abs(deta))
 
