@@ -12,6 +12,9 @@ quadratic in ``mu`` and ``L1 = i diag(s)`` with ``s`` real and linear in
 is a real standard eigenproblem.  Pencils and spectra are at ``k = 1``.
 """
 
+import contextlib
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -21,7 +24,8 @@ __all__ = [
     "BlochPencil", "PencilCoefficients", "SpectrumSample", "CollisionRecord",
     "SymmetryReport", "assemble_pencil", "pencil_coefficients", "dispersion",
     "find_collisions", "spectrum_slice", "symmetry_check",
-    "hausdorff_distance", "sweep_mus", "INFINITE_EIGENVALUE_CUTOFF",
+    "hausdorff_distance", "sweep_mus", "one_blas_thread",
+    "INFINITE_EIGENVALUE_CUTOFF",
 ]
 
 #: eigenvalues beyond this magnitude belong to the (near-)singular direction
@@ -129,12 +133,12 @@ def dispersion(model, n, mu, k=1.0):
     Model A gives ``(sqrt3 k / 2)(x - 1/x)`` and model B ``x - 1/x`` with
     ``x = n + mu``; ``n`` may be an array of modes.
     """
+    units = Units(model, k)
     x = n + mu
     if np.any(x == 0):
         raise ZeroDivisionError("dispersion is singular at n + mu = 0")
     base = x - 1.0 / x
-    return Units(model, k).frequency((SQRT3 / 2.0) * base) if model.is_a \
-        else base
+    return units.frequency((SQRT3 / 2.0) * base) if model.is_a else base
 
 
 def find_collisions(n_min=-3, mu_tol=1e-12, k=1.0):
@@ -149,6 +153,7 @@ def find_collisions(n_min=-3, mu_tol=1e-12, k=1.0):
     if n_min > -3:
         raise ValueError("n_min must be <= -3")
     model = Model("A")
+    units = Units(model, k)
     records = [CollisionRecord(n=-1, m=1, mu0=0.0, omega=0.0)]
     for n in range(-3, n_min - 1, -1):
         mu0 = 2.0 / (-n + np.sqrt(n * n - 4.0))
@@ -158,29 +163,36 @@ def find_collisions(n_min=-3, mu_tol=1e-12, k=1.0):
             raise ArithmeticError(
                 f"collision certificate failed for n={n}: gap {gap:.3e}")
         records.append(CollisionRecord(
-            n=0, m=n, mu0=mu0, omega=Units(model, k).frequency(omega)))
+            n=0, m=n, mu0=mu0, omega=units.frequency(omega)))
     return records
 
 
 def _branch_labels(model, eigenvalues, mu, n_modes):
-    """Greedy nearest-dispersion assignment of eigenvalues to mode indices."""
+    """Greedy nearest-dispersion assignment of eigenvalues to mode indices.
+
+    (eigenvalue, mode) pairs are taken by distance, ties going to the lower
+    eigenvalue position and then the lower mode, each while both members
+    are free; eigenvalues left over get ``10**9``.  A pair whose members
+    are each other's nearest free partner in that order is one the greedy
+    takes, so each round takes all such pairs at once.
+    """
     modes = np.arange(-n_modes, n_modes + 1)
     modes = modes[modes + mu != 0]
     with np.errstate(over="ignore", invalid="ignore"):  # subnormal n + mu
         targets = 1j * dispersion(model, modes, mu)
     dist = np.abs(eigenvalues[:, None] - targets[None, :])
     labels = np.full(eigenvalues.size, 10**9, dtype=int)
-    free_rows = np.ones(dist.shape[0], dtype=bool)
-    free_cols = np.ones(dist.shape[1], dtype=bool)
-    left = min(dist.shape)
-    for flat in np.argsort(dist, axis=None):
-        i, j = divmod(int(flat), dist.shape[1])
-        if free_rows[i] and free_cols[j]:
-            free_rows[i] = free_cols[j] = False
-            labels[i] = modes[j]
-            left -= 1
-            if not left:
-                break
+    rows, cols = np.arange(dist.shape[0]), np.arange(dist.shape[1])
+    free = dist
+    while rows.size and cols.size:
+        # argmin keeps the first of equal minima: the lower mode of a row,
+        # the lower position of a column
+        nearest_col = free.argmin(axis=1)
+        mutual = free.argmin(axis=0)[nearest_col] == np.arange(rows.size)
+        labels[rows[mutual]] = modes[cols[nearest_col[mutual]]]
+        rows = rows[~mutual]
+        cols = np.delete(cols, nearest_col[mutual])
+        free = dist[rows][:, cols]
     return labels
 
 
@@ -241,6 +253,53 @@ def symmetry_check(sample_plus, sample_minus, tol=1e-8):
                           hausdorff_conjugation=h_cross, tol=tol)
 
 
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count entry points in the library
+    numpy's linear algebra loaded, or ``None`` when it has none."""
+    import ctypes
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    # scipy-openblas and 64-bit-integer builds name them apart
+    for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"),
+                           ("", "")):
+        try:
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the count after.
+
+    A threaded LAPACK call splits its work by the thread count, which moves
+    its results at rounding level (at N = 128, the wave and the eigenvalues
+    of its slices), and on 129 x 129 slices a second thread made the sweep
+    slower, not faster (2-vCPU x86 host).  Without OpenBLAS this does
+    nothing.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def parallel_map(fn, items):
     """Ordered map over a Floquet grid; every sweep passes through it, and
     ``perfbench`` traces it by name."""
@@ -249,6 +308,8 @@ def parallel_map(fn, items):
 
 def sweep_mus(model, branch, mus, n_modes=None):
     """Spectra over a Floquet grid at ``k = 1``, from one set of pencil
-    coefficients."""
+    coefficients, solved on one BLAS thread (``one_blas_thread``)."""
     coefficients = pencil_coefficients(model, branch, n_modes)
-    return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)), mus)
+    with one_blas_thread():
+        return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)),
+                            mus)

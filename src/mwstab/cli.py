@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .waves import Model, solve_wave, ConvergenceError, ValidityError
-from .bloch import find_collisions, sweep_mus
+from .bloch import find_collisions, one_blas_thread, sweep_mus
 from .modulation import discriminant_sweep, threshold_bisect
 from .exact import (build_dump, load_golden, check_against_golden,
                     det_and_discriminant)
@@ -209,19 +209,22 @@ def cmd_spectrum(args):
     config = resolve_config(args)
     grid_spec = config.mu_grid or (0.0, 0.5, 201)
     mus = np.linspace(*grid_spec[:2], grid_spec[2])
-    branch = solve_wave(config.model_tag(), config.a, config.k,
-                        n_modes=config.n_modes, tol=config.tol)
+    with one_blas_thread():  # as the sweep: no byte depends on the host
+        branch = solve_wave(config.model_tag(), config.a, config.k,
+                            n_modes=config.n_modes, tol=config.tol)
     samples = sweep_mus(config.model_tag(), branch, mus)
     frequency = branch.units.frequency
     lines = ["mu,re_lambda,im_lambda,branch_id"]
     for sample in samples:
         lam = sample.eigenvalues
         # ordered by the k = 1 values, printed at k
-        rows = sorted(zip(sample.branch_ids, lam.imag, lam.real,
-                          frequency(lam.real), frequency(lam.imag)))
-        for branch_id, _, _, re, im in rows:
-            lines.append(f"{_float(sample.mu)},{_float(re)},{_float(im)},"
-                         f"{branch_id}")
+        order = np.lexsort((lam.real, lam.imag, sample.branch_ids))
+        mu = _float(sample.mu)
+        lines.extend(
+            f"{mu},{re!r},{im!r},{branch_id}" for branch_id, re, im in zip(
+                sample.branch_ids[order].tolist(),
+                frequency(lam.real[order]).tolist(),
+                frequency(lam.imag[order]).tolist()))
     _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK
 

@@ -85,10 +85,16 @@ class Model:
 
 @dataclass(frozen=True)
 class Units:
-    """Carries a ``k = 1`` quantity to wavenumber ``k`` by the table above."""
+    """Carries a ``k = 1`` quantity to wavenumber ``k`` by the table above;
+    ``k`` must be positive and finite."""
 
     model: Model
     k: float
+
+    def __post_init__(self):
+        if not 0.0 < self.k < np.inf:
+            raise ValueError(
+                f"wavenumber must be positive and finite, got k={self.k}")
 
     def amplitude(self, x):
         return x * self.k**-2
@@ -140,8 +146,7 @@ def _unit_amplitude(model, a, k):
     the reported values finite."""
     if not isinstance(model, Model):
         raise TypeError("model must be a Model instance")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got k={k}")
+    Units(model, k)  # k positive and finite
     unit_a = a * k * k
     if abs(unit_a) > EXPANSION_LIMIT:
         raise ValidityError(

@@ -8,10 +8,12 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from mwstab.fourier import TrigSeries
-from mwstab.waves import Model, solve_wave, SQRT3, linearized_operator
+from mwstab.waves import (Model, Units, solve_wave, SQRT3,
+                          linearized_operator)
+from mwstab import bloch
 from mwstab.bloch import (assemble_pencil, pencil_coefficients, dispersion,
                           find_collisions, spectrum_slice, symmetry_check,
-                          hausdorff_distance, sweep_mus,
+                          hausdorff_distance, sweep_mus, one_blas_thread,
                           INFINITE_EIGENVALUE_CUTOFF)
 
 MODEL_A = Model("A")
@@ -68,6 +70,17 @@ class TestCollisions:
         one = find_collisions(n_min=-3, k=1.0)[1]
         two = find_collisions(n_min=-3, k=2.0)[1]
         assert two.omega == pytest.approx(2.0 * one.omega, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, np.nan, np.inf])
+    def test_wavenumber_must_be_positive_and_finite(self, k):
+        # omega used to come out as +1.936 at k = -1 and nan at k = nan
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_collisions(n_min=-3, k=k)
+        for model in (MODEL_A, Model("B")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                dispersion(model, 3, 0.1, k)
+            with pytest.raises(ValueError, match="positive and finite"):
+                Units(model, k)
 
     def test_nmin_precondition(self):
         with pytest.raises(ValueError):
@@ -261,6 +274,114 @@ class TestSweep:
             assert np.array_equal(coeffs.at(mu).L0, pencil.L0)
             assert np.array_equal(
                 sample.eigenvalues, spectrum_slice(pencil).eigenvalues)
+
+
+def greedy_labels(model, eigenvalues, mu, n_modes):
+    """Reference for ``bloch._branch_labels``: every (eigenvalue, mode) pair
+    in one stable sort by (distance, flat index), taken while both are
+    free."""
+    modes = np.arange(-n_modes, n_modes + 1)
+    modes = modes[modes + mu != 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = 1j * dispersion(model, modes, mu)
+    dist = np.abs(eigenvalues[:, None] - targets[None, :])
+    labels = np.full(eigenvalues.size, 10**9, dtype=int)
+    free_rows = np.ones(dist.shape[0], dtype=bool)
+    free_cols = np.ones(dist.shape[1], dtype=bool)
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), dist.shape[1])
+        if free_rows[i] and free_cols[j]:
+            free_rows[i] = free_cols[j] = False
+            labels[i] = modes[j]
+    return labels
+
+
+class TestBranchLabels:
+    @pytest.mark.parametrize("model, a, mus", [
+        # mu = 0 ties the Jordan pair against the zero targets of modes +-1
+        (MODEL_A, 0.05, np.r_[0.0, np.linspace(-0.45, 0.5, 20)]),
+        # every complex pair is equidistant from each target
+        (Model("B", gamma=3.0), 0.02, np.linspace(0.001, 0.012, 8)),
+    ])
+    def test_rounds_are_the_stable_greedy(self, model, a, mus):
+        branch = solve_wave(model, a, 1.0)
+        samples = sweep_mus(model, branch, mus)
+        if not model.is_a:
+            assert all(s.eigenvalues.real.max() > 1e-6 for s in samples)
+        for sample in samples:
+            assert np.array_equal(sample.branch_ids, greedy_labels(
+                model, sample.eigenvalues, sample.mu, branch.n_modes))
+
+    def test_a_target_at_infinity_is_matched_last(self):
+        # n + mu subnormal: mode 0's target overflows to infinity, so the
+        # one eigenvalue left for it is infinitely far from every free mode
+        mu = 5e-324
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = dispersion(MODEL_A, np.array([-2, -1, 1, 2]), mu)
+        lam = np.r_[1j * omega, 3.0 + 40j]
+        labels = bloch._branch_labels(MODEL_A, lam, mu, 2)
+        assert labels.tolist() == [-2, -1, 1, 2, 0]
+        assert np.array_equal(labels, greedy_labels(MODEL_A, lam, mu, 2))
+
+    def test_more_eigenvalues_than_modes(self):
+        # mu = 0 drops mode 0: six eigenvalues for four modes
+        lam = np.array([0.1j, -1.3j, 5j, 1.3j, 0.2 + 2.6j, -2.6j])
+        labels = bloch._branch_labels(MODEL_A, lam, 0.0, 2)
+        assert np.array_equal(labels, greedy_labels(MODEL_A, lam, 0.0, 2))
+        assert sorted(labels.tolist()) == [-2, -1, 1, 2, 10**9, 10**9]
+
+    def test_ties_go_to_the_lower_position_then_the_lower_mode(self):
+        # mu = 0: the Jordan pair -d + iy, d + iy is equidistant from the
+        # zero targets of modes -1 and 1; the member listed first, the one
+        # with the negative real part, takes the lower mode
+        branch = solve_wave(MODEL_A, 0.05, 1.0)
+        sample = sweep_mus(MODEL_A, branch, [0.0])[0]
+        lam, ids = sample.eigenvalues, sample.branch_ids
+        pair = np.argsort(np.abs(lam))[:2]
+        assert lam[pair[0]].imag == lam[pair[1]].imag
+        assert lam[pair[0]].real == -lam[pair[1]].real != 0.0
+        negative = pair[np.argmin(lam[pair].real)]
+        assert ids[negative] == -1 and set(ids[pair]) == {-1, 1}
+
+    def test_an_unstable_pair_splits_by_position(self):
+        # both members of a complex pair are equally far from each mode:
+        # the one with the negative real part, listed first, takes the
+        # nearer of modes -1 and 1, its partner the other
+        model = Model("B", gamma=3.0)
+        branch = solve_wave(model, 0.02, 1.0, n_modes=32)
+        mu = 0.005
+        sample = sweep_mus(model, branch, [mu])[0]
+        lam, ids = sample.eigenvalues, sample.branch_ids
+        pair = np.flatnonzero(np.abs(lam.real) > 1e-6)
+        assert pair.size == 2 and lam[pair[0]] == -np.conj(lam[pair[1]])
+        assert lam[pair[0]].real < 0.0
+        targets = 1j * dispersion(model, np.array([-1, 1]), mu)
+        nearer = [-1, 1][np.argmin(np.abs(lam[pair[0]] - targets))]
+        assert ids[pair].tolist() == [nearer, -nearer]
+
+
+class TestOneBlasThread:
+    def test_restores_the_thread_count(self):
+        threads = bloch._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, _ = threads
+        before = get()
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(RuntimeError):
+            with one_blas_thread():
+                raise RuntimeError
+        assert get() == before
+
+    def test_without_openblas_the_sweep_runs_as_it_is(self, monkeypatch):
+        branch = flat_branch(MODEL_A)
+        pinned = sweep_mus(MODEL_A, branch, [0.0, 0.2])
+        monkeypatch.setattr(bloch, "_openblas_threads", lambda: None)
+        for mine, theirs in zip(sweep_mus(MODEL_A, branch, [0.0, 0.2]),
+                                pinned):
+            assert np.array_equal(mine.eigenvalues, theirs.eigenvalues)
 
 
 def l0_by_convolution(model, branch, mu, v):

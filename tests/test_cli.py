@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -187,6 +188,21 @@ class TestSpectrumCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded LAPACK call splits its work by the thread count: at
+        # N = 128 both the wave and the slices moved at rounding level
+        argv = [sys.executable, "-m", "mwstab.cli", "spectrum", "--model",
+                "A", "--a", "0.1", "--k", "1.5", "--modes", "128",
+                "--mu-grid=-0.3:0.5:9"]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)  # the host's default
+        one, default = (subprocess.run(argv, env=e, capture_output=True,
+                                       check=True).stdout
+                        for e in (dict(env, OPENBLAS_NUM_THREADS="1"), env))
+        assert one == default
 
 
 class TestIndexCommand:
