@@ -107,10 +107,14 @@ class SymmetryReport:
 
 def pencil_coefficients(model, branch, n_modes=None):
     """The Bloch pencil's coefficients in ``mu`` at a branch point (see
-    ``PencilCoefficients`` and ``waves.linearized_operator``)."""
+    ``PencilCoefficients`` and ``waves.linearized_operator``); at the
+    branch's own ``N`` and model they are its ``linearization``."""
     n = branch.n_modes if n_modes is None else n_modes
-    a0, a1, a2 = linearized_operator(model, branch.unit_eta.resized(n),
-                                     branch.unit_c)
+    if n == branch.n_modes and model == branch.model:
+        a0, a1, a2 = branch.linearization
+    else:
+        a0, a1, a2 = linearized_operator(model, branch.unit_eta.resized(n),
+                                         branch.unit_c)
     return PencilCoefficients(model=model, n_modes=n, A0=a0, A1=a1, A2=a2,
                               alpha=2.0 * branch.unit_c if model.is_a
                               else 1.0)
@@ -283,8 +287,8 @@ def one_blas_thread():
 
     A threaded LAPACK call splits its work by the thread count, which moves
     its results at rounding level (at N = 128, the wave and the eigenvalues
-    of its slices), and on 129 x 129 slices a second thread made the sweep
-    slower, not faster (2-vCPU x86 host).  Without OpenBLAS this does
+    of its slices), so ``mwstab``'s numeric commands run under this and
+    print the same bytes on every host.  Without OpenBLAS this does
     nothing.
     """
     threads = _openblas_threads()
@@ -308,8 +312,6 @@ def parallel_map(fn, items):
 
 def sweep_mus(model, branch, mus, n_modes=None):
     """Spectra over a Floquet grid at ``k = 1``, from one set of pencil
-    coefficients, solved on one BLAS thread (``one_blas_thread``)."""
+    coefficients."""
     coefficients = pencil_coefficients(model, branch, n_modes)
-    with one_blas_thread():
-        return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)),
-                            mus)
+    return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)), mus)

@@ -7,6 +7,7 @@ byte-identical files.  Exit codes: 0 success, 2 indeterminate verdict,
 3 solver failure, 4 configuration error.
 """
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -191,6 +192,17 @@ def _run_keys(config):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _on_one_blas_thread(command):
+    """The command run on one OpenBLAS thread (``bloch.one_blas_thread``),
+    so that none of its bytes depend on the host's thread count."""
+    @functools.wraps(command)
+    def run(args):
+        with one_blas_thread():
+            return command(args)
+    return run
+
+
+@_on_one_blas_thread
 def cmd_wave(args):
     config = resolve_config(args)
     branch = solve_wave(config.model_tag(), config.a, config.k,
@@ -205,15 +217,16 @@ def cmd_wave(args):
     return EXIT_OK
 
 
+@_on_one_blas_thread
 def cmd_spectrum(args):
     config = resolve_config(args)
     grid_spec = config.mu_grid or (0.0, 0.5, 201)
     mus = np.linspace(*grid_spec[:2], grid_spec[2])
-    with one_blas_thread():  # as the sweep: no byte depends on the host
-        branch = solve_wave(config.model_tag(), config.a, config.k,
-                            n_modes=config.n_modes, tol=config.tol)
+    branch = solve_wave(config.model_tag(), config.a, config.k,
+                        n_modes=config.n_modes, tol=config.tol)
     samples = sweep_mus(config.model_tag(), branch, mus)
     frequency = branch.units.frequency
+    del branch  # and its linearization, before the rows are formatted
     lines = ["mu,re_lambda,im_lambda,branch_id"]
     for sample in samples:
         lam = sample.eigenvalues
@@ -229,6 +242,7 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
+@_on_one_blas_thread
 def cmd_index(args):
     config = resolve_config(args)
     bisect = args.gamma_lo is not None or args.gamma_hi is not None

@@ -16,6 +16,8 @@ each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch,
 at ``k = 1`` (``projected_det`` and reports give it at the wave's ``k``).
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -48,6 +50,12 @@ _MAX_SUBSPACE_STEPS = 200
 #: of ``|sigma|``, for the rounding noise of the double zero near
 #: ``mu = 0`` (measured up to 1.1e-5)
 _SHIFT_SIDE_NOISE = 1e-3
+#: ``_subspace_step``'s image has lost a dimension when its second column
+#: keeps no more than this share of its norm off the first: about
+#: sqrt(eps), below which that direction is mostly rounding.  Steps kept
+#: at least 0.017 (median 0.999) over 1865 steps at N = 16 and 64, |mu| in
+#: [1e-3, 0.1], both models, gamma in [-1000, 1000] and a k^2 up to 0.45
+_RANK_FLOOR = 1e-8
 
 
 class DegeneratePairError(ArithmeticError):
@@ -203,7 +211,8 @@ def _critical_shift(model, mu):
 
 def critical_growth(model, branch, mu, n_modes=None):
     """The two pencil eigenvalues continuing the double zero at the origin,
-    at ``k = 1`` like the pencil (``Units.frequency`` gives them at ``k``).
+    solved at ``k = 1`` like the pencil and reported at the branch's ``k``
+    (``Units.frequency``), in the units of ``projected_det``'s roots.
 
     Returns ``(lambda_plus, lambda_minus)`` tracked to the unperturbed
     modes ``+1`` and ``-1`` by nearest-dispersion assignment; a reflected
@@ -212,9 +221,10 @@ def critical_growth(model, branch, mu, n_modes=None):
 
     Only this pair is computed, on the real pencil ``L0 v = omega diag(s)
     v``, ``lambda = i omega``: the span of the unit vectors of modes +1 and
-    -1 is mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, which never
-    divides by ``s``, and re-orthonormalized until a step's move stops
-    shrinking at rounding level (``_SUBSPACE_TOL``); the pair are the
+    -1 is mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, one inverse per
+    ``mu``, which never divides by ``s``, and re-orthonormalized
+    (``_subspace_step``) until a step's move stops shrinking at rounding
+    level (``_SUBSPACE_TOL``); the pair are the
     eigenvalues of the 2x2 pencil projected onto that span.  For
     ``|mu| <= 0.1`` both critical frequencies lie within about
     ``0.15 |Omega_2|`` of zero on the side of ``mu`` and the other modes
@@ -228,23 +238,53 @@ def critical_growth(model, branch, mu, n_modes=None):
     """
     if abs(mu) > 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
-    return _critical_pair(assemble_pencil(model, branch, mu, n_modes=n_modes))
+    pair = _critical_pair(assemble_pencil(model, branch, mu, n_modes=n_modes))
+    return tuple(branch.units.frequency(x) for x in pair)
+
+
+def _subspace_step(step, basis):
+    """One step of ``critical_growth``'s subspace iteration: the image
+    ``step @ basis`` orthonormalized by Gram-Schmidt, its second column
+    orthogonalized twice (twice is enough in double precision, Giraud et
+    al., Numer. Math. 101, 2005), and the move ``|Q - P (P^T Q)|_F`` from
+    the orthonormal ``P = basis``, which stays accurate at its rounding
+    floor where ``2 - |P^T Q|_F^2`` cancels.  An image whose second column
+    keeps no more than ``_RANK_FLOOR`` of its norm off the first, or that
+    is not finite, has lost a dimension: ``ArithmeticError``."""
+    image = step @ basis
+    (xx, xy), (_, yy) = (image.T @ image).tolist()
+    if not (0.0 < xx < math.inf and yy < math.inf):
+        raise ArithmeticError("critical subspace image is zero or not finite")
+    size = math.sqrt(xx)
+    first, second = image.T
+    first /= size
+    second -= (xy / size) * first
+    rest = math.sqrt(second @ second)
+    if not rest > _RANK_FLOOR * math.sqrt(yy):
+        raise ArithmeticError(
+            f"critical subspace lost a dimension: a column of its image "
+            f"of norm {math.sqrt(yy):.3e} keeps {rest:.3e} off the other")
+    second -= (first @ second) * first
+    second /= math.sqrt(second @ second)
+    moved = image - basis @ (basis.T @ image)
+    return image, math.sqrt(np.vdot(moved, moved))
 
 
 def _critical_pair(pencil):
-    """``critical_growth`` on an assembled pencil."""
+    """``critical_growth`` on an assembled pencil, at ``k = 1``."""
     model, mu, l0, s = pencil.model, pencil.mu, pencil.L0, pencil.s
     n = pencil.n_modes
     sigma = _critical_shift(model, mu)
     basis = np.zeros((2 * n + 1, 2))
     basis[n + 1, 0] = basis[n - 1, 1] = 1.0
     try:
-        step = np.linalg.inv(l0 - sigma * np.diag(s)) * s[None, :]
+        shifted = l0.copy()
+        shifted.ravel()[::2 * n + 2] -= sigma * s
+        step = np.linalg.inv(shifted)
+        step *= s
         last = np.inf
         for _ in range(_MAX_SUBSPACE_STEPS):
-            image, _ = np.linalg.qr(step @ basis)
-            move = np.linalg.norm(image - basis @ (basis.T @ image))
-            basis = image
+            basis, move = _subspace_step(step, basis)
             if last <= move <= _SUBSPACE_TOL:
                 break
             last = move

@@ -29,6 +29,8 @@ refines by Newton-Galerkin in the cosine subspace (no translation
 zero-mode, every iterate even).
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -139,6 +141,17 @@ class WaveBranch:
     def n_modes(self):
         return self.unit_eta.n_modes
 
+    @functools.cached_property
+    def linearization(self):
+        """``linearized_operator``'s ``(A0, A1, A2)`` at this wave, built on
+        first use and shared by the bordered tangent and the Bloch pencil;
+        read-only."""
+        operator = linearized_operator(self.model, self.unit_eta,
+                                       self.unit_c)
+        for matrix in operator:
+            matrix.setflags(write=False)
+        return operator
+
 
 def _unit_amplitude(model, a, k):
     """The one guard, returning ``a k^2``: ``|a| k^2 <= EXPANSION_LIMIT``
@@ -167,15 +180,8 @@ def wave_speed_expansion(model, a):
     return 1.0 + a**2 * (1.0 - model.gamma) / 8.0
 
 
-def analytic_wave(model, a, k, n_modes=DEFAULT_N_MODES):
-    """Third-order truncation of the small-amplitude branch.
-
-    At ``k = 1``, model A: ``eta = a cos z + (a^2/2)(cos 2z - 1) +
-    (7a^3/16) cos 3z`` with ``c = 1/sqrt3 + a^2/(4 sqrt3)``; model B:
-    ``w = a cos z + (a^2/4)(cos 2z - 1) + a^3 ((7+gamma)/64) cos 3z`` with
-    ``c = 1 + a^2 (1-gamma)/8``.
-    """
-    unit_a = _unit_amplitude(model, a, k)
+def _analytic_seed(model, unit_a, n_modes):
+    """``analytic_wave``'s profile and speed at ``k = 1``."""
     if n_modes < 3:
         raise ValueError("need at least 3 modes for the cubic truncation")
     cos = np.zeros(n_modes + 1)
@@ -185,7 +191,19 @@ def analytic_wave(model, a, k, n_modes=DEFAULT_N_MODES):
         a0, a2, a3 = -0.25, 0.25, (7.0 + model.gamma) / 64.0
     cos[:4] = unit_a**2 * a0, unit_a, unit_a**2 * a2, unit_a**3 * a3
     eta = TrigSeries(cos + 0.0)  # normalizes -0.0 at a = 0
-    c = wave_speed_expansion(model, unit_a)
+    return eta, wave_speed_expansion(model, unit_a)
+
+
+def analytic_wave(model, a, k, n_modes=DEFAULT_N_MODES):
+    """Third-order truncation of the small-amplitude branch.
+
+    At ``k = 1``, model A: ``eta = a cos z + (a^2/2)(cos 2z - 1) +
+    (7a^3/16) cos 3z`` with ``c = 1/sqrt3 + a^2/(4 sqrt3)``; model B:
+    ``w = a cos z + (a^2/4)(cos 2z - 1) + a^3 ((7+gamma)/64) cos 3z`` with
+    ``c = 1 + a^2 (1-gamma)/8``.
+    """
+    unit_a = _unit_amplitude(model, a, k)
+    eta, c = _analytic_seed(model, unit_a, n_modes)
     return WaveBranch(model=model, a=a, k=k, unit_a=unit_a, unit_eta=eta,
                       unit_c=c, residual_norm=residual(model, eta,
                                                        c).sup_norm())
@@ -224,7 +242,7 @@ def linearized_operator(model, eta, c):
         # L0 = -2 eta' D + D^2 [(2 eta - 3c^2) .] - 1
         odd = -2.0 * wz
         left = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
-        right = TrigSeries.zero(n)
+        right = None
     else:
         # L0 = [(-w' - g w' w'') .] D + D^2 [(w - c) .] - (g/2) w'^2 D^2 - 1
         g = model.gamma
@@ -232,23 +250,33 @@ def linearized_operator(model, eta, c):
         left = eta + TrigSeries.constant(-c, n)
         right = (-0.5 * g) * (wz * wz)
     # with X = diag(n + mu), D = i X, multiplication by the odd term i R and
-    # by the even terms C (left) and E (right): L0 = -R X - X^2 C - E X^2 - 1
-    r, cl, er = odd.mult_matrix(), left.mult_matrix(), right.mult_matrix()
+    # by the even terms C (left) and E (right): L0 = -R X - X^2 C - E X^2 - 1;
+    # model A has no E, and subtracting its zero term would change nothing.
+    # The products go through one scratch matrix, in the order of that sum.
+    r, cl = odd.mult_matrix(), left.mult_matrix()
     m = np.arange(-n, n + 1.0)
-    a0 = -(r * m) - (m**2)[:, None] * cl - er * m**2 - np.eye(2 * n + 1)
-    a1 = -r - (2.0 * m)[:, None] * cl - er * (2.0 * m)
-    a2 = -cl - er
+    m2, twice = m * m, 2.0 * m
+    a0, a1, a2 = np.multiply(r, -m), np.negative(r), np.negative(cl)
+    scratch = np.multiply(cl, m2[:, None])
+    a0 -= scratch
+    a1 -= np.multiply(cl, twice[:, None], out=scratch)
+    if right is not None:
+        er = right.mult_matrix()
+        a0 -= np.multiply(er, m2, out=scratch)
+        a1 -= np.multiply(er, twice, out=scratch)
+        a2 -= er
+    a0.ravel()[::2 * n + 2] -= 1.0
     return a0, a1, a2
 
 
-def _jacobian(model, eta, c):
-    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c);
-    the profile block folds ``exp(+-ijz)`` of the ``mu = 0`` operator
-    ``A0`` onto ``cos(jz)`` (Toeplitz plus Hankel part)."""
+def _bordered_jacobian(model, a0, eta, c):
+    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c) from
+    ``linearized_operator``'s ``A0`` at ``(eta, c)``: the profile block
+    folds ``exp(+-ijz)`` onto ``cos(jz)`` (Toeplitz plus Hankel part),
+    bordered by the speed column and the amplitude row."""
     n = eta.n_modes
-    op = linearized_operator(model, eta, c)[0]
-    fold = op[n:, n:].copy()
-    fold[:, 1:] += op[n:, n - 1::-1]
+    fold = a0[n:, n:].copy()
+    fold[:, 1:] += a0[n:, n - 1::-1]
     scale = np.full(n + 1, 2.0)
     scale[0] = 1.0
     sign = -1.0 if model.is_a else 1.0
@@ -268,9 +296,10 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     Unknowns are the profile's cosine coefficients and the speed ``c``;
     equations are the residual's cosine coefficients for harmonics
     ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
-    analytic expansion (``seed_order`` 1 keeps only ``a cos z``).  The
-    Jacobian is ``linearized_operator``'s ``A0`` on cosines, bordered by
-    the speed column and the amplitude row.  ``tol`` bounds the ``k = 1``
+    analytic expansion (``seed_order`` 1 keeps only ``a cos z``), whose
+    residual is first evaluated as Newton's first iterate.  The Jacobian
+    is ``linearized_operator``'s ``A0`` on cosines, bordered by the speed
+    column and the amplitude row.  ``tol`` bounds the ``k = 1``
     residual; ``ConvergenceError`` is raised when the iteration stalls
     above it, runs out of steps, or meets a singular Jacobian.
     """
@@ -280,8 +309,8 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     n = n_modes
 
     if seed_order >= 2:
-        seed = analytic_wave(model, a, k, n_modes=n)
-        x = np.concatenate([seed.unit_eta.cos, [seed.unit_c]])
+        eta, c = _analytic_seed(model, unit_a, n)
+        x = np.concatenate([eta.cos, [c]])
     else:
         x = np.zeros(n + 2)
         x[1], x[n + 1] = unit_a, model.c0(1.0)
@@ -310,7 +339,8 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
                 f"after {len(history)} steps", best)
         rhs = np.concatenate([res.cos, [x[1] - unit_a]])
         try:
-            dx = np.linalg.solve(_jacobian(model, eta, c), rhs)
+            dx = np.linalg.solve(_bordered_jacobian(
+                model, linearized_operator(model, eta, c)[0], eta, c), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular Newton Jacobian at step {len(history)}",
@@ -326,14 +356,16 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
 def branch_derivative(branch):
     """``d eta / d a`` along the branch, the same at every ``k``: the
     Newton system ``F(eta, c; a) = 0`` differentiated in ``a`` is the
-    bordered solve ``J t = e_{N+1}``.  At ``a = 0`` that ``J`` is singular
+    bordered solve ``J t = e_{N+1}``, with ``J`` from the branch's own
+    ``linearization``.  At ``a = 0`` that ``J`` is singular
     (``dR/dc`` vanishes with the profile) and the tangent is ``cos z``."""
     n = branch.n_modes
     if branch.unit_a == 0:
         return TrigSeries.cosine(1, n)
     rhs = np.zeros(n + 2)
     rhs[n + 1] = 1.0
-    jac = _jacobian(branch.model, branch.unit_eta, branch.unit_c)
+    jac = _bordered_jacobian(branch.model, branch.linearization[0],
+                             branch.unit_eta, branch.unit_c)
     try:
         tangent = np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:

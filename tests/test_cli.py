@@ -205,6 +205,43 @@ class TestSpectrumCommand:
         assert one == default
 
 
+@pytest.fixture
+def blas_threads():
+    """``set(count)`` for numpy's OpenBLAS threads; restored afterwards."""
+    from mwstab import bloch
+
+    threads = bloch._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = threads
+    before = get()
+    put(2)
+    if get() != 2:
+        put(before)
+        pytest.skip("OpenBLAS runs one thread on this host")
+    yield put
+    put(before)
+
+
+class TestHostThreads:
+    def test_wave_and_index_bytes_at_one_and_two_blas_threads(
+            self, capsys, blas_threads):
+        # the wave moved at rounding level with the thread count at N = 128
+        wave = ("wave", "--model", "A", "--a", "0.1", "--k", "1.5",
+                "--modes", "128")
+        index = ("index", "--model", "B", "--gamma", "2", "--a", "0.03",
+                 "--modes", "128", "--mu-grid=0.002:0.05:3",
+                 "--gamma-lo", "0.3", "--gamma-hi", "1.8")
+        runs = []
+        for count in (1, 2):
+            blas_threads(count)
+            runs.append([run_cli(capsys, *argv) for argv in (wave, index)])
+        (wave_one, index_one), (wave_two, index_two) = runs
+        assert wave_one == wave_two and wave_one[0] == EXIT_OK
+        assert index_one == index_two and index_one[0] == EXIT_OK
+        assert json.loads(index_one[1])["max_growth"] > 1e-6
+
+
 class TestIndexCommand:
     def test_model_a_default_grid_is_stable(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--model", "A", "--a", "0.02",
@@ -601,8 +638,8 @@ class TestSolverFailures:
     def test_singular_jacobian_exits_solver(self, capsys, monkeypatch):
         from mwstab import waves
 
-        monkeypatch.setattr(waves, "_jacobian",
-                            lambda model, eta, c: np.zeros(
+        monkeypatch.setattr(waves, "_bordered_jacobian",
+                            lambda model, a0, eta, c: np.zeros(
                                 (eta.n_modes + 2, eta.n_modes + 2)))
         code, _, err = run_cli(capsys, "wave", "--a", "0.05",
                                "--modes", "16")
@@ -611,16 +648,25 @@ class TestSolverFailures:
 
     def test_singular_bordered_system_exits_solver(self, capsys,
                                                    monkeypatch):
-        from mwstab import modulation
+        from mwstab import modulation, waves
 
-        def singular(branch):
-            raise ArithmeticError("bordered tangent system is singular")
+        # the wave converges; its own bordered tangent system is singular
+        solve = modulation.solve_wave
 
-        monkeypatch.setattr(modulation, "branch_derivative", singular)
-        code, _, err = run_cli(capsys, "index", "--a", "0.02",
-                               "--modes", "16")
-        assert code == EXIT_SOLVER
-        assert _strict_json(err)["error"] == "numeric"
+        def solved(*args, **kwargs):
+            branch = solve(*args, **kwargs)
+            monkeypatch.setattr(waves, "_bordered_jacobian",
+                                lambda model, a0, eta, c: np.zeros(
+                                    (eta.n_modes + 2, eta.n_modes + 2)))
+            return branch
+
+        monkeypatch.setattr(modulation, "solve_wave", solved)
+        code, out, err = run_cli(capsys, "index", "--a", "0.02",
+                                 "--modes", "16")
+        assert code == EXIT_SOLVER and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "numeric"
+        assert "bordered tangent system is singular" in payload["message"]
 
     def test_unsettled_critical_subspace_exits_solver(self, capsys,
                                                       monkeypatch):
@@ -634,6 +680,28 @@ class TestSolverFailures:
         assert payload["error"] == "convergence"
         assert "critical subspace" in payload["message"]
         assert payload["residual_norm"] > 0.0
+
+    @pytest.mark.parametrize("collapse", ["rank", "zero"])
+    def test_rank_deficient_critical_subspace_exits_solver(
+            self, capsys, monkeypatch, collapse):
+        from mwstab import modulation
+
+        step = modulation._subspace_step
+
+        def collapsed(matrix, basis):
+            # an image that has lost a dimension
+            if collapse == "zero":
+                return step(np.zeros_like(matrix), basis)
+            return step(matrix, np.column_stack([basis[:, 0], basis[:, 0]]))
+
+        monkeypatch.setattr(modulation, "_subspace_step", collapsed)
+        code, out, err = run_cli(capsys, "index", "--a", "0.02",
+                                 "--modes", "16")
+        assert code == EXIT_SOLVER and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "numeric"
+        assert "critical subspace" in payload["message"]
+        assert "nan" not in err.lower() and "inf" not in err.lower()
 
     def test_non_finite_residual_is_null(self, capsys, monkeypatch):
         from mwstab.waves import ConvergenceError

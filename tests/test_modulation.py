@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwstab import bloch, modulation
+from mwstab import bloch, modulation, waves
 from mwstab.fourier import TrigSeries
 from mwstab.waves import Model, solve_wave, SQRT3, ConvergenceError
 from mwstab.bloch import assemble_pencil, spectrum_slice
@@ -150,6 +150,19 @@ class TestProjectedDet:
             projected_det(MODEL_A, branch_a005, broken, 0.01)
 
 
+def collapsed_step(collapse):
+    """``_subspace_step`` fed an image that has lost a dimension: both
+    columns the first (``"rank"``) or all zero (``"zero"``)."""
+    step = modulation._subspace_step
+
+    def collapsed(matrix, basis):
+        if collapse == "zero":
+            return step(np.zeros_like(matrix), basis)
+        return step(matrix, np.column_stack([basis[:, 0], basis[:, 0]]))
+
+    return collapsed
+
+
 class TestCriticalGrowth:
     def test_flat_state_matches_dispersion(self):
         from mwstab.bloch import dispersion
@@ -195,6 +208,24 @@ class TestCriticalGrowth:
         lam_plus, _ = critical_growth(model, branch, mu)
         predicted = mu * np.sqrt(-det.disc) / (2.0 * det.d2)
         assert lam_plus.real == pytest.approx(predicted, rel=0.2)
+
+    @pytest.mark.parametrize("variant", "AB")
+    def test_pair_is_reported_at_the_waves_k(self, variant):
+        # the pair at k is the pair of the (a k^2, 1) wave carried by
+        # Units.frequency, in the units of projected_det's roots
+        model = Model(variant, gamma=2.0 if variant == "B" else 0.0)
+        k, a, mu = 2.0, 0.01, 0.02
+        branch = solve_wave(model, a, k, n_modes=32)
+        unit = solve_wave(model, a * k * k, 1.0, n_modes=32)
+        pair = critical_growth(model, branch, mu)
+        factor = k if variant == "A" else 1.0
+        assert pair == tuple(factor * x
+                             for x in critical_growth(model, unit, mu))
+        roots = projected_det(model, branch, critical_basis(model, branch),
+                              mu).lambda_roots()
+        bound = 10.0 * ((a * k * k)**3 + mu**3)
+        for measured in pair:
+            assert min(abs(measured - root) for root in roots) <= bound
 
     @pytest.mark.parametrize("mu", [0.005, -0.005])
     def test_growing_member_comes_first(self, mu):
@@ -246,18 +277,28 @@ class TestCriticalGrowth:
         lam = spectrum_slice(assemble_pencil(MODEL_A, branch_a005, 0.03)) \
             .eigenvalues
         ref = np.sort_complex(lam[np.argsort(np.abs(lam))[:2]])
-        norm = np.linalg.norm
+        step = modulation._subspace_step
         moves = []
 
-        def stalled(x):
-            moves.append(norm(x))
-            return 1.0 if len(moves) <= 2 else moves[-1]
+        def stalled(*args):
+            image, move = step(*args)
+            moves.append(move)
+            return image, 1.0 if len(moves) <= 2 else move
 
-        monkeypatch.setattr(np.linalg, "norm", stalled)
+        monkeypatch.setattr(modulation, "_subspace_step", stalled)
         pair = np.sort_complex(np.array(
             critical_growth(MODEL_A, branch_a005, 0.03)))
         assert len(moves) > 2
         assert np.abs(pair - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("collapse", ["rank", "zero"])
+    def test_a_rank_deficient_image_is_refused(self, branch_a005,
+                                               monkeypatch, collapse):
+        monkeypatch.setattr(modulation, "_subspace_step",
+                            collapsed_step(collapse))
+        with pytest.raises((ConvergenceError, ArithmeticError),
+                           match="critical subspace"):
+            critical_growth(MODEL_A, branch_a005, 0.03)
 
     def test_pair_on_the_side_of_the_shift_is_refused(self, branch_a005,
                                                       monkeypatch):
@@ -279,14 +320,14 @@ class TestCriticalGrowth:
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, 1.0, n_modes=32)
         spans = []
-        qr = np.linalg.qr
+        step = modulation._subspace_step
 
-        def recorded(matrix):
-            q, r = qr(matrix)
+        def recorded(*args):
+            q, move = step(*args)
             spans.append(q)
-            return q, r
+            return q, move
 
-        monkeypatch.setattr(np.linalg, "qr", recorded)
+        monkeypatch.setattr(modulation, "_subspace_step", recorded)
         critical_growth(model, branch, mu)
         n = branch.n_modes
         start = np.zeros((2 * n + 1, 2))
@@ -307,12 +348,14 @@ class TestCriticalGrowth:
     def test_pair_at_the_edges_of_the_accepted_domain(self, variant, gamma,
                                                       a, k, mu):
         # far outside gamma in [0, 3] and k in [0.8, 1.5], where the wave
-        # still converges; gamma = -1000 contracts the slowest (0.45 a step)
+        # still converges; gamma = -1000 contracts the slowest (0.45 a step);
+        # compared at k = 1, the units of the slice
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, k, n_modes=32)
         lam = spectrum_slice(assemble_pencil(model, branch, mu)).eigenvalues
         ref = np.sort_complex(lam[np.argsort(np.abs(lam))[:2]])
-        pair = np.sort_complex(np.array(critical_growth(model, branch, mu)))
+        pair = np.sort_complex(np.array(critical_growth(model, branch, mu))
+                               / branch.units.frequency(1.0))
         assert np.abs(pair - ref).max() <= 1e-10 * max(1.0, abs(ref).max())
 
 
@@ -328,7 +371,8 @@ def test_critical_pair_is_the_slice_pair_nearest_zero(variant, a, k, gamma,
     the whole slice, to 1e-10 max(1, |lambda|) + min(r, r^2 / gap) with
     r = sqrt(eps max|L0|) and ``gap`` the distance to the nearest other
     eigenvalue, the bound ``test_real_reduction_matches_qz`` uses; a growing
-    pair comes with its growing member first."""
+    pair comes with its growing member first.  Compared at ``k = 1``, the
+    units of the slice."""
     n = 32
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=n)
@@ -341,7 +385,8 @@ def test_critical_pair_is_the_slice_pair_nearest_zero(variant, a, k, gamma,
     r = np.sqrt(np.finfo(float).eps * np.abs(pencil.L0).max())
     tol = 1e-10 * np.maximum(1.0, np.abs(ref)) \
         + np.minimum(r, r * r / gaps.min(axis=1))
-    pair = np.array(critical_growth(model, branch, mu))
+    pair = np.array(critical_growth(model, branch, mu)) \
+        / branch.units.frequency(1.0)
     assert (np.all(np.abs(pair - ref) <= tol)
             or np.all(np.abs(pair[::-1] - ref) <= tol))
     if mu != 0.0 and ref.real.max() > tol.max():
@@ -416,25 +461,38 @@ class TestVerdicts:
         assert solved == list(np.linspace(0.0, 0.05, 5)[1:])
 
     def test_one_coefficient_build_per_branch(self, monkeypatch):
-        builds, solves = [], []
-        build, solve = bloch.linearized_operator, modulation.solve_wave
+        # the operator is built once per Newton Jacobian and once per
+        # converged wave, whose bordered tangent and Bloch pencil share it:
+        # one build per entry of newton_residuals (the last iterate
+        # converges without a Jacobian)
+        builds, starts, branches = [], [], []
+        build, solve = waves.linearized_operator, modulation.solve_wave
 
         def counted_build(*args):
             builds.append(args)
             return build(*args)
 
         def counted_solve(*args, **kwargs):
-            solves.append(args)
-            return solve(*args, **kwargs)
+            starts.append(len(builds))
+            branches.append(solve(*args, **kwargs))
+            return branches[-1]
 
-        monkeypatch.setattr(bloch, "linearized_operator", counted_build)
+        def per_solve():
+            ends = starts[1:] + [len(builds)]
+            return [end - start for start, end in zip(starts, ends)]
+
+        for module in (waves, bloch):
+            monkeypatch.setattr(module, "linearized_operator", counted_build)
         monkeypatch.setattr(modulation, "solve_wave", counted_solve)
         discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
                            np.linspace(0.0, 0.05, 11), n_modes=16)
-        assert len(builds) == len(solves) == 1
+        assert len(branches) == 1
+        assert per_solve() == [len(branches[0].newton_residuals)]
+        builds.clear(), starts.clear(), branches.clear()
         threshold_bisect(1.0, 0.01, 0.0, 2.0, width=0.1, n_modes=16)
-        # one per evaluation: each evaluation solves one wave
-        assert len(builds) == len(solves) > 3
+        # one wave per evaluation
+        assert len(branches) > 3
+        assert per_solve() == [len(b.newton_residuals) for b in branches]
 
     def test_margin_function(self):
         assert positivity_margin(0.0, 0.0) == 1e-10

@@ -122,6 +122,30 @@ class TestSolveWave:
         branch = solve_wave(Model("B", gamma=3.0), 0.05, 1.0)
         assert branch.eta.is_even()
 
+    @pytest.mark.parametrize("seed_order", [1, 3])
+    def test_one_residual_norm_per_newton_iterate(self, monkeypatch,
+                                                  seed_order):
+        # the analytic seed is Newton's first iterate: its residual is
+        # measured there, not once more while seeding
+        calls = []
+        sup_norm = TrigSeries.sup_norm
+
+        def counted(series):
+            calls.append(series)
+            return sup_norm(series)
+
+        monkeypatch.setattr(TrigSeries, "sup_norm", counted)
+        for model in (MODEL_A, Model("B", gamma=2.0)):
+            calls.clear()
+            branch = solve_wave(model, 0.05, 1.0, n_modes=32,
+                                seed_order=seed_order)
+            assert len(calls) == len(branch.newton_residuals) > 1
+
+    def test_seeded_newton_starts_from_the_analytic_wave(self):
+        seed = analytic_wave(MODEL_A, 0.05, 1.0, n_modes=32)
+        branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=32)
+        assert branch.newton_residuals[0] == seed.residual_norm
+
     def test_convergence_error_carries_residual(self):
         with pytest.raises(ConvergenceError) as info:
             solve_wave(MODEL_A, 0.2, 1.0, max_iter=1, seed_order=1,
@@ -156,8 +180,8 @@ class TestBranchDerivative:
     def test_singular_bordered_system_is_arithmetic_error(self,
                                                           monkeypatch):
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
-        monkeypatch.setattr(waves, "_jacobian",
-                            lambda model, eta, c: np.zeros((18, 18)))
+        monkeypatch.setattr(waves, "_bordered_jacobian",
+                            lambda model, a0, eta, c: np.zeros((18, 18)))
         with pytest.raises(ArithmeticError, match="singular"):
             branch_derivative(branch)
 
