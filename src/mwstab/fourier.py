@@ -237,19 +237,24 @@ class TrigSeries:
         sin = (pos - neg).imag * -1.0
         return cls(cos, sin)
 
-    def mult_matrix(self):
-        """Multiplication by a series of one parity in the exponential
-        basis, as a real Toeplitz matrix ``R``: multiplication is ``R`` for
-        an even series and ``i R`` for an odd one.  Entry ``(p, q)`` comes
-        from the ``exp(i(p-q)z)`` coefficient, and products are truncated to
-        ``|p| <= N`` as in ``*``.  A series with both parts raises
-        ``ValueError``."""
+    def band(self):
+        """The band of ``mult_matrix``: entry ``j + 2N`` is the real
+        coefficient of ``exp(ijz)`` (imaginary for an odd series), the
+        ``(p, q)`` entry for ``p - q = j``, zero for ``N < |j| <= 2N``.  A
+        series with both parts raises ``ValueError``."""
         n = self.n_modes
         if not (self.is_even() or self.is_odd()):
             raise ValueError("a series with both cosines and sines has no "
                              "real multiplication matrix")
         modes = self.to_modes()
         band = modes.real if self.is_even() else modes.imag
-        padded = np.concatenate([np.zeros(n), band, np.zeros(n)])
+        return np.concatenate([np.zeros(n), band, np.zeros(n)])
+
+    def mult_matrix(self):
+        """Multiplication by a series of one parity in the exponential
+        basis, as a real Toeplitz matrix ``R`` gathered from ``band``:
+        multiplication is ``R`` for an even series and ``i R`` for an odd
+        one.  Products are truncated to ``|p| <= N`` as in ``*``."""
+        n = self.n_modes
         idx = np.arange(2 * n + 1)
-        return padded[idx[:, None] - idx[None, :] + 2 * n]
+        return self.band()[idx[:, None] - idx[None, :] + 2 * n]

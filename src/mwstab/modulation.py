@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from .fourier import TrigSeries
 from .waves import (Model, Units, ConvergenceError, solve_wave,
                     branch_derivative, DEFAULT_N_MODES, DEFAULT_TOL)
-from .bloch import (assemble_pencil, pencil_coefficients, dispersion,
-                    parallel_map)
+from .bloch import pencil_coefficients, dispersion, parallel_map
 
 __all__ = [
     "CriticalBasis", "QuadraticDet", "StabilityReport",
@@ -235,10 +234,14 @@ def critical_growth(model, branch, mu, n_modes=None):
     (up to ``_SHIFT_SIDE_NOISE``) is the pair nearest zero: a frequency on
     ``sigma``'s side, or no settled span after ``_MAX_SUBSPACE_STEPS``
     steps, raises ``ConvergenceError``.
+
+    At ``mu != 0`` the pair is first solved on the central block of modes
+    ``|n| <= N // 2`` (``_central_pair``) and kept where the modes it drops
+    do not see it; otherwise, and at ``mu = 0``, on the whole pencil.
     """
     if abs(mu) > 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
-    pair = _critical_pair(assemble_pencil(model, branch, mu, n_modes=n_modes))
+    pair = _pair_at(pencil_coefficients(model, branch, n_modes), mu)
     return tuple(branch.units.frequency(x) for x in pair)
 
 
@@ -270,10 +273,11 @@ def _subspace_step(step, basis):
     return image, math.sqrt(np.vdot(moved, moved))
 
 
-def _critical_pair(pencil):
-    """``critical_growth`` on an assembled pencil, at ``k = 1``."""
-    model, mu, l0, s = pencil.model, pencil.mu, pencil.L0, pencil.s
-    n = pencil.n_modes
+def _subspace_pair(model, mu, l0, s):
+    """``critical_growth``'s shifted subspace iteration and 2x2 Ritz pencil
+    on the modes ``|n| <= s.size // 2`` of ``L0 v = omega diag(s) v``:
+    the settled orthonormal basis, its two frequencies and the last move."""
+    n = s.size // 2
     sigma = _critical_shift(model, mu)
     basis = np.zeros((2 * n + 1, 2))
     basis[n + 1, 0] = basis[n - 1, 1] = 1.0
@@ -297,6 +301,13 @@ def _critical_pair(pencil):
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"critical pair solve failed at mu={mu}: {exc}") from exc
+    return basis, omega, move
+
+
+def _labelled_pair(model, mu, omega, move):
+    """The kept frequencies ``omega`` as ``critical_growth``'s pair, after
+    the shift-side and degeneracy checks."""
+    sigma = _critical_shift(model, mu)
     if np.max(omega.real * np.sign(sigma)) > _SHIFT_SIDE_NOISE * abs(sigma):
         raise ConvergenceError(
             f"critical subspace at mu={mu} settled on frequencies "
@@ -313,6 +324,59 @@ def _critical_pair(pencil):
     if kept > swapped or (kept == swapped and pair[0].real < pair[1].real):
         pair = pair[::-1]
     return complex(pair[0]), complex(pair[1])
+
+
+def _critical_pair(pencil):
+    """``critical_growth`` on a whole assembled pencil, at ``k = 1``."""
+    _, omega, move = _subspace_pair(pencil.model, pencil.mu, pencil.L0,
+                                    pencil.s)
+    return _labelled_pair(pencil.model, pencil.mu, omega, move)
+
+
+def _central_pair(coefficients, mu):
+    """The pair's frequencies and last move from the central block of
+    modes ``|n| <= N // 2``, or ``None`` where the block cannot stand for
+    the whole pencil.
+
+    The block's ``L0(mu)`` is the whole one's restricted, formed from the
+    same coefficients in the same order of operations, so its entries are
+    the whole one's.  Its settled basis ``Q`` is kept when the rows the
+    block drops, applied to ``Q``, stay within the rounding of the block's
+    own product: ``|L0[out, in] Q|_F <= eps |(|L0[in, in]| |Q|)|_F``.  Then
+    truncation costs less than the whole computation loses to rounding
+    (Hill's method resolves an eigenpair once its coupling to the dropped
+    modes is negligible; Curtis & Deconinck, Math. Comp. 79, 2010).
+    """
+    n = coefficients.n_modes
+    half = n // 2
+    inner = slice(n - half, n + half + 1)
+    terms = (coefficients.A0, coefficients.A1, coefficients.A2)
+    a0, a1, a2 = (term[inner, inner] for term in terms)
+    l0 = a0 + mu * a1
+    l0 += (mu * mu) * a2
+    s = coefficients.alpha * (np.arange(-half, half + 1) + mu)
+    basis, omega, move = _subspace_pair(coefficients.model, mu, l0, s)
+    c0, c1, c2 = (term[:, inner] @ basis for term in terms)
+    coupling = np.delete(c0 + mu * c1 + (mu * mu) * c2, inner, axis=0)
+    floor = np.finfo(float).eps * np.linalg.norm(np.abs(l0) @ np.abs(basis))
+    if not np.linalg.norm(coupling) <= floor:
+        return None
+    return omega, move
+
+
+def _pair_at(coefficients, mu):
+    """``critical_growth``'s pair at ``k = 1`` from a branch's pencil
+    coefficients: from ``_central_pair`` where it stands for the whole
+    pencil, else, or where the block's solve fails, from the whole pencil,
+    as ``_critical_pair``.  The checks run once, on the pair kept."""
+    if mu != 0.0 and coefficients.n_modes >= 2:
+        try:
+            central = _central_pair(coefficients, mu)
+        except (ArithmeticError, ConvergenceError):
+            central = None
+        if central is not None:
+            return _labelled_pair(coefficients.model, mu, *central)
+    return _critical_pair(coefficients.at(mu))
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
@@ -343,7 +407,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     unit_a, shown = branch.unit_a, branch.units
     dets = [_quadratic_det(d, mu, unit_a, Units(model, 1.0))
             for mu in mu_grid]
-    pairs = parallel_map(lambda mu: _critical_pair(coefficients.at(mu)),
+    pairs = parallel_map(lambda mu: _pair_at(coefficients, mu),
                          [mu for mu in mu_grid if mu != 0.0])
     # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
     growth = max([0.0, *(max(lp.real, lm.real) for lp, lm in pairs)])

@@ -144,8 +144,7 @@ class WaveBranch:
     @functools.cached_property
     def linearization(self):
         """``linearized_operator``'s ``(A0, A1, A2)`` at this wave, built on
-        first use and shared by the bordered tangent and the Bloch pencil;
-        read-only."""
+        first use for the Bloch pencil and its projections; read-only."""
         operator = linearized_operator(self.model, self.unit_eta,
                                        self.unit_c)
         for matrix in operator:
@@ -221,18 +220,11 @@ def residual(model, eta, c):
         - 0.5 * model.gamma * (d2 * sq) - eta
 
 
-def linearized_operator(model, eta, c):
-    """Linearized traveling-wave ODE at ``k = 1`` about ``(eta, c)`` on
-    Bloch modes ``exp(i mu z) V(z)``, as the matrix on the ``exp(inz)``
-    coefficients of ``V``, ``|n| <= eta.n_modes``: the ``L0`` of the Bloch
-    pencil, and at ``mu = 0`` minus (A) or plus (B) the derivative of
-    ``residual`` in the profile.  ``mu`` enters only through ``D = d/dz +
-    i mu``, at most squared, so ``L0(mu) = A0 + mu A1 + mu^2 A2``; the real
-    ``(A0, A1, A2)`` of an even profile are returned (any other profile
-    raises ``ValueError``).  ``D^2`` acts *after* multiplication by the
-    profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
-    term multiplies *after* differentiation.
-    """
+def _operator_terms(model, eta, c):
+    """The profile series of ``linearized_operator`` at ``(eta, c)``: with
+    ``X = diag(n + mu)``, ``D = i X``, multiplication by the odd term
+    ``i R`` and by the even terms ``C`` (left) and ``E`` (right),
+    ``L0 = -R X - X^2 C - E X^2 - 1``.  Model A has no ``E`` (``None``)."""
     if not eta.is_even():
         raise ValueError("the linearized operator is built for an even "
                          "profile only")
@@ -249,34 +241,75 @@ def linearized_operator(model, eta, c):
         odd = -wz + (-g) * (wz * eta.deriv(2))
         left = eta + TrigSeries.constant(-c, n)
         right = (-0.5 * g) * (wz * wz)
-    # with X = diag(n + mu), D = i X, multiplication by the odd term i R and
-    # by the even terms C (left) and E (right): L0 = -R X - X^2 C - E X^2 - 1;
-    # model A has no E, and subtracting its zero term would change nothing.
-    # The products go through one scratch matrix, in the order of that sum.
-    r, cl = odd.mult_matrix(), left.mult_matrix()
+    return odd, left, right
+
+
+def _a0_block(r, cl, er, rows, cols):
+    """``A0``, ``L0`` at ``mu = 0`` without its ``-1``, at row modes
+    ``rows`` and column modes ``cols`` from the terms' entries there, in
+    ``linearized_operator``'s order of operations: every entry is that
+    operator's to the last bit."""
+    a0 = np.multiply(r, -cols)
+    a0 -= np.multiply(cl, (rows * rows)[:, None])
+    if er is not None:
+        a0 -= np.multiply(er, cols * cols)
+    return a0
+
+
+def linearized_operator(model, eta, c):
+    """Linearized traveling-wave ODE at ``k = 1`` about ``(eta, c)`` on
+    Bloch modes ``exp(i mu z) V(z)``, as the matrix on the ``exp(inz)``
+    coefficients of ``V``, ``|n| <= eta.n_modes``: the ``L0`` of the Bloch
+    pencil, and at ``mu = 0`` minus (A) or plus (B) the derivative of
+    ``residual`` in the profile.  ``mu`` enters only through ``D = d/dz +
+    i mu``, at most squared, so ``L0(mu) = A0 + mu A1 + mu^2 A2``; the real
+    ``(A0, A1, A2)`` of an even profile are returned (any other profile
+    raises ``ValueError``).  ``D^2`` acts *after* multiplication by the
+    profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
+    term multiplies *after* differentiation (``_operator_terms``).
+    """
+    r, cl, er = (None if term is None else term.mult_matrix()
+                 for term in _operator_terms(model, eta, c))
+    n = eta.n_modes
     m = np.arange(-n, n + 1.0)
-    m2, twice = m * m, 2.0 * m
-    a0, a1, a2 = np.multiply(r, -m), np.negative(r), np.negative(cl)
-    scratch = np.multiply(cl, m2[:, None])
-    a0 -= scratch
-    a1 -= np.multiply(cl, twice[:, None], out=scratch)
-    if right is not None:
-        er = right.mult_matrix()
-        a0 -= np.multiply(er, m2, out=scratch)
-        a1 -= np.multiply(er, twice, out=scratch)
-        a2 -= er
+    a0 = _a0_block(r, cl, er, m, m)
     a0.ravel()[::2 * n + 2] -= 1.0
+    twice = 2.0 * m
+    a1, a2 = np.negative(r), np.negative(cl)
+    a1 -= np.multiply(cl, twice[:, None])
+    if er is not None:
+        a1 -= np.multiply(er, twice)
+        a2 -= er
     return a0, a1, a2
 
 
-def _bordered_jacobian(model, a0, eta, c):
-    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c) from
-    ``linearized_operator``'s ``A0`` at ``(eta, c)``: the profile block
-    folds ``exp(+-ijz)`` onto ``cos(jz)`` (Toeplitz plus Hankel part),
-    bordered by the speed column and the amplitude row."""
+def _cosine_fold(model, eta, c):
+    """``A0`` at ``(eta, c)`` folded onto cosines, assembled from the bands
+    of ``_operator_terms`` without the rest of the operator: rows and
+    columns ``0..N`` (Toeplitz part, with the ``-1``), plus from column 1
+    on the columns ``-1..-N`` (Hankel part), which ``exp(-ijz)`` brings to
+    ``cos(jz)``."""
+    bands = [None if term is None else term.band()
+             for term in _operator_terms(model, eta, c)]
     n = eta.n_modes
-    fold = a0[n:, n:].copy()
-    fold[:, 1:] += a0[n:, n - 1::-1]
+    idx = np.arange(n + 1)
+    p = np.arange(n + 1.0)
+
+    def block(index, cols):
+        return _a0_block(*(None if band is None else band[index]
+                           for band in bands), p, cols)
+
+    fold = block(idx[:, None] - idx[None, :] + 2 * n, p)
+    fold.ravel()[::n + 2] -= 1.0
+    fold[:, 1:] += block(idx[:, None] + idx[None, 1:] + 2 * n, -p[1:])
+    return fold
+
+
+def _bordered_jacobian(model, fold, eta, c):
+    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c) from
+    ``_cosine_fold``'s folded ``A0`` at ``(eta, c)``, bordered by the speed
+    column and the amplitude row."""
+    n = eta.n_modes
     scale = np.full(n + 1, 2.0)
     scale[0] = 1.0
     sign = -1.0 if model.is_a else 1.0
@@ -298,8 +331,9 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
     analytic expansion (``seed_order`` 1 keeps only ``a cos z``), whose
     residual is first evaluated as Newton's first iterate.  The Jacobian
-    is ``linearized_operator``'s ``A0`` on cosines, bordered by the speed
-    column and the amplitude row.  ``tol`` bounds the ``k = 1``
+    is ``linearized_operator``'s ``A0`` on cosines (``_cosine_fold``, which
+    assembles only those rows), bordered by the speed column and the
+    amplitude row.  ``tol`` bounds the ``k = 1``
     residual; ``ConvergenceError`` is raised when the iteration stalls
     above it, runs out of steps, or meets a singular Jacobian.
     """
@@ -340,7 +374,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
         rhs = np.concatenate([res.cos, [x[1] - unit_a]])
         try:
             dx = np.linalg.solve(_bordered_jacobian(
-                model, linearized_operator(model, eta, c)[0], eta, c), rhs)
+                model, _cosine_fold(model, eta, c), eta, c), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular Newton Jacobian at step {len(history)}",
@@ -356,16 +390,17 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
 def branch_derivative(branch):
     """``d eta / d a`` along the branch, the same at every ``k``: the
     Newton system ``F(eta, c; a) = 0`` differentiated in ``a`` is the
-    bordered solve ``J t = e_{N+1}``, with ``J`` from the branch's own
-    ``linearization``.  At ``a = 0`` that ``J`` is singular
-    (``dR/dc`` vanishes with the profile) and the tangent is ``cos z``."""
+    bordered solve ``J t = e_{N+1}``, with ``J`` assembled as Newton's.
+    At ``a = 0`` that ``J`` is singular (``dR/dc`` vanishes with the
+    profile) and the tangent is ``cos z``."""
     n = branch.n_modes
     if branch.unit_a == 0:
         return TrigSeries.cosine(1, n)
     rhs = np.zeros(n + 2)
     rhs[n + 1] = 1.0
-    jac = _bordered_jacobian(branch.model, branch.linearization[0],
-                             branch.unit_eta, branch.unit_c)
+    eta, c = branch.unit_eta, branch.unit_c
+    jac = _bordered_jacobian(branch.model, _cosine_fold(branch.model, eta, c),
+                             eta, c)
     try:
         tangent = np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:

@@ -317,28 +317,34 @@ class TestCriticalGrowth:
                                                  monkeypatch):
         # a stop at a move of 1e-6 leaves the pair off by up to 1e-11
         # relative, too little for a comparison with the slice to see
+        # each iteration, on the central block and on the whole pencil
+        # after a block that fails its certificate, from its own size
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, 1.0, n_modes=32)
-        spans = []
+        runs = []
         step = modulation._subspace_step
 
         def recorded(*args):
             q, move = step(*args)
-            spans.append(q)
+            if not runs or runs[-1][-1].shape != q.shape:
+                runs.append([])
+            runs[-1].append(q)
             return q, move
 
         monkeypatch.setattr(modulation, "_subspace_step", recorded)
         critical_growth(model, branch, mu)
-        n = branch.n_modes
-        start = np.zeros((2 * n + 1, 2))
-        start[n + 1, 0] = start[n - 1, 1] = 1.0
-        moves = [np.linalg.norm(q - p @ (p.T @ q))
-                 for p, q in zip([start] + spans, spans)]
-        assert moves[-1] <= 64 * np.finfo(float).eps
-        # and stopped at the first step whose move did not shrink
-        assert moves[-2] <= moves[-1]
-        assert not any(m <= m_next <= modulation._SUBSPACE_TOL
-                       for m, m_next in zip(moves[:-2], moves[1:-1]))
+        assert runs[0][0].shape[0] == 2 * (branch.n_modes // 2) + 1
+        for spans in runs:
+            n = spans[0].shape[0] // 2
+            start = np.zeros((2 * n + 1, 2))
+            start[n + 1, 0] = start[n - 1, 1] = 1.0
+            moves = [np.linalg.norm(q - p @ (p.T @ q))
+                     for p, q in zip([start] + spans, spans)]
+            assert moves[-1] <= 64 * np.finfo(float).eps
+            # and stopped at the first step whose move did not shrink
+            assert moves[-2] <= moves[-1]
+            assert not any(m <= m_next <= modulation._SUBSPACE_TOL
+                           for m, m_next in zip(moves[:-2], moves[1:-1]))
 
     @pytest.mark.parametrize("variant,gamma,a,k", [
         ("B", -1000.0, 0.02, 1.4), ("B", 1000.0, 0.005, 1.0),
@@ -394,6 +400,83 @@ def test_critical_pair_is_the_slice_pair_nearest_zero(variant, a, k, gamma,
         assert pair[0].real == pytest.approx(ref.real.max(), rel=1e-9)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
+       k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0),
+       mu=st.one_of(st.just(0.0),
+                    st.floats(-0.1, 0.1).filter(
+                        lambda mu: abs(mu) >= 1e-3)))
+def test_certified_block_pair_is_the_whole_pencils(variant, a, k, gamma, mu):
+    """At N = 64, over ``test_critical_pair_is_the_slice_pair_nearest_zero``'s
+    domain: where the central block's certificate holds, ``critical_growth``
+    gives the whole pencil's pair to 1e-13 relative; elsewhere, and at
+    ``mu = 0``, that pair to the last bit.  The certificate holds wherever
+    ``a k^2 <= 0.078``, the benchmark's domain."""
+    model = Model(variant, gamma=gamma if variant == "B" else 0.0)
+    branch = solve_wave(model, a, k, n_modes=64)
+    coefficients = bloch.pencil_coefficients(model, branch)
+    whole = tuple(branch.units.frequency(x) for x in modulation._critical_pair(
+        assemble_pencil(model, branch, mu)))
+    central = None if mu == 0.0 else modulation._central_pair(coefficients, mu)
+    pair = critical_growth(model, branch, mu)
+    if central is None:
+        assert a * k * k > 0.078 or mu == 0.0
+        assert pair == whole
+    else:
+        scale = max(abs(x) for x in whole)
+        assert max(abs(x - y) for x, y in zip(pair, whole)) <= 1e-13 * scale
+
+
+class TestCentralBlock:
+    @pytest.mark.parametrize("variant,gamma,a", [
+        ("A", 0.0, 0.45), ("B", 50.0, 0.078), ("B", 2.0, 0.2)])
+    def test_a_failed_certificate_gives_the_whole_pencils_pair(
+            self, variant, gamma, a):
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, a, 1.0, n_modes=64)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        for mu in (0.005, 0.03, -0.05, 0.1):
+            assert modulation._central_pair(coefficients, mu) is None
+            whole = modulation._critical_pair(
+                assemble_pencil(model, branch, mu))
+            assert critical_growth(model, branch, mu) == whole
+
+    @pytest.mark.parametrize("error", [
+        ArithmeticError("block"), ConvergenceError("block", 1.0)])
+    def test_a_failed_block_solve_gives_the_whole_pencils_pair(
+            self, monkeypatch, error):
+        # only the block's solve raises; the whole pencil's is left alone
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=64)
+        solve = modulation._subspace_pair
+        blocks = []
+
+        def failing(model, mu, l0, s):
+            if s.size < 2 * branch.n_modes + 1:
+                blocks.append(mu)
+                raise error
+            return solve(model, mu, l0, s)
+
+        mus = (0.005, 0.03, -0.05)
+        wholes = [modulation._critical_pair(assemble_pencil(model, branch,
+                                                            mu))
+                  for mu in mus]
+        monkeypatch.setattr(modulation, "_subspace_pair", failing)
+        assert [critical_growth(model, branch, mu) for mu in mus] == wholes
+        assert blocks == list(mus)
+
+    def test_the_sweep_runs_on_the_block(self, monkeypatch):
+        # with the whole pencil's solve refused, a sweep in the benchmark's
+        # domain still completes: every pair came from the block
+        def refused(pencil):
+            raise AssertionError("whole pencil solved")
+
+        monkeypatch.setattr(modulation, "_critical_pair", refused)
+        report = discriminant_sweep(Model("B", gamma=2.0), 0.05, 1.2,
+                                    np.linspace(0.0, 0.05, 11))
+        assert report.verdict == "unstable"
+
+
 class TestVerdicts:
     def test_model_a_stable(self):
         report = discriminant_sweep(MODEL_A, 0.02, 1.0,
@@ -443,14 +526,14 @@ class TestVerdicts:
         # B, gamma = 2, a = 0.01: of this grid only mu = 0 lies in the band
         # mu < a k^2 sqrt(gamma - 1) / 2 = 0.005, where the critical pair is
         # the double zero, whose measured real part is rounding noise
-        measured = modulation._critical_pair
+        measured = modulation._pair_at
         solved = []
 
-        def recorded(pencil):
-            solved.append(pencil.mu)
-            return measured(pencil)
+        def recorded(coefficients, mu):
+            solved.append(mu)
+            return measured(coefficients, mu)
 
-        monkeypatch.setattr(modulation, "_critical_pair", recorded)
+        monkeypatch.setattr(modulation, "_pair_at", recorded)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
                                     np.linspace(0.0, 0.05, 5), n_modes=32)
         assert report.disc_samples[0][1] < 0.0
@@ -461,16 +544,22 @@ class TestVerdicts:
         assert solved == list(np.linspace(0.0, 0.05, 5)[1:])
 
     def test_one_coefficient_build_per_branch(self, monkeypatch):
-        # the operator is built once per Newton Jacobian and once per
-        # converged wave, whose bordered tangent and Bloch pencil share it:
-        # one build per entry of newton_residuals (the last iterate
-        # converges without a Jacobian)
-        builds, starts, branches = [], [], []
+        # the operator is built once per converged wave, for its Bloch
+        # pencil and projection; each Newton Jacobian and the bordered
+        # tangent fold A0 onto cosines instead: one fold per entry of
+        # newton_residuals (the last iterate converges without a Jacobian,
+        # and the tangent takes one)
+        builds, folds, starts, branches = [], [], [], []
         build, solve = waves.linearized_operator, modulation.solve_wave
+        fold = waves._cosine_fold
 
         def counted_build(*args):
             builds.append(args)
             return build(*args)
+
+        def counted_fold(*args):
+            folds.append(args)
+            return fold(*args)
 
         def counted_solve(*args, **kwargs):
             starts.append(len(builds))
@@ -483,16 +572,19 @@ class TestVerdicts:
 
         for module in (waves, bloch):
             monkeypatch.setattr(module, "linearized_operator", counted_build)
+        monkeypatch.setattr(waves, "_cosine_fold", counted_fold)
         monkeypatch.setattr(modulation, "solve_wave", counted_solve)
         discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
                            np.linspace(0.0, 0.05, 11), n_modes=16)
         assert len(branches) == 1
-        assert per_solve() == [len(branches[0].newton_residuals)]
-        builds.clear(), starts.clear(), branches.clear()
+        assert per_solve() == [1]
+        assert len(folds) == len(branches[0].newton_residuals)
+        builds.clear(), folds.clear(), starts.clear(), branches.clear()
         threshold_bisect(1.0, 0.01, 0.0, 2.0, width=0.1, n_modes=16)
         # one wave per evaluation
         assert len(branches) > 3
-        assert per_solve() == [len(b.newton_residuals) for b in branches]
+        assert per_solve() == [1] * len(branches)
+        assert len(folds) == sum(len(b.newton_residuals) for b in branches)
 
     def test_margin_function(self):
         assert positivity_margin(0.0, 0.0) == 1e-10

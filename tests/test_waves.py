@@ -186,6 +186,26 @@ class TestBranchDerivative:
             branch_derivative(branch)
 
 
+@pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 0.0),
+                                           ("B", 2.0), ("B", -1000.0)])
+@pytest.mark.parametrize("n", [16, 64])
+def test_cosine_fold_is_the_fold_of_the_whole_operator(variant, gamma, n):
+    """Newton's and the tangent's folded A0, assembled from the operator's
+    bands alone, equals the fold of ``linearized_operator``'s A0 to the
+    last bit: at the analytic seed, Newton's first Jacobian, and at the
+    converged wave."""
+    model = Model(variant, gamma=gamma)
+    branch = solve_wave(model, 0.02, 1.0, n_modes=n)
+    seed = waves._analytic_seed(model, 0.02, n)
+    for eta, c in (seed, (branch.unit_eta, branch.unit_c)):
+        a0 = linearized_operator(model, eta, c)[0]
+        whole = a0[n:, n:].copy()
+        whole[:, 1:] += a0[n:, n - 1::-1]
+        fold = waves._cosine_fold(model, eta, c)
+        assert fold.shape == (n + 1, n + 1)
+        assert np.array_equal(fold, whole)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
        k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0))
