@@ -59,15 +59,17 @@ class PencilCoefficients:
     A2: np.ndarray
     alpha: float
 
-    def at(self, mu):
-        """The pencil at one Floquet exponent."""
+    def at(self, mu, half=None):
+        """The pencil at one Floquet exponent on the modes ``|n| <= half``
+        (all by default), entry for entry a block of the whole pencil."""
         if not -0.5 < mu <= 0.5:
             raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
-        l0 = self.A0 + mu * self.A1
-        l0 += (mu * mu) * self.A2
-        s = self.alpha * (np.arange(-self.n_modes, self.n_modes + 1) + mu)
-        return BlochPencil(model=self.model, mu=mu, n_modes=self.n_modes,
-                           L0=l0, s=s)
+        n = self.n_modes if half is None else half
+        inner = slice(self.n_modes - n, self.n_modes + n + 1)
+        l0 = self.A0[inner, inner] + mu * self.A1[inner, inner]
+        l0 += (mu * mu) * self.A2[inner, inner]
+        s = self.alpha * (np.arange(-n, n + 1) + mu)
+        return BlochPencil(model=self.model, mu=mu, n_modes=n, L0=l0, s=s)
 
 
 @dataclass(frozen=True)

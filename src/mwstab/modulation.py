@@ -16,6 +16,7 @@ each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch,
 at ``k = 1`` (``projected_det`` and reports give it at the wave's ``k``).
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ def projected_det(model, branch, basis, mu, n_modes=None):
     """Projected determinant, rescaled coefficients, and discriminant at
     the branch's ``k``; ``d_j = b_j / mu^(2-j)`` are polynomials in
     ``mu^2`` (``_det_polynomials``), evaluated directly, ``mu = 0`` too."""
-    if abs(mu) > 0.2:
+    if not abs(mu) <= 0.2:
         raise ValueError("projection is meaningful only for |mu| <= 0.2")
     d = _det_polynomials(pencil_coefficients(model, branch, n_modes), basis)
     return _quadratic_det(d, mu, branch.a, branch.units)
@@ -236,10 +237,10 @@ def critical_growth(model, branch, mu, n_modes=None):
     steps, raises ``ConvergenceError``.
 
     At ``mu != 0`` the pair is first solved on the central block of modes
-    ``|n| <= N // 2`` (``_central_pair``) and kept where the modes it drops
-    do not see it; otherwise, and at ``mu = 0``, on the whole pencil.
+    ``|n| <= N // 2`` and kept where the modes it drops do not see it;
+    otherwise, and at ``mu = 0``, on the whole pencil.
     """
-    if abs(mu) > 0.1:
+    if not abs(mu) <= 0.1:
         raise ValueError("critical tracking is restricted to |mu| <= 0.1")
     pair = _pair_at(pencil_coefficients(model, branch, n_modes), mu)
     return tuple(branch.units.frequency(x) for x in pair)
@@ -273,37 +274,6 @@ def _subspace_step(step, basis):
     return image, math.sqrt(np.vdot(moved, moved))
 
 
-def _subspace_pair(model, mu, l0, s):
-    """``critical_growth``'s shifted subspace iteration and 2x2 Ritz pencil
-    on the modes ``|n| <= s.size // 2`` of ``L0 v = omega diag(s) v``:
-    the settled orthonormal basis, its two frequencies and the last move."""
-    n = s.size // 2
-    sigma = _critical_shift(model, mu)
-    basis = np.zeros((2 * n + 1, 2))
-    basis[n + 1, 0] = basis[n - 1, 1] = 1.0
-    try:
-        shifted = l0.copy()
-        shifted.ravel()[::2 * n + 2] -= sigma * s
-        step = np.linalg.inv(shifted)
-        step *= s
-        last = np.inf
-        for _ in range(_MAX_SUBSPACE_STEPS):
-            basis, move = _subspace_step(step, basis)
-            if last <= move <= _SUBSPACE_TOL:
-                break
-            last = move
-        else:
-            raise ConvergenceError(
-                f"critical subspace still moving by {move:.3e} at mu={mu} "
-                f"after {_MAX_SUBSPACE_STEPS} steps", move)
-        omega = np.linalg.eigvals(np.linalg.solve(
-            basis.T @ (s[:, None] * basis), basis.T @ (l0 @ basis)))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"critical pair solve failed at mu={mu}: {exc}") from exc
-    return basis, omega, move
-
-
 def _labelled_pair(model, mu, omega, move):
     """The kept frequencies ``omega`` as ``critical_growth``'s pair, after
     the shift-side and degeneracy checks."""
@@ -326,57 +296,70 @@ def _labelled_pair(model, mu, omega, move):
     return complex(pair[0]), complex(pair[1])
 
 
-def _critical_pair(pencil):
-    """``critical_growth`` on a whole assembled pencil, at ``k = 1``."""
-    _, omega, move = _subspace_pair(pencil.model, pencil.mu, pencil.L0,
-                                    pencil.s)
-    return _labelled_pair(pencil.model, pencil.mu, omega, move)
+def _block_pair(coefficients, mu, half):
+    """``critical_growth``'s shifted subspace iteration and 2x2 Ritz pencil
+    on the modes ``|n| <= half`` of ``L0 v = omega diag(s) v``: the pair's
+    frequencies and the last move, or ``None`` where a block (``half <
+    N``) cannot stand for the whole pencil.
 
-
-def _central_pair(coefficients, mu):
-    """The pair's frequencies and last move from the central block of
-    modes ``|n| <= N // 2``, or ``None`` where the block cannot stand for
-    the whole pencil.
-
-    The block's ``L0(mu)`` is the whole one's restricted, formed from the
-    same coefficients in the same order of operations, so its entries are
-    the whole one's.  Its settled basis ``Q`` is kept when the rows the
-    block drops, applied to ``Q``, stay within the rounding of the block's
-    own product: ``|L0[out, in] Q|_F <= eps |(|L0[in, in]| |Q|)|_F``.  Then
-    truncation costs less than the whole computation loses to rounding
-    (Hill's method resolves an eigenpair once its coupling to the dropped
-    modes is negligible; Curtis & Deconinck, Math. Comp. 79, 2010).
+    A block's settled basis ``Q`` is kept when the rows the block drops,
+    applied to ``Q``, stay within the rounding of the block's own product:
+    ``|L0[out, in] Q|_F <= eps |(|L0[in, in]| |Q|)|_F``.  Then truncation
+    costs less than the whole computation loses to rounding (Hill's method
+    resolves an eigenpair once its coupling to the dropped modes is
+    negligible; Curtis & Deconinck, Math. Comp. 79, 2010).
     """
+    pencil = coefficients.at(mu, half)
+    l0, s = pencil.L0, pencil.s
+    sigma = _critical_shift(coefficients.model, mu)
+    basis = np.zeros((2 * half + 1, 2))
+    basis[half + 1, 0] = basis[half - 1, 1] = 1.0
+    try:
+        shifted = l0.copy()
+        shifted.ravel()[::2 * half + 2] -= sigma * s
+        step = np.linalg.inv(shifted)
+        step *= s
+        last = np.inf
+        for _ in range(_MAX_SUBSPACE_STEPS):
+            basis, move = _subspace_step(step, basis)
+            if last <= move <= _SUBSPACE_TOL:
+                break
+            last = move
+        else:
+            raise ConvergenceError(
+                f"critical subspace still moving by {move:.3e} at mu={mu} "
+                f"after {_MAX_SUBSPACE_STEPS} steps", move)
+        omega = np.linalg.eigvals(np.linalg.solve(
+            basis.T @ (s[:, None] * basis), basis.T @ (l0 @ basis)))
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"critical pair solve failed at mu={mu}: {exc}") from exc
     n = coefficients.n_modes
-    half = n // 2
-    inner = slice(n - half, n + half + 1)
-    terms = (coefficients.A0, coefficients.A1, coefficients.A2)
-    a0, a1, a2 = (term[inner, inner] for term in terms)
-    l0 = a0 + mu * a1
-    l0 += (mu * mu) * a2
-    s = coefficients.alpha * (np.arange(-half, half + 1) + mu)
-    basis, omega, move = _subspace_pair(coefficients.model, mu, l0, s)
-    c0, c1, c2 = (term[:, inner] @ basis for term in terms)
-    coupling = np.delete(c0 + mu * c1 + (mu * mu) * c2, inner, axis=0)
-    floor = np.finfo(float).eps * np.linalg.norm(np.abs(l0) @ np.abs(basis))
-    if not np.linalg.norm(coupling) <= floor:
-        return None
+    if half < n:
+        inner = slice(n - half, n + half + 1)
+        c0, c1, c2 = (term[:, inner] @ basis for term in
+                      (coefficients.A0, coefficients.A1, coefficients.A2))
+        coupling = np.delete(c0 + mu * c1 + (mu * mu) * c2, inner, axis=0)
+        floor = np.finfo(float).eps \
+            * np.linalg.norm(np.abs(l0) @ np.abs(basis))
+        if not np.linalg.norm(coupling) <= floor:
+            return None
     return omega, move
 
 
 def _pair_at(coefficients, mu):
     """``critical_growth``'s pair at ``k = 1`` from a branch's pencil
-    coefficients: from ``_central_pair`` where it stands for the whole
-    pencil, else, or where the block's solve fails, from the whole pencil,
-    as ``_critical_pair``.  The checks run once, on the pair kept."""
-    if mu != 0.0 and coefficients.n_modes >= 2:
-        try:
-            central = _central_pair(coefficients, mu)
-        except (ArithmeticError, ConvergenceError):
-            central = None
-        if central is not None:
-            return _labelled_pair(coefficients.model, mu, *central)
-    return _critical_pair(coefficients.at(mu))
+    coefficients: from the central block of modes ``|n| <= N // 2`` where
+    it stands for the whole pencil, else, where the block's solve fails,
+    and at ``mu = 0``, from the whole pencil.  The checks run once, on the
+    pair kept."""
+    n, pair = coefficients.n_modes, None
+    if mu != 0.0 and n >= 2:
+        with contextlib.suppress(ArithmeticError, ConvergenceError):
+            pair = _block_pair(coefficients, mu, n // 2)
+    if pair is None:
+        pair = _block_pair(coefficients, mu, n)
+    return _labelled_pair(coefficients.model, mu, *pair)
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
@@ -396,7 +379,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
         raise ValueError("mu grid is empty")
-    if max(abs(m) for m in mu_grid) > 0.1:
+    if not all(abs(m) <= 0.1 for m in mu_grid):
         raise ValueError("sweep grid must satisfy |mu| <= 0.1")
     branch = solve_wave(model, a, k, n_modes=n_modes or DEFAULT_N_MODES,
                         tol=tol)

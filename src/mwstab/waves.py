@@ -75,6 +75,8 @@ class Model:
     def __post_init__(self):
         if self.variant not in ("A", "B"):
             raise ValueError(f"unknown model variant {self.variant!r}")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got gamma={self.gamma}")
 
     @property
     def is_a(self):
@@ -142,11 +144,15 @@ class WaveBranch:
         return self.unit_eta.n_modes
 
     @functools.cached_property
+    def _terms(self):
+        """``_operator_terms`` here, for the tangent and the linearization."""
+        return _operator_terms(self.model, self.unit_eta, self.unit_c)
+
+    @functools.cached_property
     def linearization(self):
         """``linearized_operator``'s ``(A0, A1, A2)`` at this wave, built on
         first use for the Bloch pencil and its projections; read-only."""
-        operator = linearized_operator(self.model, self.unit_eta,
-                                       self.unit_c)
+        operator = _operator_matrices(self._terms)
         for matrix in operator:
             matrix.setflags(write=False)
         return operator
@@ -160,7 +166,7 @@ def _unit_amplitude(model, a, k):
         raise TypeError("model must be a Model instance")
     Units(model, k)  # k positive and finite
     unit_a = a * k * k
-    if abs(unit_a) > EXPANSION_LIMIT:
+    if not abs(unit_a) <= EXPANSION_LIMIT:
         raise ValidityError(
             f"|a| k^2={abs(unit_a)} outside the small-amplitude range "
             f"(limit {EXPANSION_LIMIT})")
@@ -268,9 +274,14 @@ def linearized_operator(model, eta, c):
     profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
     term multiplies *after* differentiation (``_operator_terms``).
     """
+    return _operator_matrices(_operator_terms(model, eta, c))
+
+
+def _operator_matrices(terms):
+    """``linearized_operator``'s ``(A0, A1, A2)`` from ``_operator_terms``."""
     r, cl, er = (None if term is None else term.mult_matrix()
-                 for term in _operator_terms(model, eta, c))
-    n = eta.n_modes
+                 for term in terms)
+    n = terms[1].n_modes
     m = np.arange(-n, n + 1.0)
     a0 = _a0_block(r, cl, er, m, m)
     a0.ravel()[::2 * n + 2] -= 1.0
@@ -283,15 +294,14 @@ def linearized_operator(model, eta, c):
     return a0, a1, a2
 
 
-def _cosine_fold(model, eta, c):
-    """``A0`` at ``(eta, c)`` folded onto cosines, assembled from the bands
-    of ``_operator_terms`` without the rest of the operator: rows and
-    columns ``0..N`` (Toeplitz part, with the ``-1``), plus from column 1
-    on the columns ``-1..-N`` (Hankel part), which ``exp(-ijz)`` brings to
+def _cosine_fold(terms):
+    """``A0`` folded onto cosines, assembled from the bands of
+    ``_operator_terms`` without the rest of the operator: rows and columns
+    ``0..N`` (Toeplitz part, with the ``-1``), plus from column 1 on the
+    columns ``-1..-N`` (Hankel part), which ``exp(-ijz)`` brings to
     ``cos(jz)``."""
-    bands = [None if term is None else term.band()
-             for term in _operator_terms(model, eta, c)]
-    n = eta.n_modes
+    bands = [None if term is None else term.band() for term in terms]
+    n = terms[1].n_modes
     idx = np.arange(n + 1)
     p = np.arange(n + 1.0)
 
@@ -374,7 +384,8 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
         rhs = np.concatenate([res.cos, [x[1] - unit_a]])
         try:
             dx = np.linalg.solve(_bordered_jacobian(
-                model, _cosine_fold(model, eta, c), eta, c), rhs)
+                model, _cosine_fold(_operator_terms(model, eta, c)), eta, c),
+                rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular Newton Jacobian at step {len(history)}",
@@ -399,8 +410,8 @@ def branch_derivative(branch):
     rhs = np.zeros(n + 2)
     rhs[n + 1] = 1.0
     eta, c = branch.unit_eta, branch.unit_c
-    jac = _bordered_jacobian(branch.model, _cosine_fold(branch.model, eta, c),
-                             eta, c)
+    jac = _bordered_jacobian(branch.model, _cosine_fold(branch._terms), eta,
+                             c)
     try:
         tangent = np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:

@@ -126,6 +126,23 @@ class TestPencilAssembly:
             direct = l0_by_convolution(model, branch, mu, v)
             assert np.max(np.abs(op @ v - direct)) < 1e-10
 
+    @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)])
+    def test_central_block_is_the_whole_pencils_to_the_bit(self, model):
+        # the critical pair's block and the whole pencil come from one
+        # constructor: the block's entries are the whole one's, not close
+        branch = solve_wave(model, 0.05, 1.2, n_modes=32)
+        coefficients = pencil_coefficients(model, branch)
+        for mu in (0.1, 1e-3, 0.37, -0.1, -1e-3, -0.49):
+            whole = coefficients.at(mu)
+            assert whole.n_modes == 32
+            for half in (16, 5, 1):
+                block = coefficients.at(mu, half)
+                inner = slice(32 - half, 32 + half + 1)
+                assert block.n_modes == half and block.mu == mu
+                assert np.array_equal(block.L0, whole.L0[inner, inner])
+                assert np.array_equal(block.s, whole.s[inner])
+            assert np.array_equal(coefficients.at(mu, 32).L0, whole.L0)
+
     def test_mu_domain_guard(self):
         branch = flat_branch(MODEL_A)
         with pytest.raises(ValueError):

@@ -26,6 +26,43 @@ def basis_a005(branch_a005):
     return critical_basis(MODEL_A, branch_a005)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("error,message,call", [
+    (waves.ValidityError, "small-amplitude range",
+     lambda branch, basis: solve_wave(MODEL_A, NAN, 1.0)),
+    (waves.ValidityError, "small-amplitude range",
+     lambda branch, basis: waves.analytic_wave(Model("B"), NAN, 1.0)),
+    (ValueError, "gamma must be finite",
+     lambda branch, basis: Model("B", gamma=NAN)),
+    (ValueError, "gamma must be finite",
+     lambda branch, basis: Model("B", gamma=-np.inf)),
+    (ValueError, r"only for \|mu\| <= 0\.2",
+     lambda branch, basis: projected_det(MODEL_A, branch, basis, NAN)),
+    (ValueError, r"restricted to \|mu\| <= 0\.1",
+     lambda branch, basis: critical_growth(MODEL_A, branch, NAN)),
+    (ValueError, r"sweep grid must satisfy \|mu\| <= 0\.1",
+     lambda branch, basis: discriminant_sweep(MODEL_A, 0.05, 1.0,
+                                              [0.05, NAN])),
+], ids=["solve_wave", "analytic_wave", "gamma-nan", "gamma-inf",
+        "projected_det", "critical_growth", "discriminant_sweep"])
+def test_non_finite_input_meets_its_own_guard(monkeypatch, branch_a005,
+                                              basis_a005, error, message,
+                                              call):
+    # a guard written as x > bound lets NaN through to the solvers; each
+    # one refuses it before any residual, wave or pencil is computed
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module, name in ((waves, "residual"), (modulation, "solve_wave"),
+                         (modulation, "pencil_coefficients")):
+        monkeypatch.setattr(module, name, solved)
+    with pytest.raises(error, match=message) as raised:
+        call(branch_a005, basis_a005)
+    assert type(raised.value) is error
+
+
 class TestCriticalBasis:
     def test_flat_limit_is_sin_cos(self):
         branch = solve_wave(MODEL_A, 0.0, 1.0, n_modes=16)
@@ -148,6 +185,13 @@ class TestProjectedDet:
                                phi2=TrigSeries.cosine(1, n), a=0.05, k=1.0)
         with pytest.raises(ArithmeticError, match="degenerate"):
             projected_det(MODEL_A, branch_a005, broken, 0.01)
+
+
+def whole_pair(coefficients, mu):
+    """The critical pair at ``k = 1`` solved on the whole pencil."""
+    return modulation._labelled_pair(
+        coefficients.model, mu,
+        *modulation._block_pair(coefficients, mu, coefficients.n_modes))
 
 
 def collapsed_step(collapse):
@@ -415,9 +459,10 @@ def test_certified_block_pair_is_the_whole_pencils(variant, a, k, gamma, mu):
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=64)
     coefficients = bloch.pencil_coefficients(model, branch)
-    whole = tuple(branch.units.frequency(x) for x in modulation._critical_pair(
-        assemble_pencil(model, branch, mu)))
-    central = None if mu == 0.0 else modulation._central_pair(coefficients, mu)
+    whole = tuple(branch.units.frequency(x)
+                  for x in whole_pair(coefficients, mu))
+    central = None if mu == 0.0 else modulation._block_pair(coefficients, mu,
+                                                            64 // 2)
     pair = critical_growth(model, branch, mu)
     if central is None:
         assert a * k * k > 0.078 or mu == 0.0
@@ -436,9 +481,8 @@ class TestCentralBlock:
         branch = solve_wave(model, a, 1.0, n_modes=64)
         coefficients = bloch.pencil_coefficients(model, branch)
         for mu in (0.005, 0.03, -0.05, 0.1):
-            assert modulation._central_pair(coefficients, mu) is None
-            whole = modulation._critical_pair(
-                assemble_pencil(model, branch, mu))
+            assert modulation._block_pair(coefficients, mu, 64 // 2) is None
+            whole = whole_pair(coefficients, mu)
             assert critical_growth(model, branch, mu) == whole
 
     @pytest.mark.parametrize("error", [
@@ -448,30 +492,33 @@ class TestCentralBlock:
         # only the block's solve raises; the whole pencil's is left alone
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
-        solve = modulation._subspace_pair
+        coefficients = bloch.pencil_coefficients(model, branch)
+        solve = modulation._block_pair
         blocks = []
 
-        def failing(model, mu, l0, s):
-            if s.size < 2 * branch.n_modes + 1:
+        def failing(coefficients, mu, half):
+            if half < coefficients.n_modes:
                 blocks.append(mu)
                 raise error
-            return solve(model, mu, l0, s)
+            return solve(coefficients, mu, half)
 
         mus = (0.005, 0.03, -0.05)
-        wholes = [modulation._critical_pair(assemble_pencil(model, branch,
-                                                            mu))
-                  for mu in mus]
-        monkeypatch.setattr(modulation, "_subspace_pair", failing)
+        wholes = [whole_pair(coefficients, mu) for mu in mus]
+        monkeypatch.setattr(modulation, "_block_pair", failing)
         assert [critical_growth(model, branch, mu) for mu in mus] == wholes
         assert blocks == list(mus)
 
     def test_the_sweep_runs_on_the_block(self, monkeypatch):
         # with the whole pencil's solve refused, a sweep in the benchmark's
         # domain still completes: every pair came from the block
-        def refused(pencil):
-            raise AssertionError("whole pencil solved")
+        solve = modulation._block_pair
 
-        monkeypatch.setattr(modulation, "_critical_pair", refused)
+        def refused(coefficients, mu, half):
+            if half == coefficients.n_modes:
+                raise AssertionError("whole pencil solved")
+            return solve(coefficients, mu, half)
+
+        monkeypatch.setattr(modulation, "_block_pair", refused)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.05, 1.2,
                                     np.linspace(0.0, 0.05, 11))
         assert report.verdict == "unstable"
@@ -548,18 +595,18 @@ class TestVerdicts:
         # pencil and projection; each Newton Jacobian and the bordered
         # tangent fold A0 onto cosines instead: one fold per entry of
         # newton_residuals (the last iterate converges without a Jacobian,
-        # and the tangent takes one)
-        builds, folds, starts, branches = [], [], [], []
-        build, solve = waves.linearized_operator, modulation.solve_wave
-        fold = waves._cosine_fold
+        # and the tangent takes one).  The profile's operator terms are
+        # evaluated once per Jacobian and once per converged wave, whose
+        # tangent and linearization share them
+        builds, folds, terms, starts, branches = [], [], [], [], []
+        build, solve = waves._operator_matrices, modulation.solve_wave
+        fold, evaluate = waves._cosine_fold, waves._operator_terms
 
-        def counted_build(*args):
-            builds.append(args)
-            return build(*args)
-
-        def counted_fold(*args):
-            folds.append(args)
-            return fold(*args)
+        def counted(calls, fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
 
         def counted_solve(*args, **kwargs):
             starts.append(len(builds))
@@ -570,21 +617,29 @@ class TestVerdicts:
             ends = starts[1:] + [len(builds)]
             return [end - start for start, end in zip(starts, ends)]
 
-        for module in (waves, bloch):
-            monkeypatch.setattr(module, "linearized_operator", counted_build)
-        monkeypatch.setattr(waves, "_cosine_fold", counted_fold)
+        # every linearization, the branch's and linearized_operator's,
+        # goes through _operator_matrices
+        monkeypatch.setattr(waves, "_operator_matrices",
+                            counted(builds, build))
+        monkeypatch.setattr(waves, "_cosine_fold", counted(folds, fold))
+        monkeypatch.setattr(waves, "_operator_terms",
+                            counted(terms, evaluate))
         monkeypatch.setattr(modulation, "solve_wave", counted_solve)
         discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
                            np.linspace(0.0, 0.05, 11), n_modes=16)
         assert len(branches) == 1
         assert per_solve() == [1]
         assert len(folds) == len(branches[0].newton_residuals)
-        builds.clear(), folds.clear(), starts.clear(), branches.clear()
+        assert len(terms) == (len(branches[0].newton_residuals) - 1) + 1
+        builds.clear(), folds.clear(), terms.clear()
+        starts.clear(), branches.clear()
         threshold_bisect(1.0, 0.01, 0.0, 2.0, width=0.1, n_modes=16)
         # one wave per evaluation
         assert len(branches) > 3
         assert per_solve() == [1] * len(branches)
         assert len(folds) == sum(len(b.newton_residuals) for b in branches)
+        assert len(terms) == sum((len(b.newton_residuals) - 1) + 1
+                                 for b in branches)
 
     def test_margin_function(self):
         assert positivity_margin(0.0, 0.0) == 1e-10

@@ -201,9 +201,15 @@ def test_cosine_fold_is_the_fold_of_the_whole_operator(variant, gamma, n):
         a0 = linearized_operator(model, eta, c)[0]
         whole = a0[n:, n:].copy()
         whole[:, 1:] += a0[n:, n - 1::-1]
-        fold = waves._cosine_fold(model, eta, c)
+        fold = waves._cosine_fold(waves._operator_terms(model, eta, c))
         assert fold.shape == (n + 1, n + 1)
         assert np.array_equal(fold, whole)
+    # the converged wave's own terms give its tangent's fold and its
+    # linearization, both bit for bit
+    assert np.array_equal(waves._cosine_fold(branch._terms), fold)
+    for held, built in zip(branch.linearization, linearized_operator(
+            model, branch.unit_eta, branch.unit_c)):
+        assert np.array_equal(held, built)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
