@@ -110,9 +110,12 @@ class SymmetryReport:
 def pencil_coefficients(model, branch, n_modes=None):
     """The Bloch pencil's coefficients in ``mu`` at a branch point (see
     ``PencilCoefficients`` and ``waves.linearized_operator``); at the
-    branch's own ``N`` and model they are its ``linearization``."""
+    branch's own ``N`` they are its ``linearization``.  ``model`` must be
+    the branch's: another model's operator on its profile is no pencil."""
+    if model != branch.model:
+        raise ValueError(f"{model} is not the branch's model {branch.model}")
     n = branch.n_modes if n_modes is None else n_modes
-    if n == branch.n_modes and model == branch.model:
+    if n == branch.n_modes:
         a0, a1, a2 = branch.linearization
     else:
         a0, a1, a2 = linearized_operator(model, branch.unit_eta.resized(n),

@@ -3,25 +3,32 @@ verdicts, collision tables, and exact-series dumps.
 
 Output is bit-stable: floats are printed as their shortest round-trip
 decimal and rows carry deterministic sort keys, so identical configs give
-byte-identical files.  Exit codes: 0 success, 2 indeterminate verdict,
-3 solver failure, 4 configuration error.
+byte-identical files.  Exit codes: 0 success, 1 golden diffs
+(``expand --check-golden``), 2 indeterminate verdict, 3 solver failure,
+4 configuration error.
+
+Each setting a run is resolved from (``RunConfig``) is stated once, in
+``_SETTINGS``: its config-file key, from which its flag is spelled, and
+the converter that reads its value from either source.
 """
 
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
-from .waves import Model, solve_wave, ConvergenceError, ValidityError
+from .waves import (Model, solve_wave, ConvergenceError, ValidityError,
+                    DEFAULT_N_MODES, DEFAULT_TOL)
 from .bloch import find_collisions, one_blas_thread, sweep_mus
 from .modulation import discriminant_sweep, threshold_bisect
 from .exact import (build_dump, load_golden, check_against_golden,
                     det_and_discriminant)
 
 EXIT_OK = 0
+EXIT_GOLDEN_DIFF = 1
 EXIT_INDETERMINATE = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
@@ -30,6 +37,11 @@ EXIT_CONFIG = 4
 #: 34 MB each at N = 1024, and a branch holds four of them; also the
 #: deepest ``--n-min``, since no pencil has a mode below -MAX_MODES
 MAX_MODES = 1024
+#: largest ``--mu-grid`` count, 50 times the default 201-point spectrum
+#: grid (the benchmark's grids have 11 and 51 points): ``spectrum`` keeps
+#: each point's 2N+1 eigenvalues and CSV rows until it prints, and a count
+#: of 1e12 failed to allocate its grid
+MAX_MU_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -44,9 +56,9 @@ class RunConfig:
     gamma: float = 0.0
     k: float = 1.0
     a: float = 0.02
-    n_modes: int = 64
+    n_modes: int = DEFAULT_N_MODES
     mu_grid: tuple | None = None
-    tol: float = 1e-12
+    tol: float = DEFAULT_TOL
     out: str | None = None
     format: str | None = None
 
@@ -54,22 +66,16 @@ class RunConfig:
         return Model(self.model, gamma=self.gamma)
 
     def serialize(self):
-        lines = [
-            f"model = {self.model}",
-            f"gamma = {self.gamma!r}",
-            f"k = {self.k!r}",
-            f"a = {self.a!r}",
-            f"modes = {self.n_modes}",
-            f"tol = {self.tol!r}",
-        ]
-        if self.mu_grid is not None:
-            start, stop, count = self.mu_grid
-            lines.append(f"mu_grid = {start!r}:{stop!r}:{count}")
-        if self.out is not None:
-            lines.append(f"out = {self.out}")
-        if self.format is not None:
-            lines.append(f"format = {self.format}")
-        return "\n".join(lines) + "\n"
+        """The config file that resolves to this configuration."""
+        return "".join(f"{key} = {_text(value)}\n" for key, value
+                       in zip(_SETTINGS, astuple(self)) if value is not None)
+
+
+def _text(value):
+    """A setting's value as a config file spells it."""
+    if isinstance(value, tuple):
+        return ":".join(map(_text, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def finite_float(text):
@@ -90,13 +96,29 @@ def parse_mu_grid(text):
         raise ConfigError(f"bad mu grid {text!r}: {exc}") from None
     if count < 2:
         raise ConfigError("mu grid count must be >= 2")
+    if count > MAX_MU_POINTS:
+        raise ConfigError(f"mu grid count must be at most {MAX_MU_POINTS}")
     if not start < stop:
         raise ConfigError("mu grid start must be below stop")
     return (start, stop, count)
 
 
-_FILE_KEYS = ("model", "gamma", "k", "a", "modes", "mu_grid", "tol", "out",
-              "format")
+#: every setting: config-file key -> converter of its value, in
+#: ``RunConfig``'s field order.  The flag is the key with ``-`` for ``_``
+#: (``--mu-grid``), and ``resolve_config`` checks the ranges of values
+#: from both sources; defaults are ``RunConfig``'s
+_SETTINGS = {"model": str, "gamma": finite_float, "k": finite_float,
+             "a": finite_float, "modes": int, "mu_grid": parse_mu_grid,
+             "tol": finite_float, "out": str, "format": str}
+
+
+def _convert(convert, text, source):
+    """``convert(text)``; a ``ValueError`` becomes a ``ConfigError`` that
+    names the ``source``, a flag or a config-file entry."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config_file(path):
@@ -115,7 +137,7 @@ def parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FILE_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value.strip()
     return entries
@@ -123,34 +145,17 @@ def parse_config_file(path):
 
 def resolve_config(args):
     """Merge built-in defaults, config file, and explicit flags."""
-    file_entries = parse_config_file(args.config) \
-        if getattr(args, "config", None) else {}
-
-    def pick(flag_value, file_key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_entries:
-            try:
-                return convert(file_entries[file_key])
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad config value for {file_key}: {exc}") from None
-        return default
-
-    config = RunConfig(
-        model=pick(args.model, "model", str, "A"),
-        gamma=pick(args.gamma, "gamma", finite_float, 0.0),
-        k=pick(args.k, "k", finite_float, 1.0),
-        a=pick(args.a, "a", finite_float, 0.02),
-        n_modes=pick(args.modes, "modes", int, 64),
-        mu_grid=pick(getattr(args, "mu_grid", None), "mu_grid",
-                     parse_mu_grid, None),
-        tol=pick(args.tol, "tol", finite_float, 1e-12),
-        out=pick(getattr(args, "out", None), "out", str, None),
-        format=pick(getattr(args, "format", None), "format", str, None),
-    )
+    path = getattr(args, "config", None)
+    entries = parse_config_file(path) if path else {}
+    values = {}
+    for field, (key, convert) in zip(fields(RunConfig), _SETTINGS.items()):
+        value = getattr(args, key, None)
+        if value is None and key in entries:
+            value = _convert(convert, entries[key],
+                             f"bad config value for {key}")
+        if value is not None:
+            values[field.name] = value
+    config = RunConfig(**values)
     if config.model not in ("A", "B"):
         raise ConfigError(f"model must be A or B, got {config.model!r}")
     if config.k <= 0:
@@ -162,16 +167,19 @@ def resolve_config(args):
     if config.tol <= 0:
         raise ConfigError("tol must be positive")
     if config.format not in (None, "csv", "json"):
-        raise ConfigError("format must be csv or json")
+        raise ConfigError(f"format must be csv or json, got {config.format!r}")
     return config
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
 
 
 def _float(x):
@@ -311,7 +319,7 @@ def cmd_expand(args):
         lines.extend(diffs)
         lines.append("disc = " + _disc_leading_text(exact))
         _emit("\n".join(lines) + "\n", config.out)
-        return EXIT_OK if not diffs else 1
+        return EXIT_GOLDEN_DIFF if diffs else EXIT_OK
     dump = build_dump(exact)
     if config.format == "json" or config.format is None:
         text = _json(dump, indent=2, sort_keys=True)
@@ -358,28 +366,9 @@ Flags are spelled in full.  -h, --help prints this text.
 """
 
 
-def _choice(*values):
-    def convert(text):
-        if text not in values:
-            raise ValueError(f"invalid choice {text!r} (choose from "
-                             f"{', '.join(values)})")
-        return text
-    return convert
-
-
 #: flag -> converter of its value; ``--mu-grid`` sets ``args.mu_grid``
-_COMMON_FLAGS = {
-    "--model": _choice("A", "B"),
-    "--k": finite_float,
-    "--a": finite_float,
-    "--gamma": finite_float,
-    "--modes": int,
-    "--mu-grid": parse_mu_grid,
-    "--tol": finite_float,
-    "--out": str,
-    "--format": _choice("csv", "json"),
-    "--config": str,
-}
+_COMMON_FLAGS = {"--" + key.replace("_", "-"): convert
+                 for key, convert in _SETTINGS.items()} | {"--config": str}
 
 #: command -> (function, its own flags, their defaults); a converter of
 #: None marks a switch, which takes no value and defaults to False
@@ -444,10 +433,7 @@ def parse_args(argv):
             text = next(tokens, None)
             if text is None:
                 raise ConfigError(f"argument {flag}: expected a value")
-        try:
-            values[_attribute(flag)] = convert(text)
-        except ValueError as exc:
-            raise ConfigError(f"argument {flag}: {exc}") from None
+        values[_attribute(flag)] = _convert(convert, text, f"argument {flag}")
     return SimpleNamespace(**values)
 
 

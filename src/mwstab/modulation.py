@@ -31,11 +31,15 @@ __all__ = [
     "CriticalBasis", "QuadraticDet", "StabilityReport",
     "DegeneratePairError", "critical_basis", "projected_det",
     "discriminant_sweep", "critical_growth", "threshold_bisect",
-    "positivity_margin", "GROWTH_TOLERANCE",
+    "positivity_margin", "GROWTH_TOLERANCE", "SWEEP_MU_MAX",
 ]
 
 #: real parts below this are considered numerically zero
 GROWTH_TOLERANCE = 1e-6
+
+#: the sweeps' domain |mu| <= SWEEP_MU_MAX, where the critical pair stays
+#: near zero and apart from the other modes (see ``critical_growth``)
+SWEEP_MU_MAX = 0.1
 
 #: ``critical_growth``'s subspace has settled once a step moves it by no
 #: less than the step before (the move has reached its rounding floor) and
@@ -164,10 +168,10 @@ def _det_polynomials(coefficients, basis):
 
 
 def _band_edge(d):
-    """Smallest ``mu`` in ``(0, 0.1]``, the sweep's domain, with ``D(mu) =
-    0``, or ``None``, from ``_det_polynomials``: ``D = c0 + c1 t + c2 t^2``
-    in ``t = mu^2``.  Roots beyond the domain are dropped: a flat wave's
-    noise-level coefficients put one near ``mu = 1e8``."""
+    """Smallest ``mu`` in ``(0, SWEEP_MU_MAX]``, the sweep's domain, with
+    ``D(mu) = 0``, or ``None``, from ``_det_polynomials``: ``D = c0 + c1 t +
+    c2 t^2`` in ``t = mu^2``.  Roots beyond the domain are dropped: a flat
+    wave's noise-level coefficients put one near ``mu = 1e8``."""
     (d00, d01), (d10, d11), (d20, d21) = d
     c0 = d10 * d10 + 4.0 * d00 * d20
     c1 = 2.0 * d10 * d11 + 4.0 * (d00 * d21 + d01 * d20)
@@ -178,7 +182,7 @@ def _band_edge(d):
     # the two roots without cancellation: q / c2 and c0 / q
     q = -0.5 * (c1 + np.copysign(np.sqrt(rad), c1))
     roots = [r for r in ((q / c2) if c2 else None, (c0 / q) if q else None)
-             if r is not None and 0.0 < r <= 0.01]
+             if r is not None and 0.0 < r <= SWEEP_MU_MAX**2]
     return float(np.sqrt(min(roots))) if roots else None
 
 
@@ -226,7 +230,7 @@ def critical_growth(model, branch, mu, n_modes=None):
     (``_subspace_step``) until a step's move stops shrinking at rounding
     level (``_SUBSPACE_TOL``); the pair are the
     eigenvalues of the 2x2 pencil projected onto that span.  For
-    ``|mu| <= 0.1`` both critical frequencies lie within about
+    ``|mu| <= SWEEP_MU_MAX`` both critical frequencies lie within about
     ``0.15 |Omega_2|`` of zero on the side of ``mu`` and the other modes
     beyond ``0.9 |Omega_2|`` (``Omega_2`` the mode-2 dispersion at
     ``mu = 0``); the shift ``sigma = -+|Omega_2| / 30`` on the far side of
@@ -240,8 +244,9 @@ def critical_growth(model, branch, mu, n_modes=None):
     ``|n| <= N // 2`` and kept where the modes it drops do not see it;
     otherwise, and at ``mu = 0``, on the whole pencil.
     """
-    if not abs(mu) <= 0.1:
-        raise ValueError("critical tracking is restricted to |mu| <= 0.1")
+    if not abs(mu) <= SWEEP_MU_MAX:
+        raise ValueError(
+            f"critical tracking is restricted to |mu| <= {SWEEP_MU_MAX}")
     pair = _pair_at(pencil_coefficients(model, branch, n_modes), mu)
     return tuple(branch.units.frequency(x) for x in pair)
 
@@ -362,7 +367,8 @@ def _pair_at(coefficients, mu):
     return _labelled_pair(coefficients.model, mu, *pair)
 
 
-def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
+def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
+                       tol=DEFAULT_TOL):
     """Evaluate the discriminant over a ``mu`` grid and render a verdict.
 
     stable: every sample has ``D > margin`` and the critical pair stays on
@@ -379,12 +385,11 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
         raise ValueError("mu grid is empty")
-    if not all(abs(m) <= 0.1 for m in mu_grid):
-        raise ValueError("sweep grid must satisfy |mu| <= 0.1")
-    branch = solve_wave(model, a, k, n_modes=n_modes or DEFAULT_N_MODES,
-                        tol=tol)
+    if not all(abs(m) <= SWEEP_MU_MAX for m in mu_grid):
+        raise ValueError(f"sweep grid must satisfy |mu| <= {SWEEP_MU_MAX}")
+    branch = solve_wave(model, a, k, n_modes=n_modes, tol=tol)
     basis = critical_basis(model, branch)
-    coefficients = pencil_coefficients(model, branch, n_modes)
+    coefficients = pencil_coefficients(model, branch)
     d = _det_polynomials(coefficients, basis)
 
     unit_a, shown = branch.unit_a, branch.units
@@ -416,8 +421,8 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=None, tol=DEFAULT_TOL):
         band_edge=_band_edge(d))
 
 
-def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
-                     tol=DEFAULT_TOL):
+def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3,
+                     n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL):
     """Root of the model-B discriminant ``D(gamma)`` at ``mu = 0``, where
     the verdict flips (its ``a^2`` coefficient changes sign there).
 
@@ -440,10 +445,9 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3, n_modes=None,
 
     def disc_at(gamma):
         model = Model("B", gamma=gamma)
-        branch = solve_wave(model, a, k, n_modes=n_modes or DEFAULT_N_MODES,
-                            tol=tol)
+        branch = solve_wave(model, a, k, n_modes=n_modes, tol=tol)
         basis = critical_basis(model, branch)
-        det = projected_det(model, branch, basis, 0.0, n_modes=n_modes)
+        det = projected_det(model, branch, basis, 0.0)
         floor = (8.0 * np.finfo(float).eps + branch.residual_norm) \
             * (det.d1 * det.d1 + 4.0 * abs(det.d0 * det.d2))
         return det.disc, abs(det.disc) <= floor

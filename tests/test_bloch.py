@@ -148,6 +148,18 @@ class TestPencilAssembly:
         with pytest.raises(ValueError):
             assemble_pencil(MODEL_A, branch, 0.7)
 
+    @pytest.mark.parametrize("other", [Model("B", gamma=2.0),
+                                       Model("A", gamma=1.0)])
+    @pytest.mark.parametrize("n_modes", [None, 8])
+    def test_model_must_be_the_branchs(self, other, n_modes):
+        # another model's operator on this profile is no pencil: B's
+        # operator on A's wave was built without complaint
+        branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=12)
+        with pytest.raises(ValueError, match="not the branch's model"):
+            pencil_coefficients(other, branch, n_modes)
+        with pytest.raises(ValueError, match="not the branch's model"):
+            assemble_pencil(other, branch, 0.1, n_modes)
+
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(mu=st.floats(-0.5, 0.5, exclude_min=True),
            seed=st.integers(0, 2**32 - 1))

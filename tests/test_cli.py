@@ -77,6 +77,62 @@ class TestConfigPlumbing:
             resolve_config(Args())
 
 
+#: config-file key -> (a value other than the default, a value refused)
+#: for every setting; an output path that is a directory cannot be written
+SETTING_VALUES = {
+    "model": ("B", "C"),
+    "gamma": ("2.5", "nan"),
+    "k": ("1.5", "0"),
+    "a": ("0.03", "x"),
+    "modes": ("32", "4"),
+    "mu_grid": ("0.001:0.01:5", "0.4:0.1:5"),
+    "tol": ("1e-11", "-1e-3"),
+    "out": ("run.json", "."),
+    "format": ("csv", "xml"),
+}
+
+
+class TestSettingsTable:
+    """Each setting is read by one converter and checked once, whether it
+    comes from a flag or from a config-file entry."""
+
+    def test_every_setting_is_covered(self):
+        assert list(SETTING_VALUES) == list(cli._SETTINGS)
+        assert [f"--{key.replace('_', '-')}" for key in SETTING_VALUES] + [
+            "--config"] == list(cli._COMMON_FLAGS)
+
+    @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
+    def test_file_value_resolves_as_its_flag(self, tmp_path, key):
+        value = SETTING_VALUES[key][0]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        flag = f"--{key.replace('_', '-')}"
+        from_flag = resolve_config(cli.parse_args(["wave", flag, value]))
+        from_file = resolve_config(cli.parse_args(
+            ["wave", "--config", str(path)]))
+        assert from_file == from_flag != RunConfig()
+        field = "n_modes" if key == "modes" else key
+        assert getattr(from_flag, field) == cli._SETTINGS[key](value)
+        path.write_text(from_flag.serialize())
+        assert resolve_config(cli.parse_args(
+            ["wave", "--config", str(path)])) == from_flag
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
+    def test_bad_value_exits_config(self, capsys, tmp_path, monkeypatch,
+                                    key, source):
+        monkeypatch.chdir(tmp_path)
+        value = SETTING_VALUES[key][1]
+        if source == "flag":
+            argv = ["wave", f"--{key.replace('_', '-')}", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv = ["wave", "--config", "run.cfg"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert _strict_json(err)["error"] == "config"
+
+
 class TestWaveCommand:
     def test_trivial_wave(self, capsys):
         code, out, _ = run_cli(capsys, "wave", "--model", "A", "--a", "0",
@@ -481,6 +537,21 @@ class TestExpandCommand:
         assert code == EXIT_OK and "0 diffs" in out
         assert reads == ["A"]
 
+    def test_golden_diff_exits_with_its_own_code(self, capsys, monkeypatch):
+        from mwstab.exact import expansions
+
+        golden = expansions.load_golden("A")
+        golden["stokes_c"]["a^2"] = "1/13*sqrt3*k^3"
+        monkeypatch.setattr(cli, "load_golden", lambda variant: golden)
+        code, out, err = run_cli(capsys, "expand", "--model", "A",
+                                 "--check-golden")
+        assert code == cli.EXIT_GOLDEN_DIFF and err == ""
+        lines = out.splitlines()
+        assert lines[0] == (f"model A: 1 diffs against {len(golden)} "
+                            f"transcribed sections")
+        assert lines[1] == ("stokes_c[a^2]: engine '1/12*sqrt3*k^3' vs "
+                            "golden '1/13*sqrt3*k^3'")
+
     def test_model_b_leading_discriminant_text(self, capsys):
         _, out, _ = run_cli(capsys, "expand", "--model", "B",
                             "--check-golden")
@@ -546,6 +617,46 @@ class TestArgumentErrors:
         payload = json.loads(err)
         assert payload["error"] == "config"
         assert payload["message"] == f"modes must be at most {cli.MAX_MODES}"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["spectrum", "index"])
+    def test_grid_count_above_the_cap_exits_config(
+            self, capsys, monkeypatch, tmp_path, command, source):
+        # a count of 1e12 failed to allocate its grid, with a traceback
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve started before the check")
+
+        for name in ("solve_wave", "sweep_mus", "discriminant_sweep"):
+            monkeypatch.setattr(cli, name, solve)
+        grid = "0:0.05:1000000000000"
+        if source == "flag":
+            argv = (command, "--mu-grid", grid)
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"mu_grid = {grid}\n")
+            argv = (command, "--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        assert payload["message"].endswith(
+            f"mu grid count must be at most {cli.MAX_MU_POINTS}")
+
+    def test_grid_count_cap_admits_its_value(self):
+        count = cli.MAX_MU_POINTS
+        assert parse_mu_grid(f"0:0.05:{count}") == (0.0, 0.05, count)
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_output_exits_config(self, capsys, tmp_path,
+                                            monkeypatch, target):
+        # a missing directory or a directory as the file: both raised an
+        # OSError traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "collisions", "--out", target)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        assert payload["message"].startswith("cannot write output file: ")
 
     def test_modes_cap_admits_its_value(self):
         config = resolve_config(cli.parse_args(

@@ -63,6 +63,31 @@ def test_non_finite_input_meets_its_own_guard(monkeypatch, branch_a005,
     assert type(raised.value) is error
 
 
+def test_critical_growth_refuses_another_models_branch(monkeypatch,
+                                                      branch_a005):
+    # it used to step 200 times on B's operator over A's wave, then fail
+    def stepped(*args, **kwargs):
+        raise AssertionError("a subspace step ran")
+
+    monkeypatch.setattr(modulation, "_subspace_step", stepped)
+    with pytest.raises(ValueError, match="not the branch's model"):
+        critical_growth(Model("B", gamma=2.0), branch_a005, 0.01)
+
+
+@pytest.mark.parametrize("call", [
+    lambda branch, mu: critical_growth(MODEL_A, branch, mu),
+    lambda branch, mu: discriminant_sweep(MODEL_A, 0.05, 1.0, [mu],
+                                          n_modes=16),
+], ids=["critical_growth", "discriminant_sweep"])
+def test_sweep_domain_is_one_bound(branch_a005, call):
+    edge = modulation.SWEEP_MU_MAX
+    for mu in (edge, -edge):
+        call(branch_a005, mu)
+    for mu in (np.nextafter(edge, 1.0), np.nextafter(-edge, -1.0)):
+        with pytest.raises(ValueError, match=rf"\|mu\| <= {edge}"):
+            call(branch_a005, mu)
+
+
 class TestCriticalBasis:
     def test_flat_limit_is_sin_cos(self):
         branch = solve_wave(MODEL_A, 0.0, 1.0, n_modes=16)
