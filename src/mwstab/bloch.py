@@ -25,12 +25,17 @@ __all__ = [
     "SymmetryReport", "assemble_pencil", "pencil_coefficients", "dispersion",
     "find_collisions", "spectrum_slice", "symmetry_check",
     "hausdorff_distance", "sweep_mus", "one_blas_thread",
-    "INFINITE_EIGENVALUE_CUTOFF",
+    "in_floquet_domain", "INFINITE_EIGENVALUE_CUTOFF",
 ]
 
 #: eigenvalues beyond this magnitude belong to the (near-)singular direction
 #: of L1 (the n + mu = 0 row, ~1/(alpha mu) at small mu) and are dropped
 INFINITE_EIGENVALUE_CUTOFF = 1e8
+
+
+def in_floquet_domain(mu):
+    """Whether ``mu`` is a Floquet exponent: in ``(-1/2, 1/2]``."""
+    return -0.5 < mu <= 0.5
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class PencilCoefficients:
     def at(self, mu, half=None):
         """The pencil at one Floquet exponent on the modes ``|n| <= half``
         (all by default), entry for entry a block of the whole pencil."""
-        if not -0.5 < mu <= 0.5:
+        if not in_floquet_domain(mu):
             raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
         n = self.n_modes if half is None else half
         inner = slice(self.n_modes - n, self.n_modes + n + 1)
@@ -315,8 +320,8 @@ def parallel_map(fn, items):
     return [fn(item) for item in items]
 
 
-def sweep_mus(model, branch, mus, n_modes=None):
+def sweep_mus(model, branch, mus):
     """Spectra over a Floquet grid at ``k = 1``, from one set of pencil
     coefficients."""
-    coefficients = pencil_coefficients(model, branch, n_modes)
+    coefficients = pencil_coefficients(model, branch)
     return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)), mus)

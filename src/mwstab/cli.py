@@ -9,20 +9,22 @@ byte-identical files.  Exit codes: 0 success, 1 golden diffs
 
 Each setting a run is resolved from (``RunConfig``) is stated once, in
 ``_SETTINGS``: its config-file key, from which its flag is spelled, and
-the converter that reads its value from either source.
+the converter that reads its value from either source; a command takes
+the flags and keys of the settings it reads alone (``_COMMANDS``).
 """
 
 import functools
 import json
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from .waves import (Model, solve_wave, ConvergenceError, ValidityError,
                     DEFAULT_N_MODES, DEFAULT_TOL)
-from .bloch import find_collisions, one_blas_thread, sweep_mus
+from .bloch import (find_collisions, in_floquet_domain, one_blas_thread,
+                    sweep_mus)
 from .modulation import discriminant_sweep, threshold_bisect
 from .exact import (build_dump, load_golden, check_against_golden,
                     det_and_discriminant)
@@ -64,18 +66,6 @@ class RunConfig:
 
     def model_tag(self):
         return Model(self.model, gamma=self.gamma)
-
-    def serialize(self):
-        """The config file that resolves to this configuration."""
-        return "".join(f"{key} = {_text(value)}\n" for key, value
-                       in zip(_SETTINGS, astuple(self)) if value is not None)
-
-
-def _text(value):
-    """A setting's value as a config file spells it."""
-    if isinstance(value, tuple):
-        return ":".join(map(_text, value))
-    return value if isinstance(value, str) else repr(value)
 
 
 def finite_float(text):
@@ -121,8 +111,8 @@ def _convert(convert, text, source):
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def parse_config_file(path):
-    """Flat ``key = value`` manifest; '#' starts a comment."""
+def parse_config_file(path, keys):
+    """Flat ``key = value`` manifest of the settings ``keys``; '#' comments."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -137,16 +127,18 @@ def parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SETTINGS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value.strip()
     return entries
 
 
 def resolve_config(args):
-    """Merge built-in defaults, config file, and explicit flags."""
+    """Merge built-in defaults, config file, and explicit flags; the file
+    may set only the settings ``args`` has (``parse_args``)."""
     path = getattr(args, "config", None)
-    entries = parse_config_file(path) if path else {}
+    entries = parse_config_file(path, [key for key in _SETTINGS
+                                       if hasattr(args, key)]) if path else {}
     values = {}
     for field, (key, convert) in zip(fields(RunConfig), _SETTINGS.items()):
         value = getattr(args, key, None)
@@ -228,8 +220,11 @@ def cmd_wave(args):
 @_on_one_blas_thread
 def cmd_spectrum(args):
     config = resolve_config(args)
-    grid_spec = config.mu_grid or (0.0, 0.5, 201)
-    mus = np.linspace(*grid_spec[:2], grid_spec[2])
+    start, stop, count = config.mu_grid or (0.0, 0.5, 201)
+    if not (in_floquet_domain(start) and in_floquet_domain(stop)):
+        raise ConfigError(f"mu grid must lie in the Floquet domain "
+                          f"(-1/2, 1/2], got {start!r}:{stop!r}")
+    mus = np.linspace(start, stop, count)
     branch = solve_wave(config.model_tag(), config.a, config.k,
                         n_modes=config.n_modes, tol=config.tol)
     samples = sweep_mus(config.model_tag(), branch, mus)
@@ -259,8 +254,7 @@ def cmd_index(args):
             raise ConfigError("--gamma-lo and --gamma-hi go together")
         if config.model != "B":
             raise ConfigError("the gamma threshold exists for model B only")
-    grid_spec = config.mu_grid or (0.005, 0.05, 10)
-    mus = np.linspace(*grid_spec[:2], grid_spec[2])
+    mus = np.linspace(*config.mu_grid or (0.005, 0.05, 10))
     report = discriminant_sweep(config.model_tag(), config.a, config.k,
                                 mus, n_modes=config.n_modes, tol=config.tol)
     threshold = None
@@ -284,8 +278,10 @@ def cmd_index(args):
 
 def cmd_collisions(args):
     config = resolve_config(args)
-    if args.n_min < -MAX_MODES:
-        raise ConfigError(f"n-min must be at least -{MAX_MODES}")
+    bound = min(max(args.n_min, -MAX_MODES), -3)  # -2 never collides
+    if args.n_min != bound:
+        side = "least" if args.n_min < bound else "most"
+        raise ConfigError(f"n-min must be at {side} {bound}")
     records = find_collisions(n_min=args.n_min, k=config.k)
     lines = ["n,m,mu0,omega"]
     for rec in records:
@@ -345,40 +341,34 @@ usage: mwstab COMMAND [--flag value | --flag=value]...
 periodic traveling waves of two extended Hunter-Saxton models and their
 modulational stability
 
-commands:
+commands, and the flags each takes besides --config PATH:
   wave        solve one branch point, emit JSON
+              --model {A,B} --gamma G --k K --a A --modes N --tol T --out P
   spectrum    Floquet sweep of the pencil spectra (CSV)
+              the flags of wave and --mu-grid START:STOP:COUNT
   index       discriminant sweep and verdict (JSON)
+              the flags of spectrum and --gamma-lo G --gamma-hi G (model B)
   collisions  zero-amplitude collision table (CSV)
-  expand      exact-series canonical dump
+              --k K --out P --n-min N (default -3, in [-1024, -3])
+  expand      exact-series canonical dump (or --check-golden: its diff)
+              --model {A,B} --out P --format {csv,json} --check-golden
 
-common flags:
-  --model {A,B}  --k K  --a A  --gamma GAMMA  --modes N
-  --mu-grid START:STOP:COUNT  --tol TOL  --out PATH  --format {csv,json}
-  --config PATH
-
-command flags:
-  index       --gamma-lo G --gamma-hi G  (model-B threshold bracket)
-  collisions  --n-min N  (default -3, at least -1024)
-  expand      --check-golden  (diff the dump against the transcribed tables)
-
-Flags are spelled in full.  -h, --help prints this text.
+A config file holds `key = value` lines, one key per setting flag above
+(mu_grid for --mu-grid).  A flag or key the command does not read is a
+configuration error.  Flags are spelled in full; -h, --help prints this.
 """
 
 
-#: flag -> converter of its value; ``--mu-grid`` sets ``args.mu_grid``
-_COMMON_FLAGS = {"--" + key.replace("_", "-"): convert
-                 for key, convert in _SETTINGS.items()} | {"--config": str}
-
-#: command -> (function, its own flags, their defaults); a converter of
-#: None marks a switch, which takes no value and defaults to False
+#: command -> (function, the settings it reads, its own flags and their
+#: defaults); a None converter marks a switch: no value, default False
 _COMMANDS = {
-    "wave": (cmd_wave, {}, {}),
-    "spectrum": (cmd_spectrum, {}, {}),
-    "index": (cmd_index, {"--gamma-lo": finite_float,
-                          "--gamma-hi": finite_float}, {}),
-    "collisions": (cmd_collisions, {"--n-min": int}, {"n_min": -3}),
-    "expand": (cmd_expand, {"--check-golden": None}, {}),
+    "wave": (cmd_wave, "model gamma k a modes tol out", {}, {}),
+    "spectrum": (cmd_spectrum, "model gamma k a modes mu_grid tol out", {},
+                 {}),
+    "index": (cmd_index, "model gamma k a modes mu_grid tol out",
+              {"--gamma-lo": finite_float, "--gamma-hi": finite_float}, {}),
+    "collisions": (cmd_collisions, "k out", {"--n-min": int}, {"n_min": -3}),
+    "expand": (cmd_expand, "model out format", {"--check-golden": None}, {}),
 }
 
 _HELP = ("-h", "--help")
@@ -410,8 +400,9 @@ def parse_args(argv):
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r} (choose from "
                           f"{', '.join(_COMMANDS)})")
-    func, own, defaults = _COMMANDS[command]
-    flags = {**_COMMON_FLAGS, **own}
+    func, reads, own, defaults = _COMMANDS[command]
+    flags = {"--" + key.replace("_", "-"): _SETTINGS[key]
+             for key in reads.split()} | {"--config": str, **own}
     values = {_attribute(flag): None if convert else False
               for flag, convert in flags.items()}
     values.update(defaults, func=func)
@@ -445,9 +436,6 @@ def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except ConfigError as exc:
-        _report("config", exc)
-        return EXIT_CONFIG
     except ValidityError as exc:
         _report("validity", exc)
         return EXIT_CONFIG
@@ -456,7 +444,7 @@ def main(argv=None):
         _report("convergence", exc, residual_norm=float(residual)
                 if np.isfinite(residual) else None)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError among them
         _report("config", exc)
         return EXIT_CONFIG
     except ArithmeticError as exc:

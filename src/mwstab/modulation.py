@@ -113,7 +113,6 @@ class StabilityReport:
     max_growth: float
     disc_at_zero: float
     band_edge: float | None
-    threshold_estimate: float | None = None
 
 
 def positivity_margin(mu, a):
@@ -196,13 +195,13 @@ def _quadratic_det(d, mu, a, units):
                         b2=d2, d0=d0, d1=d1, d2=d2, disc=disc)
 
 
-def projected_det(model, branch, basis, mu, n_modes=None):
+def projected_det(model, branch, basis, mu):
     """Projected determinant, rescaled coefficients, and discriminant at
     the branch's ``k``; ``d_j = b_j / mu^(2-j)`` are polynomials in
     ``mu^2`` (``_det_polynomials``), evaluated directly, ``mu = 0`` too."""
     if not abs(mu) <= 0.2:
         raise ValueError("projection is meaningful only for |mu| <= 0.2")
-    d = _det_polynomials(pencil_coefficients(model, branch, n_modes), basis)
+    d = _det_polynomials(pencil_coefficients(model, branch), basis)
     return _quadratic_det(d, mu, branch.a, branch.units)
 
 
@@ -213,7 +212,7 @@ def _critical_shift(model, mu):
     return -sigma if mu > 0 else sigma
 
 
-def critical_growth(model, branch, mu, n_modes=None):
+def critical_growth(model, branch, mu):
     """The two pencil eigenvalues continuing the double zero at the origin,
     solved at ``k = 1`` like the pencil and reported at the branch's ``k``
     (``Units.frequency``), in the units of ``projected_det``'s roots.
@@ -247,7 +246,7 @@ def critical_growth(model, branch, mu, n_modes=None):
     if not abs(mu) <= SWEEP_MU_MAX:
         raise ValueError(
             f"critical tracking is restricted to |mu| <= {SWEEP_MU_MAX}")
-    pair = _pair_at(pencil_coefficients(model, branch, n_modes), mu)
+    pair = _pair_at(pencil_coefficients(model, branch), mu)
     return tuple(branch.units.frequency(x) for x in pair)
 
 
@@ -259,7 +258,15 @@ def _subspace_step(step, basis):
     the orthonormal ``P = basis``, which stays accurate at its rounding
     floor where ``2 - |P^T Q|_F^2`` cancels.  An image whose second column
     keeps no more than ``_RANK_FLOOR`` of its norm off the first, or that
-    is not finite, has lost a dimension: ``ArithmeticError``."""
+    is not finite, has lost a dimension: ``ArithmeticError``.
+
+    Not ``np.linalg.qr``: ``_block_pair``'s certificate reads the block's
+    edge rows, where the settled vectors fall to 1e-47 (B, gamma = 2,
+    a = 0.02, mu = 0.02); Householder QR leaves eps of a column's norm in
+    every row (1e-18 there).  With QR the block failed its certificate at
+    19 of 60 points (k = 1; a = 0.005 to 0.05; A, and B at gamma = 0.3
+    and 2; mu = 0.005, 0.02, 0.05, -0.03), against none, and
+    ``test_certified_block_pair_is_the_whole_pencils`` at A, a = 0.0625."""
     image = step @ basis
     (xx, xy), (_, yy) = (image.T @ image).tolist()
     if not (0.0 < xx < math.inf and yy < math.inf):

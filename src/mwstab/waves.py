@@ -332,15 +332,15 @@ def _bordered_jacobian(model, fold, eta, c):
 
 
 def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
-               max_iter=25, seed_order=3):
+               max_iter=25):
     """Newton-Galerkin solution of the traveling-wave system at ``k = 1``
     (see ``WaveBranch``).
 
     Unknowns are the profile's cosine coefficients and the speed ``c``;
     equations are the residual's cosine coefficients for harmonics
     ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
-    analytic expansion (``seed_order`` 1 keeps only ``a cos z``), whose
-    residual is first evaluated as Newton's first iterate.  The Jacobian
+    analytic expansion, whose residual is first evaluated as Newton's
+    first iterate.  The Jacobian
     is ``linearized_operator``'s ``A0`` on cosines (``_cosine_fold``, which
     assembles only those rows), bordered by the speed column and the
     amplitude row.  ``tol`` bounds the ``k = 1``
@@ -351,13 +351,8 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = n_modes
-
-    if seed_order >= 2:
-        eta, c = _analytic_seed(model, unit_a, n)
-        x = np.concatenate([eta.cos, [c]])
-    else:
-        x = np.zeros(n + 2)
-        x[1], x[n + 1] = unit_a, model.c0(1.0)
+    eta, c = _analytic_seed(model, unit_a, n)
+    x = np.concatenate([eta.cos, [c]])
 
     history = []
     best, misses, step = np.inf, 0, np.inf

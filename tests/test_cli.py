@@ -40,7 +40,9 @@ class TestConfigPlumbing:
                            mu_grid=(0.001, 0.01, 5), tol=1e-11,
                            out=None, format="json")
         path = tmp_path / "run.cfg"
-        path.write_text(config.serialize())
+        path.write_text("model = B\ngamma = 2.0\nk = 1.5\na = 0.03\n"
+                        "modes = 32\nmu_grid = 0.001:0.01:5\ntol = 1e-11\n"
+                        "format = json\n")
 
         class Args:
             model = gamma = k = a = modes = mu_grid = tol = None
@@ -92,14 +94,54 @@ SETTING_VALUES = {
 }
 
 
+#: command -> the settings it reads, and its own flags' attributes
+READS = {
+    "wave": "model gamma k a modes tol out",
+    "spectrum": "model gamma k a modes mu_grid tol out",
+    "index": "model gamma k a modes mu_grid tol out",
+    "collisions": "k out",
+    "expand": "model out format",
+}
+OWN = {"index": "gamma_lo gamma_hi", "collisions": "n_min",
+       "expand": "check_golden"}
+
+READ_PAIRS = [(command, key) for command, reads in READS.items()
+              for key in reads.split()]
+UNREAD_PAIRS = [(command, key) for command, reads in READS.items()
+                for key in SETTING_VALUES if key not in reads.split()]
+
+
+def _reader(key):
+    """The first command that reads the setting ``key``."""
+    return next(command for command, key_ in READ_PAIRS if key_ == key)
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Every solve ``cli`` starts fails the test."""
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve started before the check")
+
+    for name in ("solve_wave", "sweep_mus", "discriminant_sweep",
+                 "threshold_bisect", "find_collisions",
+                 "det_and_discriminant", "load_golden"):
+        monkeypatch.setattr(cli, name, solve)
+
+
 class TestSettingsTable:
     """Each setting is read by one converter and checked once, whether it
-    comes from a flag or from a config-file entry."""
+    comes from a flag or from a config-file entry; a command accepts only
+    the settings it reads, from either source."""
 
     def test_every_setting_is_covered(self):
         assert list(SETTING_VALUES) == list(cli._SETTINGS)
-        assert [f"--{key.replace('_', '-')}" for key in SETTING_VALUES] + [
-            "--config"] == list(cli._COMMON_FLAGS)
+        slots = 0
+        for command, reads in READS.items():
+            args = vars(cli.parse_args([command]))
+            assert set(args) == {"func", "config", *reads.split(),
+                                 *OWN.get(command, "").split()}
+            slots += len(args) - 1  # a flag for each but func
+        assert slots == 37 and len(READ_PAIRS) == 28  # config-file keys
 
     @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
     def test_file_value_resolves_as_its_flag(self, tmp_path, key):
@@ -107,15 +149,63 @@ class TestSettingsTable:
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {value}\n")
         flag = f"--{key.replace('_', '-')}"
-        from_flag = resolve_config(cli.parse_args(["wave", flag, value]))
+        command = _reader(key)
+        from_flag = resolve_config(cli.parse_args([command, flag, value]))
         from_file = resolve_config(cli.parse_args(
-            ["wave", "--config", str(path)]))
+            [command, "--config", str(path)]))
         assert from_file == from_flag != RunConfig()
         field = "n_modes" if key == "modes" else key
         assert getattr(from_flag, field) == cli._SETTINGS[key](value)
-        path.write_text(from_flag.serialize())
-        assert resolve_config(cli.parse_args(
-            ["wave", "--config", str(path)])) == from_flag
+
+    @pytest.mark.parametrize("command, key", READ_PAIRS)
+    def test_read_setting_resolves_from_flag_and_file(self, tmp_path,
+                                                      command, key):
+        value = SETTING_VALUES[key][0]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        from_flag = resolve_config(cli.parse_args(
+            [command, f"--{key.replace('_', '-')}", value]))
+        from_file = resolve_config(cli.parse_args(
+            [command, "--config", str(path)]))
+        assert from_file == from_flag != RunConfig()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command, key", UNREAD_PAIRS)
+    def test_unread_setting_exits_config(self, capsys, tmp_path, no_solve,
+                                         command, key, source):
+        flag = f"--{key.replace('_', '-')}"
+        value = SETTING_VALUES[key][0]
+        if source == "flag":
+            argv = [command, flag, value]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = {value}\n")
+            argv = [command, "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        if source == "flag":
+            assert payload["message"] == \
+                f"unrecognized argument {flag!r} for {command}"
+        else:
+            assert payload["message"] == f"{path}:1: unknown key {key!r}"
+
+    @pytest.mark.parametrize("argv, refused", [
+        (("collisions", "--model", "B", "--gamma", "2"), "--model"),
+        (("index", "--format", "csv"), "--format"),
+        (("expand", "--model", "A", "--k", "7", "--a", "9",
+          "--check-golden"), "--k"),
+    ], ids=["collisions-model", "index-format", "expand-k"])
+    def test_a_setting_the_command_ignores_is_refused(self, capsys, no_solve,
+                                                       argv, refused):
+        # these printed model A's table, JSON, and 0 diffs, with exit 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        assert payload["message"] == \
+            f"unrecognized argument {refused!r} for {argv[0]}"
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
@@ -124,10 +214,10 @@ class TestSettingsTable:
         monkeypatch.chdir(tmp_path)
         value = SETTING_VALUES[key][1]
         if source == "flag":
-            argv = ["wave", f"--{key.replace('_', '-')}", value]
+            argv = [_reader(key), f"--{key.replace('_', '-')}", value]
         else:
             (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
-            argv = ["wave", "--config", "run.cfg"]
+            argv = [_reader(key), "--config", "run.cfg"]
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and out == ""
         assert _strict_json(err)["error"] == "config"
@@ -421,6 +511,24 @@ class TestCollisionsCommand:
         omega = float(out.strip().splitlines()[2].split(",")[3])
         assert omega == pytest.approx(-np.sqrt(15.0), rel=1e-12)
 
+    @pytest.mark.parametrize("n_min", ["-1024", "-3"])
+    def test_n_min_admits_its_bounds(self, capsys, n_min):
+        code, out, _ = run_cli(capsys, "collisions", "--n-min", n_min)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].split(",")[1] == n_min
+
+    @pytest.mark.parametrize("n_min, message", [
+        ("-1025", "n-min must be at least -1024"),
+        ("-2", "n-min must be at most -3")])
+    def test_n_min_outside_its_bounds_exits_config(self, capsys, no_solve,
+                                                   n_min, message):
+        # -2 read "n_min must be <= -3", from find_collisions
+        code, out, err = run_cli(capsys, "collisions", "--n-min", n_min)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        assert payload["message"] == message
+
 
 class TestWavenumberIsAUnit:
     """Waves with the same ``a k^2`` are one wave in other units: the
@@ -580,6 +688,32 @@ class TestArgumentErrors:
         code, _, err = run_cli(capsys, "spectrum", "--mu-grid", "0.4:0.1:5")
         assert code == EXIT_CONFIG
         assert "start must be below stop" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("grid", ["0:0.6:3", "-0.5:0.5:3"])
+    def test_spectrum_grid_outside_the_floquet_domain_exits_config(
+            self, capsys, tmp_path, no_solve, grid, source):
+        # 0:0.6:3 was refused only after the wave and two slices were solved
+        if source == "flag":
+            argv = ("spectrum", "--modes", "8", f"--mu-grid={grid}")
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"mu_grid = {grid}\n")
+            argv = ("spectrum", "--modes", "8", "--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        start, stop = (float(end) for end in grid.split(":")[:2])
+        assert payload["message"] == (
+            f"mu grid must lie in the Floquet domain (-1/2, 1/2], "
+            f"got {start!r}:{stop!r}")
+
+    def test_spectrum_grid_may_end_at_one_half(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--a", "0", "--modes",
+                               "8", "--mu-grid=0:0.5:3")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].startswith("0.5,")
 
     def test_sweep_grid_guard_message(self, capsys):
         code, out, err = run_cli(capsys, "index", "--mu-grid=-0.2:0.05:3")

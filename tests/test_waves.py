@@ -103,7 +103,7 @@ class TestSolveWave:
             == pytest.approx(0.07, abs=1e-13)
 
     def test_newton_quadratic_convergence(self):
-        branch = solve_wave(MODEL_A, 0.15, 1.0, seed_order=1, n_modes=32)
+        branch = solve_wave(MODEL_A, 0.15, 1.0, n_modes=32)
         hist = branch.newton_residuals
         assert len(hist) >= 3
         for current, following in zip(hist, hist[1:]):
@@ -122,9 +122,7 @@ class TestSolveWave:
         branch = solve_wave(Model("B", gamma=3.0), 0.05, 1.0)
         assert branch.eta.is_even()
 
-    @pytest.mark.parametrize("seed_order", [1, 3])
-    def test_one_residual_norm_per_newton_iterate(self, monkeypatch,
-                                                  seed_order):
+    def test_one_residual_norm_per_newton_iterate(self, monkeypatch):
         # the analytic seed is Newton's first iterate: its residual is
         # measured there, not once more while seeding
         calls = []
@@ -137,8 +135,7 @@ class TestSolveWave:
         monkeypatch.setattr(TrigSeries, "sup_norm", counted)
         for model in (MODEL_A, Model("B", gamma=2.0)):
             calls.clear()
-            branch = solve_wave(model, 0.05, 1.0, n_modes=32,
-                                seed_order=seed_order)
+            branch = solve_wave(model, 0.05, 1.0, n_modes=32)
             assert len(calls) == len(branch.newton_residuals) > 1
 
     def test_seeded_newton_starts_from_the_analytic_wave(self):
@@ -148,8 +145,7 @@ class TestSolveWave:
 
     def test_convergence_error_carries_residual(self):
         with pytest.raises(ConvergenceError) as info:
-            solve_wave(MODEL_A, 0.2, 1.0, max_iter=1, seed_order=1,
-                       n_modes=16)
+            solve_wave(MODEL_A, 0.2, 1.0, max_iter=1, n_modes=16)
         assert info.value.residual_norm > 0.0
 
     def test_validity_guard(self):
