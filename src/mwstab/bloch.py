@@ -315,8 +315,8 @@ def one_blas_thread():
 
 
 def parallel_map(fn, items):
-    """Ordered map over a Floquet grid; every sweep passes through it, and
-    ``perfbench`` traces it by name."""
+    """Ordered map over a Floquet grid; the spectrum sweep passes through
+    it, and ``perfbench`` traces it by name."""
     return [fn(item) for item in items]
 
 

@@ -135,7 +135,9 @@ def parse_config_file(path, keys):
 
 def resolve_config(args):
     """Merge built-in defaults, config file, and explicit flags; the file
-    may set only the settings ``args`` has (``parse_args``)."""
+    may set only the settings ``args`` has (``parse_args``), and neither
+    source a setting the run would not read: ``gamma`` with model A,
+    ``format`` with ``--check-golden``."""
     path = getattr(args, "config", None)
     entries = parse_config_file(path, [key for key in _SETTINGS
                                        if hasattr(args, key)]) if path else {}
@@ -150,6 +152,11 @@ def resolve_config(args):
     config = RunConfig(**values)
     if config.model not in ("A", "B"):
         raise ConfigError(f"model must be A or B, got {config.model!r}")
+    if "gamma" in values and config.model == "A":
+        raise ConfigError("gamma is a setting of model B only")
+    if "format" in values and getattr(args, "check_golden", False):
+        raise ConfigError("--check-golden prints its diff as text and takes "
+                          "no format")
     if config.k <= 0:
         raise ConfigError("k must be positive")
     if config.n_modes < 8:
@@ -355,7 +362,8 @@ commands, and the flags each takes besides --config PATH:
 
 A config file holds `key = value` lines, one key per setting flag above
 (mu_grid for --mu-grid).  A flag or key the command does not read is a
-configuration error.  Flags are spelled in full; -h, --help prints this.
+configuration error: so are gamma with model A and format with
+--check-golden.  Flags are spelled in full; -h, --help prints this.
 """
 
 

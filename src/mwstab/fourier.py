@@ -59,21 +59,21 @@ class TrigSeries:
         return cls(cos)
 
     @classmethod
-    def cosine(cls, j, n_modes, amplitude=1.0):
-        """``amplitude * cos(jz)`` at the given cutoff."""
+    def cosine(cls, j, n_modes):
+        """``cos(jz)`` at the given cutoff."""
         if not 0 <= j <= n_modes:
             raise ValueError("harmonic outside cutoff")
         cos = np.zeros(n_modes + 1)
-        cos[j] = amplitude
+        cos[j] = 1.0
         return cls(cos)
 
     @classmethod
-    def sine(cls, j, n_modes, amplitude=1.0):
-        """``amplitude * sin(jz)`` at the given cutoff."""
+    def sine(cls, j, n_modes):
+        """``sin(jz)`` at the given cutoff."""
         if not 1 <= j <= n_modes:
             raise ValueError("harmonic outside cutoff")
         sin = np.zeros(n_modes)
-        sin[j - 1] = amplitude
+        sin[j - 1] = 1.0
         return cls(np.zeros(n_modes + 1), sin)
 
     # ----- basic queries -------------------------------------------------

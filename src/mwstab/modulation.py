@@ -16,7 +16,6 @@ each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch,
 at ``k = 1`` (``projected_det`` and reports give it at the wave's ``k``).
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from .fourier import TrigSeries
 from .waves import (Model, Units, ConvergenceError, solve_wave,
                     branch_derivative, DEFAULT_N_MODES, DEFAULT_TOL)
-from .bloch import pencil_coefficients, dispersion, parallel_map
+from .bloch import pencil_coefficients, dispersion
 
 __all__ = [
     "CriticalBasis", "QuadraticDet", "StabilityReport",
@@ -43,11 +42,11 @@ SWEEP_MU_MAX = 0.1
 
 #: ``critical_growth``'s subspace has settled once a step moves it by no
 #: less than the step before (the move has reached its rounding floor) and
-#: by at most this.  The floor measured 1e-16 to 4e-14 over N = 64 to 1024
-#: and gamma in [-1000, 1000]
+#: by at most this.  The floor measured 1.6e-16 to 5.3e-16 over N = 64 to
+#: 1024, model A and model B at gamma = -1000, 2 and 1000 (a = 0.02)
 _SUBSPACE_TOL = 1e-9
 #: subspace steps before ``critical_growth`` gives up, enough for a
-#: contraction of 0.83 per step; the slowest measured was 0.45 (45 steps,
+#: contraction of 0.83 per step; the slowest measured was 0.2 (25 steps,
 #: model B, gamma = -1000, a = 0.02, k = 1.4, |mu| = 0.1)
 _MAX_SUBSPACE_STEPS = 200
 #: a critical frequency may lie on the shift's side of zero by this share
@@ -56,10 +55,20 @@ _MAX_SUBSPACE_STEPS = 200
 _SHIFT_SIDE_NOISE = 1e-3
 #: ``_subspace_step``'s image has lost a dimension when its second column
 #: keeps no more than this share of its norm off the first: about
-#: sqrt(eps), below which that direction is mostly rounding.  Steps kept
-#: at least 0.017 (median 0.999) over 1865 steps at N = 16 and 64, |mu| in
-#: [1e-3, 0.1], both models, gamma in [-1000, 1000] and a k^2 up to 0.45
+#: sqrt(eps), below which that direction is mostly rounding.  Steps with
+#: ``_STEP_POWER = 2`` kept at least 4.4e-6 (median 0.996) over 10516 steps
+#: of 1080 solves: both models, gamma in [-1000, 1000], a k^2 up to 0.45
+#: where the wave converges, N = 16 and 64, |mu| in [1e-3, 0.1], on the
+#: central block and the whole pencil; in the median a solve took 9 steps,
+#: at most 19.  The least was at model B, gamma = 1000, a k^2 = 0.078,
+#: N = 64, mu = -0.003, on the block
 _RANK_FLOOR = 1e-8
+#: ``critical_growth`` steps with this power of the shifted inverse, one
+#: product per step for two applications.  On the scan above the first
+#: power kept at least 2.8e-4 and took 14 steps in the median, at most 34;
+#: the fourth fell to 1.2e-9, below ``_RANK_FLOOR``, and 4 of its blocks
+#: lost a dimension or never settled
+_STEP_POWER = 2
 
 
 class DegeneratePairError(ArithmeticError):
@@ -206,89 +215,71 @@ def projected_det(model, branch, basis, mu):
 
 
 def _critical_shift(model, mu):
-    """``critical_growth``'s shift: ``|Omega_2| / 30`` on the far side of
-    zero from the critical pair, whose frequencies share the sign of mu."""
+    """``critical_growth``'s shift ``-+|Omega_2| / 30``, on the far side of
+    zero from the pair: for ``|mu| <= SWEEP_MU_MAX`` its frequencies lie
+    within about ``0.15 |Omega_2|`` of zero on the side of mu, the other
+    modes beyond ``0.9 |Omega_2|`` (mode 2's dispersion at mu = 0)."""
     sigma = abs(dispersion(model, 2, 0.0)) / 30.0
     return -sigma if mu > 0 else sigma
 
 
 def critical_growth(model, branch, mu):
     """The two pencil eigenvalues continuing the double zero at the origin,
-    solved at ``k = 1`` like the pencil and reported at the branch's ``k``
-    (``Units.frequency``), in the units of ``projected_det``'s roots.
+    solved at ``k = 1`` and reported at the branch's ``k`` in the units of
+    ``projected_det``'s roots: ``(lambda_plus, lambda_minus)``, tracked to
+    the unperturbed modes ``+1`` and ``-1`` by nearest dispersion; a
+    reflected pair ``lambda, -conj(lambda)``, which ties there, comes with
+    the growing member first.  The one-mu call of ``_critical_pairs``.
 
-    Returns ``(lambda_plus, lambda_minus)`` tracked to the unperturbed
-    modes ``+1`` and ``-1`` by nearest-dispersion assignment; a reflected
-    pair ``lambda, -conj(lambda)``, which ties there, comes with the
-    growing member first.
-
-    Only this pair is computed, on the real pencil ``L0 v = omega diag(s)
-    v``, ``lambda = i omega``: the span of the unit vectors of modes +1 and
-    -1 is mapped by ``(L0 - sigma diag(s))^-1 diag(s)``, one inverse per
-    ``mu``, which never divides by ``s``, and re-orthonormalized
-    (``_subspace_step``) until a step's move stops shrinking at rounding
-    level (``_SUBSPACE_TOL``); the pair are the
-    eigenvalues of the 2x2 pencil projected onto that span.  For
-    ``|mu| <= SWEEP_MU_MAX`` both critical frequencies lie within about
-    ``0.15 |Omega_2|`` of zero on the side of ``mu`` and the other modes
-    beyond ``0.9 |Omega_2|`` (``Omega_2`` the mode-2 dispersion at
-    ``mu = 0``); the shift ``sigma = -+|Omega_2| / 30`` on the far side of
-    zero keeps the shifted matrix far from singular.  The span settles on
-    the two eigenvalues nearest ``sigma``, so only a pair on the far side
-    (up to ``_SHIFT_SIDE_NOISE``) is the pair nearest zero: a frequency on
-    ``sigma``'s side, or no settled span after ``_MAX_SUBSPACE_STEPS``
-    steps, raises ``ConvergenceError``.
-
-    At ``mu != 0`` the pair is first solved on the central block of modes
-    ``|n| <= N // 2`` and kept where the modes it drops do not see it;
-    otherwise, and at ``mu = 0``, on the whole pencil.
+    The span settles on the two eigenvalues nearest ``_critical_shift``:
+    only a pair on its far side (up to ``_SHIFT_SIDE_NOISE``) is the pair
+    nearest zero, and a frequency on the shift's side, or no settled span
+    after ``_MAX_SUBSPACE_STEPS`` steps, raises ``ConvergenceError``.
     """
     if not abs(mu) <= SWEEP_MU_MAX:
         raise ValueError(
             f"critical tracking is restricted to |mu| <= {SWEEP_MU_MAX}")
-    pair = _pair_at(pencil_coefficients(model, branch), mu)
+    pair, = _critical_pairs(pencil_coefficients(model, branch), [mu])
     return tuple(branch.units.frequency(x) for x in pair)
 
 
 def _subspace_step(step, basis):
-    """One step of ``critical_growth``'s subspace iteration: the image
-    ``step @ basis`` orthonormalized by Gram-Schmidt, its second column
-    orthogonalized twice (twice is enough in double precision, Giraud et
-    al., Numer. Math. 101, 2005), and the move ``|Q - P (P^T Q)|_F`` from
-    the orthonormal ``P = basis``, which stays accurate at its rounding
-    floor where ``2 - |P^T Q|_F^2`` cancels.  An image whose second column
-    keeps no more than ``_RANK_FLOOR`` of its norm off the first, or that
-    is not finite, has lost a dimension: ``ArithmeticError``.
-
-    Not ``np.linalg.qr``: ``_block_pair``'s certificate reads the block's
-    edge rows, where the settled vectors fall to 1e-47 (B, gamma = 2,
-    a = 0.02, mu = 0.02); Householder QR leaves eps of a column's norm in
-    every row (1e-18 there).  With QR the block failed its certificate at
-    19 of 60 points (k = 1; a = 0.005 to 0.05; A, and B at gamma = 0.3
-    and 2; mu = 0.005, 0.02, 0.05, -0.03), against none, and
-    ``test_certified_block_pair_is_the_whole_pencils`` at A, a = 0.0625."""
+    """One subspace step at each grid point of a stack: each image
+    ``step[i] @ basis[i]`` orthonormalized by Gram-Schmidt, the second
+    column twice (enough in double precision, Giraud et al., Numer. Math.
+    101, 2005); each move ``|Q - P (P^T Q)|_F`` from ``P = basis[i]``; and
+    an ``ArithmeticError`` for each image not finite or whose second column
+    keeps no more than ``_RANK_FLOOR`` of its norm off the first.  Not
+    Householder QR, which leaves eps of a column's norm in the edge rows
+    the certificate reads (1e-47 at B, gamma = 2, a = 0.02, mu = 0.02):
+    with it 19 of ``TestCentralBlock``'s 60 blocks failed."""
     image = step @ basis
-    (xx, xy), (_, yy) = (image.T @ image).tolist()
-    if not (0.0 < xx < math.inf and yy < math.inf):
-        raise ArithmeticError("critical subspace image is zero or not finite")
-    size = math.sqrt(xx)
-    first, second = image.T
-    first /= size
-    second -= (xy / size) * first
-    rest = math.sqrt(second @ second)
-    if not rest > _RANK_FLOOR * math.sqrt(yy):
-        raise ArithmeticError(
-            f"critical subspace lost a dimension: a column of its image "
-            f"of norm {math.sqrt(yy):.3e} keeps {rest:.3e} off the other")
-    second -= (first @ second) * first
-    second /= math.sqrt(second @ second)
-    moved = image - basis @ (basis.T @ image)
-    return image, math.sqrt(np.vdot(moved, moved))
+    gram = image.mT @ image
+    xx, xy, yy = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    first, second = image[..., 0], image[..., 1]
+    size = np.sqrt(xx)
+    first /= size[:, None]
+    second -= (xy / size)[:, None] * first
+    rest = np.sqrt(np.add.reduce(second * second, 1))
+    finite = (0.0 < xx) & (xx < math.inf) & (yy < math.inf)
+    kept = finite & (rest > _RANK_FLOOR * np.sqrt(yy))
+    errors = {i: ArithmeticError(
+        f"critical subspace lost a dimension: a column of its image of norm "
+        f"{math.sqrt(yy[i]):.3e} keeps {rest[i]:.3e} off the other"
+        if finite[i] else "critical subspace image is zero or not finite")
+        for i in np.flatnonzero(~kept)}
+    second -= np.add.reduce(first * second, 1)[:, None] * first
+    second /= np.sqrt(np.add.reduce(second * second, 1))[:, None]
+    moved = image - basis @ (basis.mT @ image)
+    return image, np.sqrt(np.add.reduce(moved * moved, (1, 2))), errors
 
 
-def _labelled_pair(model, mu, omega, move):
-    """The kept frequencies ``omega`` as ``critical_growth``'s pair, after
-    the shift-side and degeneracy checks."""
+def _labelled_pair(model, mu, solved):
+    """``_grid_pairs``' frequencies ``omega`` as ``critical_growth``'s pair,
+    after the shift-side and degeneracy checks, or its error raised."""
+    if isinstance(solved, Exception):
+        raise solved
+    omega, move = solved
     sigma = _critical_shift(model, mu)
     if np.max(omega.real * np.sign(sigma)) > _SHIFT_SIDE_NOISE * abs(sigma):
         raise ConvergenceError(
@@ -300,78 +291,92 @@ def _labelled_pair(model, mu, omega, move):
         raise DegeneratePairError(
             f"critical eigenvalues coincide at mu={mu} "
             f"(spacing {abs(pair[0] - pair[1]):.3e})")
-    targets = [1j * dispersion(model, m, mu) for m in (1, -1)]
-    kept = abs(pair[0] - targets[0]) + abs(pair[1] - targets[1])
-    swapped = abs(pair[0] - targets[1]) + abs(pair[1] - targets[0])
+    targets = 1j * dispersion(model, np.array([1, -1]), mu)
+    kept, swapped = (np.abs(pair - t).sum() for t in (targets, targets[::-1]))
     if kept > swapped or (kept == swapped and pair[0].real < pair[1].real):
         pair = pair[::-1]
     return complex(pair[0]), complex(pair[1])
 
 
-def _block_pair(coefficients, mu, half):
-    """``critical_growth``'s shifted subspace iteration and 2x2 Ritz pencil
-    on the modes ``|n| <= half`` of ``L0 v = omega diag(s) v``: the pair's
-    frequencies and the last move, or ``None`` where a block (``half <
-    N``) cannot stand for the whole pencil.
-
-    A block's settled basis ``Q`` is kept when the rows the block drops,
-    applied to ``Q``, stay within the rounding of the block's own product:
-    ``|L0[out, in] Q|_F <= eps |(|L0[in, in]| |Q|)|_F``.  Then truncation
-    costs less than the whole computation loses to rounding (Hill's method
-    resolves an eigenpair once its coupling to the dropped modes is
-    negligible; Curtis & Deconinck, Math. Comp. 79, 2010).
-    """
-    pencil = coefficients.at(mu, half)
-    l0, s = pencil.L0, pencil.s
-    sigma = _critical_shift(coefficients.model, mu)
-    basis = np.zeros((2 * half + 1, 2))
-    basis[half + 1, 0] = basis[half - 1, 1] = 1.0
-    try:
-        shifted = l0.copy()
-        shifted.ravel()[::2 * half + 2] -= sigma * s
-        step = np.linalg.inv(shifted)
-        step *= s
-        last = np.inf
+def _grid_pairs(coefficients, mus, half):
+    """The critical pair's frequencies and last move at each ``mu``, solved
+    together on the modes ``|n| <= half``, or the error that stopped it.
+    ``((L0 - sigma diag(s))^-1 diag(s))^_STEP_POWER``, which never divides
+    by ``s``, fills one stack, the only one live; ``_subspace_step`` maps
+    each span from the unit vectors of modes +1 and -1, freezing it once it
+    fails or its move stops shrinking at rounding level (``_SUBSPACE_TOL``).
+    The pair are the eigenvalues of the 2x2 pencil on the span ``Q``, which
+    a block (``half < N``) keeps where ``|L0[out, in] Q|_F <= eps |(|L0[in,
+    in]| |Q|)|_F``: the modes it drops see the pair less than rounding does
+    (Curtis & Deconinck, Math. Comp. 79, 2010)."""
+    size, n, m = 2 * half + 1, coefficients.n_modes, len(mus)
+    stack, results = np.zeros((m, size, size)), [None] * m
+    for i, mu in enumerate(mus):
+        pencil = coefficients.at(mu, half)  # its L0 is shifted in place
+        pencil.L0.ravel()[::size + 1] -= \
+            _critical_shift(coefficients.model, mu) * pencil.s
+        try:
+            stack[i] = np.linalg.matrix_power(
+                np.linalg.inv(pencil.L0) * pencil.s, _STEP_POWER)
+        except np.linalg.LinAlgError as exc:
+            results[i] = ArithmeticError(
+                f"critical pair solve failed at mu={mu}: {exc}")
+    basis = np.zeros((m, size, 2))
+    basis[:, half + 1, 0] = basis[:, half - 1, 1] = 1.0
+    live = np.array([result is None for result in results], dtype=bool)
+    moves, last = np.full(m, np.inf), np.full(m, np.inf)
+    with np.errstate(all="ignore"):
         for _ in range(_MAX_SUBSPACE_STEPS):
-            basis, move = _subspace_step(step, basis)
-            if last <= move <= _SUBSPACE_TOL:
+            if not live.any():
                 break
+            image, move, errors = _subspace_step(stack, basis)
+            for i in [i for i in errors if live[i]]:
+                results[i], live[i] = errors[i], False
+            basis[live], moves[live] = image[live], move[live]
+            live &= ~((last <= move) & (move <= _SUBSPACE_TOL))
             last = move
-        else:
-            raise ConvergenceError(
-                f"critical subspace still moving by {move:.3e} at mu={mu} "
-                f"after {_MAX_SUBSPACE_STEPS} steps", move)
-        omega = np.linalg.eigvals(np.linalg.solve(
-            basis.T @ (s[:, None] * basis), basis.T @ (l0 @ basis)))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"critical pair solve failed at mu={mu}: {exc}") from exc
-    n = coefficients.n_modes
-    if half < n:
-        inner = slice(n - half, n + half + 1)
-        c0, c1, c2 = (term[:, inner] @ basis for term in
-                      (coefficients.A0, coefficients.A1, coefficients.A2))
-        coupling = np.delete(c0 + mu * c1 + (mu * mu) * c2, inner, axis=0)
-        floor = np.finfo(float).eps \
-            * np.linalg.norm(np.abs(l0) @ np.abs(basis))
-        if not np.linalg.norm(coupling) <= floor:
-            return None
-    return omega, move
+    for i in np.flatnonzero(live):
+        results[i] = ConvergenceError(
+            f"critical subspace still moving by {moves[i]:.3e} at "
+            f"mu={mus[i]} after {_MAX_SUBSPACE_STEPS} steps", moves[i])
+    inner = slice(n - half, n + half + 1)
+    for i in [i for i, result in enumerate(results) if result is None]:
+        mu, q, pencil = mus[i], basis[i], coefficients.at(mus[i], half)
+        try:
+            results[i] = np.linalg.eigvals(np.linalg.solve(
+                q.T @ (pencil.s[:, None] * q), q.T @ (pencil.L0 @ q))), \
+                float(moves[i])
+        except np.linalg.LinAlgError as exc:
+            results[i] = ArithmeticError(
+                f"critical pair solve failed at mu={mu}: {exc}")
+            continue
+        if half < n:
+            c0, c1, c2 = (term[:, inner] @ q for term in
+                          (coefficients.A0, coefficients.A1, coefficients.A2))
+            coupling = np.delete(c0 + mu * c1 + (mu * mu) * c2, inner, axis=0)
+            if not np.linalg.norm(coupling) <= np.finfo(float).eps \
+                    * np.linalg.norm(np.abs(pencil.L0) @ np.abs(q)):
+                results[i] = ArithmeticError(
+                    f"critical pair at mu={mu} is not certified on the block")
+    return results
 
 
-def _pair_at(coefficients, mu):
-    """``critical_growth``'s pair at ``k = 1`` from a branch's pencil
-    coefficients: from the central block of modes ``|n| <= N // 2`` where
-    it stands for the whole pencil, else, where the block's solve fails,
-    and at ``mu = 0``, from the whole pencil.  The checks run once, on the
-    pair kept."""
-    n, pair = coefficients.n_modes, None
-    if mu != 0.0 and n >= 2:
-        with contextlib.suppress(ArithmeticError, ConvergenceError):
-            pair = _block_pair(coefficients, mu, n // 2)
-    if pair is None:
-        pair = _block_pair(coefficients, mu, n)
-    return _labelled_pair(coefficients.model, mu, *pair)
+def _critical_pairs(coefficients, mus):
+    """``critical_growth``'s pairs at ``k = 1`` over a grid: on the central
+    block ``|n| <= N // 2`` where it stands for the whole pencil, else, and
+    at ``mu = 0``, on the whole pencil, whose failure alone raises."""
+    n, pairs = coefficients.n_modes, [None] * len(mus)
+    for half in (n // 2, n):
+        # the whole pencil takes mu = 0 and each mu whose block failed
+        todo = [i for i, mu in enumerate(mus) if pairs[i] is None
+                and (half == n or mu != 0.0 and n >= 2)]
+        solved = _grid_pairs(coefficients, [mus[i] for i in todo], half) \
+            if todo else []
+        for i, pair in zip(todo, solved):
+            if half == n or not isinstance(pair, Exception):
+                pairs[i] = pair
+    return [_labelled_pair(coefficients.model, mu, pair)
+            for mu, pair in zip(mus, pairs)]
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
@@ -387,7 +392,8 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
     there and ``D`` decides alone.  The rule is applied at ``k = 1``, so
     the verdict depends on ``a k^2`` alone; the report gives ``D`` and the
     growth at ``k``.  The pencil's coefficients and their projection are
-    built once for the whole grid.
+    built once for the whole grid, and its pairs solved together
+    (``_critical_pairs``).
     """
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
@@ -402,8 +408,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
     unit_a, shown = branch.unit_a, branch.units
     dets = [_quadratic_det(d, mu, unit_a, Units(model, 1.0))
             for mu in mu_grid]
-    pairs = parallel_map(lambda mu: _pair_at(coefficients, mu),
-                         [mu for mu in mu_grid if mu != 0.0])
+    pairs = _critical_pairs(coefficients, [mu for mu in mu_grid if mu != 0.0])
     # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
     growth = max([0.0, *(max(lp.real, lm.real) for lp, lm in pairs)])
 

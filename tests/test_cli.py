@@ -116,6 +116,24 @@ def _reader(key):
     return next(command for command, key_ in READ_PAIRS if key_ == key)
 
 
+#: a setting read only alongside another -> that other's key and value:
+#: gamma is model B's alone
+ALONGSIDE = {"gamma": ("model", "B")}
+
+
+def _flag_and_file(tmp_path, key, value):
+    """The flags and the config file that set ``key`` to ``value``, with
+    the setting that makes it read (``ALONGSIDE``) by the same source."""
+    lines = [(key, value)]
+    if key in ALONGSIDE:
+        lines.insert(0, ALONGSIDE[key])
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+    flags = [text for k, v in lines for text in (f"--{k.replace('_', '-')}",
+                                                  v)]
+    return flags, ["--config", str(path)]
+
+
 @pytest.fixture
 def no_solve(monkeypatch):
     """Every solve ``cli`` starts fails the test."""
@@ -146,13 +164,10 @@ class TestSettingsTable:
     @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
     def test_file_value_resolves_as_its_flag(self, tmp_path, key):
         value = SETTING_VALUES[key][0]
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = {value}\n")
-        flag = f"--{key.replace('_', '-')}"
+        flags, file = _flag_and_file(tmp_path, key, value)
         command = _reader(key)
-        from_flag = resolve_config(cli.parse_args([command, flag, value]))
-        from_file = resolve_config(cli.parse_args(
-            [command, "--config", str(path)]))
+        from_flag = resolve_config(cli.parse_args([command, *flags]))
+        from_file = resolve_config(cli.parse_args([command, *file]))
         assert from_file == from_flag != RunConfig()
         field = "n_modes" if key == "modes" else key
         assert getattr(from_flag, field) == cli._SETTINGS[key](value)
@@ -160,13 +175,9 @@ class TestSettingsTable:
     @pytest.mark.parametrize("command, key", READ_PAIRS)
     def test_read_setting_resolves_from_flag_and_file(self, tmp_path,
                                                       command, key):
-        value = SETTING_VALUES[key][0]
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = {value}\n")
-        from_flag = resolve_config(cli.parse_args(
-            [command, f"--{key.replace('_', '-')}", value]))
-        from_file = resolve_config(cli.parse_args(
-            [command, "--config", str(path)]))
+        flags, file = _flag_and_file(tmp_path, key, SETTING_VALUES[key][0])
+        from_flag = resolve_config(cli.parse_args([command, *flags]))
+        from_file = resolve_config(cli.parse_args([command, *file]))
         assert from_file == from_flag != RunConfig()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -206,6 +217,33 @@ class TestSettingsTable:
         assert payload["error"] == "config"
         assert payload["message"] == \
             f"unrecognized argument {refused!r} for {argv[0]}"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("argv, lines, message", [
+        (("wave", "--model", "A", "--gamma", "5", "--a", "0"),
+         "model = A\ngamma = 5\na = 0\n", "gamma is a setting of model B"),
+        (("spectrum", "--gamma", "2"), "gamma = 2\n",
+         "gamma is a setting of model B"),
+        (("index", "--model", "A", "--gamma", "0"), "model = A\ngamma = 0\n",
+         "gamma is a setting of model B"),
+        (("expand", "--check-golden", "--format", "csv"), "format = csv\n",
+         "--check-golden prints its diff as text"),
+    ], ids=["wave-gamma", "spectrum-gamma", "index-gamma", "golden-format"])
+    def test_a_setting_the_run_does_not_read_is_refused(
+            self, capsys, tmp_path, no_solve, argv, lines, message, source):
+        # wave --model A --gamma 5 --a 0 printed "gamma": 5.0, and the
+        # golden diff took a format it never read, both with exit 0
+        if source == "file":
+            path = tmp_path / "run.cfg"
+            path.write_text(lines)
+            argv = [argv[0], "--config", str(path),
+                    *(["--check-golden"] if "--check-golden" in argv
+                      else [])]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        assert payload["message"].startswith(message)
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
@@ -937,7 +975,7 @@ class TestSolverFailures:
             # an image that has lost a dimension
             if collapse == "zero":
                 return step(np.zeros_like(matrix), basis)
-            return step(matrix, np.column_stack([basis[:, 0], basis[:, 0]]))
+            return step(matrix, basis[..., [0, 0]])
 
         monkeypatch.setattr(modulation, "_subspace_step", collapsed)
         code, out, err = run_cli(capsys, "index", "--a", "0.02",
@@ -977,9 +1015,10 @@ def test_accepted_index_runs_end_in_json(model, log_k, a_share, gamma, ends,
     k = 10.0**log_k
     a = a_share * 0.45 / k**2
     start, stop = sorted(ends)
+    # gamma is model B's alone; model A refuses it
     argv = ["index", "--model", model, f"--k={k!r}", f"--a={a!r}",
-            f"--gamma={gamma!r}", f"--mu-grid={start!r}:{stop!r}:{count}",
-            "--modes", "16"]
+            *([f"--gamma={gamma!r}"] if model == "B" else []),
+            f"--mu-grid={start!r}:{stop!r}:{count}", "--modes", "16"]
     out, err = io.StringIO(), io.StringIO()
     with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -1025,7 +1064,9 @@ def test_results_depend_on_a_k2_alone(model, log_k, share, gamma, ends,
     a = share * 0.45 / k**2
     power = 1 if model == "A" else 0
     start, stop = sorted(ends)
-    common = ["--model", model, f"--gamma={gamma!r}", "--modes", "16"]
+    common = ["--model", model, "--modes", "16"]
+    if model == "B":  # gamma is model B's alone; model A refuses it
+        common += [f"--gamma={gamma!r}"]
     index = ["index", *common, f"--mu-grid={start!r}:{stop!r}:{count}"]
     if model == "B":
         index += ["--gamma-lo", "0", "--gamma-hi", "2"]

@@ -214,20 +214,27 @@ class TestProjectedDet:
 
 def whole_pair(coefficients, mu):
     """The critical pair at ``k = 1`` solved on the whole pencil."""
-    return modulation._labelled_pair(
-        coefficients.model, mu,
-        *modulation._block_pair(coefficients, mu, coefficients.n_modes))
+    solved, = modulation._grid_pairs(coefficients, [mu],
+                                     coefficients.n_modes)
+    return modulation._labelled_pair(coefficients.model, mu, solved)
+
+
+def block_pair(coefficients, mu, half):
+    """The frequencies and last move of the pair solved on the block of
+    modes ``|n| <= half``, or ``None`` where the block failed."""
+    solved, = modulation._grid_pairs(coefficients, [mu], half)
+    return None if isinstance(solved, Exception) else solved
 
 
 def collapsed_step(collapse):
-    """``_subspace_step`` fed an image that has lost a dimension: both
+    """``_subspace_step`` fed images that have lost a dimension: both
     columns the first (``"rank"``) or all zero (``"zero"``)."""
     step = modulation._subspace_step
 
     def collapsed(matrix, basis):
         if collapse == "zero":
             return step(np.zeros_like(matrix), basis)
-        return step(matrix, np.column_stack([basis[:, 0], basis[:, 0]]))
+        return step(matrix, basis[..., [0, 0]])
 
     return collapsed
 
@@ -350,9 +357,10 @@ class TestCriticalGrowth:
         moves = []
 
         def stalled(*args):
-            image, move = step(*args)
+            image, move, errors = step(*args)
             moves.append(move)
-            return image, 1.0 if len(moves) <= 2 else move
+            return image, np.ones_like(move) if len(moves) <= 2 else move, \
+                errors
 
         monkeypatch.setattr(modulation, "_subspace_step", stalled)
         pair = np.sort_complex(np.array(
@@ -394,11 +402,12 @@ class TestCriticalGrowth:
         step = modulation._subspace_step
 
         def recorded(*args):
-            q, move = step(*args)
-            if not runs or runs[-1][-1].shape != q.shape:
+            q, move, errors = step(*args)
+            # one mu: a stack of one basis
+            if not runs or runs[-1][-1].shape != q[0].shape:
                 runs.append([])
-            runs[-1].append(q)
-            return q, move
+            runs[-1].append(q[0].copy())
+            return q, move, errors
 
         monkeypatch.setattr(modulation, "_subspace_step", recorded)
         critical_growth(model, branch, mu)
@@ -486,8 +495,7 @@ def test_certified_block_pair_is_the_whole_pencils(variant, a, k, gamma, mu):
     coefficients = bloch.pencil_coefficients(model, branch)
     whole = tuple(branch.units.frequency(x)
                   for x in whole_pair(coefficients, mu))
-    central = None if mu == 0.0 else modulation._block_pair(coefficients, mu,
-                                                            64 // 2)
+    central = None if mu == 0.0 else block_pair(coefficients, mu, 64 // 2)
     pair = critical_growth(model, branch, mu)
     if central is None:
         assert a * k * k > 0.078 or mu == 0.0
@@ -508,8 +516,8 @@ class TestCentralBlock:
             branch = solve_wave(model, a, 1.0, n_modes=64)
             coefficients = bloch.pencil_coefficients(model, branch)
             for mu in (0.005, 0.02, 0.05, -0.03):
-                assert modulation._block_pair(coefficients, mu,
-                                              64 // 2) is not None, (a, mu)
+                assert block_pair(coefficients, mu, 64 // 2) is not None, \
+                    (a, mu)
 
     @pytest.mark.parametrize("variant,gamma,a", [
         ("A", 0.0, 0.45), ("B", 50.0, 0.078), ("B", 2.0, 0.2)])
@@ -519,7 +527,9 @@ class TestCentralBlock:
         branch = solve_wave(model, a, 1.0, n_modes=64)
         coefficients = bloch.pencil_coefficients(model, branch)
         for mu in (0.005, 0.03, -0.05, 0.1):
-            assert modulation._block_pair(coefficients, mu, 64 // 2) is None
+            solved, = modulation._grid_pairs(coefficients, [mu], 64 // 2)
+            assert isinstance(solved, ArithmeticError)
+            assert "not certified" in str(solved)
             whole = whole_pair(coefficients, mu)
             assert critical_growth(model, branch, mu) == whole
 
@@ -531,35 +541,130 @@ class TestCentralBlock:
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
         coefficients = bloch.pencil_coefficients(model, branch)
-        solve = modulation._block_pair
+        solve = modulation._grid_pairs
         blocks = []
 
-        def failing(coefficients, mu, half):
+        def failing(coefficients, mus, half):
             if half < coefficients.n_modes:
-                blocks.append(mu)
-                raise error
-            return solve(coefficients, mu, half)
+                blocks.extend(mus)
+                return [error] * len(mus)
+            return solve(coefficients, mus, half)
 
         mus = (0.005, 0.03, -0.05)
         wholes = [whole_pair(coefficients, mu) for mu in mus]
-        monkeypatch.setattr(modulation, "_block_pair", failing)
+        monkeypatch.setattr(modulation, "_grid_pairs", failing)
         assert [critical_growth(model, branch, mu) for mu in mus] == wholes
         assert blocks == list(mus)
 
     def test_the_sweep_runs_on_the_block(self, monkeypatch):
         # with the whole pencil's solve refused, a sweep in the benchmark's
         # domain still completes: every pair came from the block
-        solve = modulation._block_pair
+        solve = modulation._grid_pairs
 
-        def refused(coefficients, mu, half):
+        def refused(coefficients, mus, half):
             if half == coefficients.n_modes:
                 raise AssertionError("whole pencil solved")
-            return solve(coefficients, mu, half)
+            return solve(coefficients, mus, half)
 
-        monkeypatch.setattr(modulation, "_block_pair", refused)
+        monkeypatch.setattr(modulation, "_grid_pairs", refused)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.05, 1.2,
                                     np.linspace(0.0, 0.05, 11))
         assert report.verdict == "unstable"
+
+
+#: (model, gamma, a, k) of verdict-sweep and threshold-bisect operations of
+#: the benchmark's seeds, and waves whose central block fails (gamma = 50,
+#: a k^2 = 0.45) or keeps the least margin on ``_RANK_FLOOR`` (gamma =
+#: 1000)
+GRID_WAVES = [("A", 0.0, 0.022014, 0.93812), ("B", 0.2072, 0.042624, 1.1712),
+              ("B", 2.7376, 0.03267, 1.1263), ("B", 1.6173, 0.035977, 1.0565),
+              ("B", 2.8133, 0.0064939, 0.81901),
+              ("B", 0.18343, 0.047087, 1.1804), ("B", 50.0, 0.078, 1.0),
+              ("A", 0.0, 0.45, 1.0), ("B", 1000.0, 0.078, 1.0)]
+GRIDS = {"benchmark": np.linspace(0.001, 0.05, 11),
+         "with-zero": np.linspace(0.0, 0.05, 11),
+         "mixed-sign": [0.03, -0.01, 0.002, -0.05, 0.1, -0.1, 0.0, -0.002]}
+
+
+class TestGridSolver:
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    @pytest.mark.parametrize("variant,gamma,a,k", GRID_WAVES)
+    def test_grid_matches_one_mu_at_a_time(self, variant, gamma, a, k,
+                                           grid):
+        # the shift, and with it the side the pair settles on, flips with
+        # the sign of each mu; mu = 0 goes to the whole pencil alone
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, a, k, n_modes=64)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid = [float(mu) for mu in grid]
+        together = modulation._critical_pairs(coefficients, grid)
+        for mu, pair in zip(grid, together):
+            have = tuple(branch.units.frequency(x) for x in pair)
+            alone = critical_growth(model, branch, mu)
+            scale = max(abs(x) for x in alone)
+            assert max(abs(x - y) for x, y in zip(have, alone)) \
+                <= 1e-12 * scale, mu
+
+    @pytest.mark.parametrize("failure", ["zero", "unsettled"])
+    def test_a_block_failing_mid_grid_takes_the_whole_pencil_there_only(
+            self, monkeypatch, failure):
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=64)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid, mid = [0.005, 0.02, 0.03, -0.04, 0.05], 2
+        blocks = [modulation._labelled_pair(model, mu, block_pair(
+            coefficients, mu, 32)) for mu in grid]
+        whole = whole_pair(coefficients, grid[mid])
+        step, solve, solves = (modulation._subspace_step,
+                               modulation._grid_pairs, [])
+
+        def failing(matrix, basis):
+            on_block = matrix.shape[1] < 2 * 64 + 1
+            if on_block and failure == "zero":
+                basis = basis.copy()
+                basis[mid] = 0.0
+            image, move, errors = step(matrix, basis)
+            if on_block and failure == "unsettled":
+                move = move.copy()
+                move[mid] = 1.0
+            return image, move, errors
+
+        def recorded(coefficients, mus, half):
+            solves.append((half, list(mus)))
+            return solve(coefficients, mus, half)
+
+        monkeypatch.setattr(modulation, "_subspace_step", failing)
+        monkeypatch.setattr(modulation, "_grid_pairs", recorded)
+        pairs = modulation._critical_pairs(coefficients, grid)
+        assert solves == [(32, grid), (64, [grid[mid]])]
+        assert pairs[mid] == whole
+        assert pairs[:mid] + pairs[mid + 1:] == blocks[:mid] + blocks[mid + 1:]
+
+    def test_the_step_power_keeps_a_hundred_times_the_rank_floor(
+            self, monkeypatch):
+        # the least share of the scan behind _RANK_FLOOR (B, gamma = 1000,
+        # a = 0.078, N = 64, mu = -0.003, on the block): 2.8e-4 with the
+        # first power, 4.4e-6 with the second, 1.2e-9 with the fourth
+        model = Model("B", gamma=1000.0)
+        branch = solve_wave(model, 0.078, 1.0, n_modes=64)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        step, shares = modulation._subspace_step, []
+
+        def measured(matrix, basis):
+            image = matrix @ basis
+            x, y = image[..., 0], image[..., 1]
+            along = np.sum(x * y, axis=1) / np.sum(x * x, axis=1)
+            off = y - along[:, None] * x
+            shares.extend(np.linalg.norm(off, axis=1)
+                          / np.linalg.norm(y, axis=1))
+            return step(matrix, basis)
+
+        monkeypatch.setattr(modulation, "_subspace_step", measured)
+        solved, = modulation._grid_pairs(coefficients, [-0.003], 64 // 2)
+        # the block settles, and then fails its certificate
+        assert "not certified" in str(solved)
+        assert len(shares) > 2
+        assert min(shares) >= 100.0 * modulation._RANK_FLOOR
 
 
 class TestVerdicts:
@@ -611,14 +716,14 @@ class TestVerdicts:
         # B, gamma = 2, a = 0.01: of this grid only mu = 0 lies in the band
         # mu < a k^2 sqrt(gamma - 1) / 2 = 0.005, where the critical pair is
         # the double zero, whose measured real part is rounding noise
-        measured = modulation._pair_at
+        measured = modulation._critical_pairs
         solved = []
 
-        def recorded(coefficients, mu):
-            solved.append(mu)
-            return measured(coefficients, mu)
+        def recorded(coefficients, mus):
+            solved.extend(mus)
+            return measured(coefficients, mus)
 
-        monkeypatch.setattr(modulation, "_pair_at", recorded)
+        monkeypatch.setattr(modulation, "_critical_pairs", recorded)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
                                     np.linspace(0.0, 0.05, 5), n_modes=32)
         assert report.disc_samples[0][1] < 0.0

@@ -56,7 +56,7 @@ class TestResidual:
 
     def test_wrong_speed_leaves_linear_residual(self):
         a = 1e-3
-        eta = TrigSeries.cosine(1, 16, amplitude=a)
+        eta = a * TrigSeries.cosine(1, 16)
         res = residual(MODEL_A, eta, 1.0)
         # leading term a*(1 - 3 c^2 k^2) cos z with c = k = 1
         assert res.sup_norm() >= a * abs(1.0 - 3.0) / 2.0
