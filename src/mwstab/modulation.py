@@ -69,6 +69,11 @@ _RANK_FLOOR = 1e-8
 #: the fourth fell to 1.2e-9, below ``_RANK_FLOOR``, and 4 of its blocks
 #: lost a dimension or never settled
 _STEP_POWER = 2
+#: ``_critical_pairs`` solves a grid in batches whose stack of step
+#: matrices holds at most this many bytes, or a single ``mu``: an 11-point
+#: grid takes 372 KB on the central block at N = 64, one batch, where
+#: 10000 points at N = 1024 would take 84 GB in one stack
+_STACK_BYTES = 2**20
 
 
 class DegeneratePairError(ArithmeticError):
@@ -254,7 +259,7 @@ def _subspace_step(step, basis):
     the certificate reads (1e-47 at B, gamma = 2, a = 0.02, mu = 0.02):
     with it 19 of ``TestCentralBlock``'s 60 blocks failed."""
     image = step @ basis
-    gram = image.mT @ image
+    gram = np.swapaxes(image, 1, 2) @ image
     xx, xy, yy = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
     first, second = image[..., 0], image[..., 1]
     size = np.sqrt(xx)
@@ -270,7 +275,7 @@ def _subspace_step(step, basis):
         for i in np.flatnonzero(~kept)}
     second -= np.add.reduce(first * second, 1)[:, None] * first
     second /= np.sqrt(np.add.reduce(second * second, 1))[:, None]
-    moved = image - basis @ (basis.mT @ image)
+    moved = image - basis @ (np.swapaxes(basis, 1, 2) @ image)
     return image, np.sqrt(np.add.reduce(moved * moved, (1, 2))), errors
 
 
@@ -362,19 +367,19 @@ def _grid_pairs(coefficients, mus, half):
 
 
 def _critical_pairs(coefficients, mus):
-    """``critical_growth``'s pairs at ``k = 1`` over a grid: on the central
-    block ``|n| <= N // 2`` where it stands for the whole pencil, else, and
-    at ``mu = 0``, on the whole pencil, whose failure alone raises."""
+    """``critical_growth``'s pairs at ``k = 1`` over a grid, in batches of
+    ``_STACK_BYTES``: on the central block ``|n| <= N // 2``, else and at
+    ``mu = 0`` on the whole pencil, whose failure alone raises."""
     n, pairs = coefficients.n_modes, [None] * len(mus)
     for half in (n // 2, n):
-        # the whole pencil takes mu = 0 and each mu whose block failed
         todo = [i for i, mu in enumerate(mus) if pairs[i] is None
                 and (half == n or mu != 0.0 and n >= 2)]
-        solved = _grid_pairs(coefficients, [mus[i] for i in todo], half) \
-            if todo else []
-        for i, pair in zip(todo, solved):
-            if half == n or not isinstance(pair, Exception):
-                pairs[i] = pair
+        batch = max(1, _STACK_BYTES // (8 * (2 * half + 1) ** 2))
+        for part in (todo[j:j + batch] for j in range(0, len(todo), batch)):
+            solved = _grid_pairs(coefficients, [mus[i] for i in part], half)
+            for i, pair in zip(part, solved):
+                if half == n or not isinstance(pair, Exception):
+                    pairs[i] = pair
     return [_labelled_pair(coefficients.model, mu, pair)
             for mu, pair in zip(mus, pairs)]
 

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,6 +88,22 @@ def test_sweep_domain_is_one_bound(branch_a005, call):
     for mu in (np.nextafter(edge, 1.0), np.nextafter(-edge, -1.0)):
         with pytest.raises(ValueError, match=rf"\|mu\| <= {edge}"):
             call(branch_a005, mu)
+
+
+#: names NumPy has only from 2.0 on; pyproject.toml declares numpy>=1.24
+NUMPY_2_ONLY = {"mT", "vecdot", "matvec", "vecmat", "matrix_transpose",
+                "permute_dims", "unstack", "concat", "trapezoid", "isdtype",
+                "cumulative_sum", "cumulative_prod", "vector_norm",
+                "matrix_norm", "to_device"}
+
+
+def test_the_package_reads_no_numpy_2_only_name():
+    # ndarray.mT in _subspace_step raised AttributeError on NumPy 1.26
+    package = Path(modulation.__file__).parent
+    used = {(path.name, node.attr) for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in NUMPY_2_ONLY}
+    assert not used
 
 
 class TestCriticalBasis:
@@ -665,6 +683,48 @@ class TestGridSolver:
         assert "not certified" in str(solved)
         assert len(shares) > 2
         assert min(shares) >= 100.0 * modulation._RANK_FLOOR
+
+    def test_a_long_grid_is_solved_in_batches_within_the_stack_bound(
+            self, monkeypatch):
+        # at N = 128 a 129x129 block takes 133 KB, so 7 fit in the bound;
+        # a 200-point grid in one stack would take 27 MB
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=128)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid = [float(mu) for mu in np.linspace(-0.1, 0.1, 201) if mu]
+        step, solve, stacks, solves = (modulation._subspace_step,
+                                       modulation._grid_pairs, [], [])
+
+        def measured(matrix, basis):
+            stacks.append(matrix.shape)
+            return step(matrix, basis)
+
+        def recorded(coefficients, mus, half):
+            solves.append((half, list(mus)))
+            return solve(coefficients, mus, half)
+
+        monkeypatch.setattr(modulation, "_subspace_step", measured)
+        monkeypatch.setattr(modulation, "_grid_pairs", recorded)
+        modulation._critical_pairs(coefficients, grid)
+        assert {half for half, _ in solves} == {64}
+        assert [mu for _, mus in solves for mu in mus] == grid
+        assert {len(mus) for _, mus in solves} == {7, 4}
+        assert max(8 * m * size * size for m, size, _ in stacks) \
+            <= modulation._STACK_BYTES
+
+    @pytest.mark.parametrize("variant,gamma,a", [("B", 2.0, 0.03),
+                                                 ("A", 0.0, 0.45)])
+    def test_batches_do_not_change_the_pairs(self, monkeypatch, variant,
+                                             gamma, a):
+        # one stack for the grid against one mu a batch, on the block and,
+        # at a k^2 = 0.45 and mu = 0, on the whole pencil
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, a, 1.0, n_modes=64)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid = [float(mu) for mu in np.linspace(-0.1, 0.1, 21)]
+        together = modulation._critical_pairs(coefficients, grid)
+        monkeypatch.setattr(modulation, "_STACK_BYTES", 1)
+        assert modulation._critical_pairs(coefficients, grid) == together
 
 
 class TestVerdicts:
