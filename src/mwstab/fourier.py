@@ -4,7 +4,7 @@
 series, which makes even/odd symmetry structural (an even series has an
 all-zero sine block).  ``to_modes`` gives the coefficients of
 ``exp(i*n*z)`` for ``n = -N..N``, the basis in which ``d/dz + i*mu`` is
-diagonal, and ``mult_matrix`` the action of a product there.
+diagonal, and ``band`` the entries of multiplication there.
 
 Series are value-semantic: coefficient arrays are copied on construction
 and marked read-only, and every operation returns a new object.
@@ -238,10 +238,11 @@ class TrigSeries:
         return cls(cos, sin)
 
     def band(self):
-        """The band of ``mult_matrix``: entry ``j + 2N`` is the real
-        coefficient of ``exp(ijz)`` (imaginary for an odd series), the
-        ``(p, q)`` entry for ``p - q = j``, zero for ``N < |j| <= 2N``.  A
-        series with both parts raises ``ValueError``."""
+        """Multiplication by this series in the exponential basis, as a
+        real band: entry ``j + 2N``, the ``(p, q)`` entry for ``p - q =
+        j``, is the coefficient of ``exp(ijz)`` (``-i`` times it for an odd
+        series, whose product is ``i`` times the band), zero for ``N < |j|
+        <= 2N`` as ``*`` truncates.  Mixed parity raises ``ValueError``."""
         n = self.n_modes
         if not (self.is_even() or self.is_odd()):
             raise ValueError("a series with both cosines and sines has no "
@@ -249,12 +250,3 @@ class TrigSeries:
         modes = self.to_modes()
         band = modes.real if self.is_even() else modes.imag
         return np.concatenate([np.zeros(n), band, np.zeros(n)])
-
-    def mult_matrix(self):
-        """Multiplication by a series of one parity in the exponential
-        basis, as a real Toeplitz matrix ``R`` gathered from ``band``:
-        multiplication is ``R`` for an even series and ``i R`` for an odd
-        one.  Products are truncated to ``|p| <= N`` as in ``*``."""
-        n = self.n_modes
-        idx = np.arange(2 * n + 1)
-        return self.band()[idx[:, None] - idx[None, :] + 2 * n]

@@ -219,13 +219,14 @@ def projected_det(model, branch, basis, mu):
     return _quadratic_det(d, mu, branch.a, branch.units)
 
 
-def _critical_shift(model, mu):
-    """``critical_growth``'s shift ``-+|Omega_2| / 30``, on the far side of
-    zero from the pair: for ``|mu| <= SWEEP_MU_MAX`` its frequencies lie
-    within about ``0.15 |Omega_2|`` of zero on the side of mu, the other
-    modes beyond ``0.9 |Omega_2|`` (mode 2's dispersion at mu = 0)."""
+def _critical_shift(model, mus):
+    """``critical_growth``'s shift ``-+|Omega_2| / 30`` at each ``mu`` of
+    an array, on the far side of zero from the pair: for ``|mu| <=
+    SWEEP_MU_MAX`` its frequencies lie within about ``0.15 |Omega_2|`` of
+    zero on the side of mu, the other modes beyond ``0.9 |Omega_2|`` (mode
+    2's dispersion at mu = 0, evaluated once per call)."""
     sigma = abs(dispersion(model, 2, 0.0)) / 30.0
-    return -sigma if mu > 0 else sigma
+    return np.where(np.asarray(mus) > 0, -sigma, sigma)
 
 
 def critical_growth(model, branch, mu):
@@ -279,13 +280,13 @@ def _subspace_step(step, basis):
     return image, np.sqrt(np.add.reduce(moved * moved, (1, 2))), errors
 
 
-def _labelled_pair(model, mu, solved):
-    """``_grid_pairs``' frequencies ``omega`` as ``critical_growth``'s pair,
-    after the shift-side and degeneracy checks, or its error raised."""
+def _labelled_pair(model, mu, sigma, solved):
+    """``_grid_pairs``' frequencies ``omega`` at ``mu`` and shift ``sigma``
+    as ``critical_growth``'s pair, after the shift-side and degeneracy
+    checks, or its error raised."""
     if isinstance(solved, Exception):
         raise solved
     omega, move = solved
-    sigma = _critical_shift(model, mu)
     if np.max(omega.real * np.sign(sigma)) > _SHIFT_SIDE_NOISE * abs(sigma):
         raise ConvergenceError(
             f"critical subspace at mu={mu} settled on frequencies "
@@ -303,11 +304,12 @@ def _labelled_pair(model, mu, solved):
     return complex(pair[0]), complex(pair[1])
 
 
-def _grid_pairs(coefficients, mus, half):
+def _grid_pairs(coefficients, mus, shifts, half):
     """The critical pair's frequencies and last move at each ``mu``, solved
     together on the modes ``|n| <= half``, or the error that stopped it.
-    ``((L0 - sigma diag(s))^-1 diag(s))^_STEP_POWER``, which never divides
-    by ``s``, fills one stack, the only one live; ``_subspace_step`` maps
+    ``((L0 - sigma diag(s))^-1 diag(s))^_STEP_POWER`` at each ``mu``'s
+    shift ``sigma`` (``_critical_shift``), which never divides by ``s``,
+    fills one stack, the only one live; ``_subspace_step`` maps
     each span from the unit vectors of modes +1 and -1, freezing it once it
     fails or its move stops shrinking at rounding level (``_SUBSPACE_TOL``).
     The pair are the eigenvalues of the 2x2 pencil on the span ``Q``, which
@@ -316,10 +318,9 @@ def _grid_pairs(coefficients, mus, half):
     (Curtis & Deconinck, Math. Comp. 79, 2010)."""
     size, n, m = 2 * half + 1, coefficients.n_modes, len(mus)
     stack, results = np.zeros((m, size, size)), [None] * m
-    for i, mu in enumerate(mus):
+    for i, (mu, sigma) in enumerate(zip(mus, shifts)):
         pencil = coefficients.at(mu, half)  # its L0 is shifted in place
-        pencil.L0.ravel()[::size + 1] -= \
-            _critical_shift(coefficients.model, mu) * pencil.s
+        pencil.L0.ravel()[::size + 1] -= sigma * pencil.s
         try:
             stack[i] = np.linalg.matrix_power(
                 np.linalg.inv(pencil.L0) * pencil.s, _STEP_POWER)
@@ -369,19 +370,22 @@ def _grid_pairs(coefficients, mus, half):
 def _critical_pairs(coefficients, mus):
     """``critical_growth``'s pairs at ``k = 1`` over a grid, in batches of
     ``_STACK_BYTES``: on the central block ``|n| <= N // 2``, else and at
-    ``mu = 0`` on the whole pencil, whose failure alone raises."""
+    ``mu = 0`` on the whole pencil, whose failure alone raises; the shifts
+    are evaluated once for the grid."""
     n, pairs = coefficients.n_modes, [None] * len(mus)
+    shifts = _critical_shift(coefficients.model, mus)
     for half in (n // 2, n):
         todo = [i for i, mu in enumerate(mus) if pairs[i] is None
                 and (half == n or mu != 0.0 and n >= 2)]
         batch = max(1, _STACK_BYTES // (8 * (2 * half + 1) ** 2))
         for part in (todo[j:j + batch] for j in range(0, len(todo), batch)):
-            solved = _grid_pairs(coefficients, [mus[i] for i in part], half)
+            solved = _grid_pairs(coefficients, [mus[i] for i in part],
+                                 shifts[part], half)
             for i, pair in zip(part, solved):
                 if half == n or not isinstance(pair, Exception):
                     pairs[i] = pair
-    return [_labelled_pair(coefficients.model, mu, pair)
-            for mu, pair in zip(mus, pairs)]
+    return [_labelled_pair(coefficients.model, mu, sigma, pair)
+            for mu, sigma, pair in zip(mus, shifts, pairs)]
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,

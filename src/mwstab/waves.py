@@ -250,42 +250,45 @@ def _operator_terms(model, eta, c):
     return odd, left, right
 
 
-def _a0_block(r, cl, er, rows, cols):
-    """``A0``, ``L0`` at ``mu = 0`` without its ``-1``, at row modes
-    ``rows`` and column modes ``cols`` from the terms' entries there, in
-    ``linearized_operator``'s order of operations: every entry is that
-    operator's to the last bit."""
-    a0 = np.multiply(r, -cols)
-    a0 -= np.multiply(cl, (rows * rows)[:, None])
-    if er is not None:
-        a0 -= np.multiply(er, cols * cols)
-    return a0
-
-
 def linearized_operator(model, eta, c):
     """Linearized traveling-wave ODE at ``k = 1`` about ``(eta, c)`` on
     Bloch modes ``exp(i mu z) V(z)``, as the matrix on the ``exp(inz)``
     coefficients of ``V``, ``|n| <= eta.n_modes``: the ``L0`` of the Bloch
     pencil, and at ``mu = 0`` minus (A) or plus (B) the derivative of
-    ``residual`` in the profile.  ``mu`` enters only through ``D = d/dz +
+    ``residual`` in the profile, whose fold onto cosines is Newton's
+    Jacobian (``_cosine_fold``).  ``mu`` enters only through ``D = d/dz +
     i mu``, at most squared, so ``L0(mu) = A0 + mu A1 + mu^2 A2``; the real
     ``(A0, A1, A2)`` of an even profile are returned (any other profile
-    raises ``ValueError``).  ``D^2`` acts *after* multiplication by the
+    raises ``ValueError``), each term's matrix gathered once from its band
+    (``_operator_rows``).  ``D^2`` acts *after* multiplication by the
     profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
     term multiplies *after* differentiation (``_operator_terms``).
     """
     return _operator_matrices(_operator_terms(model, eta, c))
 
 
+def _operator_rows(terms, first):
+    """Rows ``first..N``, against every column, of the terms' matrices
+    ``(R, C, E)``, each gathered from its band at ``row - col + 2N``, and of
+    ``A0``, ``L0`` at ``mu = 0``, formed from them."""
+    n = terms[1].n_modes
+    index = np.arange(first, n + 1)[:, None] - np.arange(-n, n + 1) + 2 * n
+    r, cl, er = (None if term is None else term.band()[index]
+                 for term in terms)
+    m = np.arange(-n, n + 1.0)
+    a0 = np.multiply(r, -m)
+    a0 -= np.multiply(cl, (m * m)[first + n:, None])
+    if er is not None:
+        a0 -= np.multiply(er, m * m)
+    a0.ravel()[first + n::2 * n + 2] -= 1.0
+    return (r, cl, er), a0
+
+
 def _operator_matrices(terms):
     """``linearized_operator``'s ``(A0, A1, A2)`` from ``_operator_terms``."""
-    r, cl, er = (None if term is None else term.mult_matrix()
-                 for term in terms)
     n = terms[1].n_modes
-    m = np.arange(-n, n + 1.0)
-    a0 = _a0_block(r, cl, er, m, m)
-    a0.ravel()[::2 * n + 2] -= 1.0
-    twice = 2.0 * m
+    (r, cl, er), a0 = _operator_rows(terms, -n)
+    twice = 2.0 * np.arange(-n, n + 1.0)
     a1, a2 = np.negative(r), np.negative(cl)
     a1 -= np.multiply(cl, twice[:, None])
     if er is not None:
@@ -295,31 +298,20 @@ def _operator_matrices(terms):
 
 
 def _cosine_fold(terms):
-    """``A0`` folded onto cosines, assembled from the bands of
-    ``_operator_terms`` without the rest of the operator: rows and columns
-    ``0..N`` (Toeplitz part, with the ``-1``), plus from column 1 on the
-    columns ``-1..-N`` (Hankel part), which ``exp(-ijz)`` brings to
-    ``cos(jz)``."""
-    bands = [None if term is None else term.band() for term in terms]
+    """``A0`` folded onto cosines: its rows ``0..N``, where column ``-q``
+    adds to column ``q`` (``exp(-iqz)`` brings ``cos(qz)`` there)."""
     n = terms[1].n_modes
-    idx = np.arange(n + 1)
-    p = np.arange(n + 1.0)
-
-    def block(index, cols):
-        return _a0_block(*(None if band is None else band[index]
-                           for band in bands), p, cols)
-
-    fold = block(idx[:, None] - idx[None, :] + 2 * n, p)
-    fold.ravel()[::n + 2] -= 1.0
-    fold[:, 1:] += block(idx[:, None] + idx[None, 1:] + 2 * n, -p[1:])
+    _, a0 = _operator_rows(terms, 0)
+    fold = a0[:, n:]
+    fold[:, 1:] += a0[:, n - 1::-1]
     return fold
 
 
-def _bordered_jacobian(model, fold, eta, c):
-    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c) from
-    ``_cosine_fold``'s folded ``A0`` at ``(eta, c)``, bordered by the speed
-    column and the amplitude row."""
-    n = eta.n_modes
+def _bordered_jacobian(model, terms, eta, c):
+    """Newton Jacobian of (cosine residual, amplitude) in (cosines, c) at
+    ``(eta, c)``: ``_cosine_fold`` of its ``_operator_terms``, bordered by
+    the speed column and the amplitude row."""
+    n, fold = eta.n_modes, _cosine_fold(terms)
     scale = np.full(n + 1, 2.0)
     scale[0] = 1.0
     sign = -1.0 if model.is_a else 1.0
@@ -340,12 +332,12 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     equations are the residual's cosine coefficients for harmonics
     ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
     analytic expansion, whose residual is first evaluated as Newton's
-    first iterate.  The Jacobian
-    is ``linearized_operator``'s ``A0`` on cosines (``_cosine_fold``, which
-    assembles only those rows), bordered by the speed column and the
-    amplitude row.  ``tol`` bounds the ``k = 1``
-    residual; ``ConvergenceError`` is raised when the iteration stalls
-    above it, runs out of steps, or meets a singular Jacobian.
+    first iterate.  The Jacobian is ``linearized_operator``'s ``A0`` folded
+    onto cosines (``_cosine_fold``, from its rows ``0..N`` alone), bordered
+    by the speed column and the amplitude row.  ``tol`` bounds the ``k =
+    1`` residual; ``ConvergenceError`` is raised when the iteration stalls
+    above it, runs out of steps, meets a singular Jacobian, or meets a
+    residual that is not finite, the first sign of an iterate that is not.
     """
     unit_a = _unit_amplitude(model, a, k)
     if tol <= 0:
@@ -359,9 +351,13 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     for _ in range(max_iter):
         eta = TrigSeries(x[:n + 1])
         c = x[n + 1]
-        res = residual(model, eta, c)
-        sup = res.sup_norm()
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = residual(model, eta, c)
+            sup = res.sup_norm()
         history.append(sup)
+        if not np.isfinite(sup):
+            raise ConvergenceError(
+                f"Newton residual is not finite at step {len(history)}", sup)
         err = max(sup, abs(x[1] - unit_a))
         if err <= tol:
             return WaveBranch(model=model, a=a, k=k, unit_a=unit_a,
@@ -379,8 +375,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
         rhs = np.concatenate([res.cos, [x[1] - unit_a]])
         try:
             dx = np.linalg.solve(_bordered_jacobian(
-                model, _cosine_fold(_operator_terms(model, eta, c)), eta, c),
-                rhs)
+                model, _operator_terms(model, eta, c), eta, c), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular Newton Jacobian at step {len(history)}",
@@ -405,8 +400,7 @@ def branch_derivative(branch):
     rhs = np.zeros(n + 2)
     rhs[n + 1] = 1.0
     eta, c = branch.unit_eta, branch.unit_c
-    jac = _bordered_jacobian(branch.model, _cosine_fold(branch._terms), eta,
-                             c)
+    jac = _bordered_jacobian(branch.model, branch._terms, eta, c)
     try:
         tangent = np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:

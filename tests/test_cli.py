@@ -918,11 +918,30 @@ class TestSolverFailures:
         assert "stalled" in payload["message"]
         assert 0.0 < payload["residual_norm"] < 1e-15
 
+    @pytest.mark.parametrize("argv", [
+        ("wave", "--model", "B", "--gamma", "1e300", "--a", "0.02"),
+        ("index", "--model", "B", "--gamma-lo", "1e300", "--gamma-hi",
+         "2e300")])
+    def test_non_finite_newton_residual_exits_solver(self, capsys, argv):
+        # the seed's residual overflows: Newton stops there, before any
+        # warning or a non-finite iterate reaches the operator's bands
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_SOLVER and out == "" and caught == []
+        assert err.count("\n") == 1 and err.endswith("\n")
+        payload = _strict_json(err)
+        assert payload["error"] == "convergence"
+        assert "not finite" in payload["message"]
+        assert payload["residual_norm"] is None
+
     def test_singular_jacobian_exits_solver(self, capsys, monkeypatch):
         from mwstab import waves
 
         monkeypatch.setattr(waves, "_bordered_jacobian",
-                            lambda model, a0, eta, c: np.zeros(
+                            lambda model, terms, eta, c: np.zeros(
                                 (eta.n_modes + 2, eta.n_modes + 2)))
         code, _, err = run_cli(capsys, "wave", "--a", "0.05",
                                "--modes", "16")
@@ -939,7 +958,7 @@ class TestSolverFailures:
         def solved(*args, **kwargs):
             branch = solve(*args, **kwargs)
             monkeypatch.setattr(waves, "_bordered_jacobian",
-                                lambda model, a0, eta, c: np.zeros(
+                                lambda model, terms, eta, c: np.zeros(
                                     (eta.n_modes + 2, eta.n_modes + 2)))
             return branch
 

@@ -153,18 +153,21 @@ class TestComplexConversion:
         assert_allclose(back.cos[2], 1.0)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_mult_matrix_is_the_truncated_product(self, parity):
+    def test_band_gather_is_the_truncated_product(self, parity):
+        # the (p, q) entry at p - q + 2N, as the linearized operator reads it
         rng = np.random.default_rng(6)
         f, g = random_series(rng, 9), random_series(rng, 9)
         f = TrigSeries(f.cos) if parity == "even" \
             else TrigSeries(np.zeros(10), f.sin)
         unit = 1.0 if parity == "even" else 1j
-        product = unit * (f.mult_matrix() @ g.to_modes())
+        idx = np.arange(19)
+        matrix = f.band()[idx[:, None] - idx + 18]
+        product = unit * (matrix @ g.to_modes())
         assert np.max(np.abs(product - (f * g).to_modes())) <= 1e-14
 
-    def test_mult_matrix_needs_one_parity(self):
+    def test_band_needs_one_parity(self):
         with pytest.raises(ValueError, match="both"):
-            (TrigSeries.cosine(1, 4) + TrigSeries.sine(2, 4)).mult_matrix()
+            (TrigSeries.cosine(1, 4) + TrigSeries.sine(2, 4)).band()
 
 
 class TestValueSemantics:

@@ -230,17 +230,26 @@ class TestProjectedDet:
             projected_det(MODEL_A, branch_a005, broken, 0.01)
 
 
+def grid_pair(coefficients, mu, half):
+    """``_grid_pairs``' result at the one ``mu`` and its shift, on the modes
+    ``|n| <= half``."""
+    sigma = modulation._critical_shift(coefficients.model, mu)
+    solved, = modulation._grid_pairs(coefficients, [mu], [sigma], half)
+    return solved
+
+
 def whole_pair(coefficients, mu):
     """The critical pair at ``k = 1`` solved on the whole pencil."""
-    solved, = modulation._grid_pairs(coefficients, [mu],
-                                     coefficients.n_modes)
-    return modulation._labelled_pair(coefficients.model, mu, solved)
+    model = coefficients.model
+    return modulation._labelled_pair(
+        model, mu, modulation._critical_shift(model, mu),
+        grid_pair(coefficients, mu, coefficients.n_modes))
 
 
 def block_pair(coefficients, mu, half):
     """The frequencies and last move of the pair solved on the block of
     modes ``|n| <= half``, or ``None`` where the block failed."""
-    solved, = modulation._grid_pairs(coefficients, [mu], half)
+    solved = grid_pair(coefficients, mu, half)
     return None if isinstance(solved, Exception) else solved
 
 
@@ -545,7 +554,7 @@ class TestCentralBlock:
         branch = solve_wave(model, a, 1.0, n_modes=64)
         coefficients = bloch.pencil_coefficients(model, branch)
         for mu in (0.005, 0.03, -0.05, 0.1):
-            solved, = modulation._grid_pairs(coefficients, [mu], 64 // 2)
+            solved = grid_pair(coefficients, mu, 64 // 2)
             assert isinstance(solved, ArithmeticError)
             assert "not certified" in str(solved)
             whole = whole_pair(coefficients, mu)
@@ -562,11 +571,11 @@ class TestCentralBlock:
         solve = modulation._grid_pairs
         blocks = []
 
-        def failing(coefficients, mus, half):
+        def failing(coefficients, mus, shifts, half):
             if half < coefficients.n_modes:
                 blocks.extend(mus)
                 return [error] * len(mus)
-            return solve(coefficients, mus, half)
+            return solve(coefficients, mus, shifts, half)
 
         mus = (0.005, 0.03, -0.05)
         wholes = [whole_pair(coefficients, mu) for mu in mus]
@@ -579,10 +588,10 @@ class TestCentralBlock:
         # domain still completes: every pair came from the block
         solve = modulation._grid_pairs
 
-        def refused(coefficients, mus, half):
+        def refused(coefficients, mus, shifts, half):
             if half == coefficients.n_modes:
                 raise AssertionError("whole pencil solved")
-            return solve(coefficients, mus, half)
+            return solve(coefficients, mus, shifts, half)
 
         monkeypatch.setattr(modulation, "_grid_pairs", refused)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.05, 1.2,
@@ -630,8 +639,9 @@ class TestGridSolver:
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
         coefficients = bloch.pencil_coefficients(model, branch)
         grid, mid = [0.005, 0.02, 0.03, -0.04, 0.05], 2
-        blocks = [modulation._labelled_pair(model, mu, block_pair(
-            coefficients, mu, 32)) for mu in grid]
+        blocks = [modulation._labelled_pair(
+            model, mu, modulation._critical_shift(model, mu),
+            block_pair(coefficients, mu, 32)) for mu in grid]
         whole = whole_pair(coefficients, grid[mid])
         step, solve, solves = (modulation._subspace_step,
                                modulation._grid_pairs, [])
@@ -647,9 +657,9 @@ class TestGridSolver:
                 move[mid] = 1.0
             return image, move, errors
 
-        def recorded(coefficients, mus, half):
+        def recorded(coefficients, mus, shifts, half):
             solves.append((half, list(mus)))
-            return solve(coefficients, mus, half)
+            return solve(coefficients, mus, shifts, half)
 
         monkeypatch.setattr(modulation, "_subspace_step", failing)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
@@ -678,11 +688,42 @@ class TestGridSolver:
             return step(matrix, basis)
 
         monkeypatch.setattr(modulation, "_subspace_step", measured)
-        solved, = modulation._grid_pairs(coefficients, [-0.003], 64 // 2)
+        solved = grid_pair(coefficients, -0.003, 64 // 2)
         # the block settles, and then fails its certificate
         assert "not certified" in str(solved)
         assert len(shares) > 2
         assert min(shares) >= 100.0 * modulation._RANK_FLOOR
+
+    @pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 2.0)])
+    def test_the_shift_is_evaluated_once_per_grid(self, monkeypatch,
+                                                  variant, gamma):
+        # |Omega_2(0)| / 30 on the far side of zero from each mu's pair,
+        # bit for bit the one-mu value, from one dispersion call per grid
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=32)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid = [0.03, -0.01, 0.002, -0.05, 0.1, 0.0]
+        sigma = abs(bloch.dispersion(model, 2, 0.0)) / 30.0
+        want = [(-sigma if mu > 0 else sigma).hex() for mu in grid]
+        assert [float(modulation._critical_shift(model, mu)).hex()
+                for mu in grid] == want
+        evaluate, solve, levels, used = (modulation.dispersion,
+                                         modulation._grid_pairs, [], {})
+
+        def counted(model, n, mu, *rest):
+            if np.ndim(n) == 0:
+                levels.append((n, mu))
+            return evaluate(model, n, mu, *rest)
+
+        def recorded(coefficients, mus, shifts, half):
+            used.update(zip(mus, (float(x).hex() for x in shifts)))
+            return solve(coefficients, mus, shifts, half)
+
+        monkeypatch.setattr(modulation, "dispersion", counted)
+        monkeypatch.setattr(modulation, "_grid_pairs", recorded)
+        modulation._critical_pairs(coefficients, grid)
+        assert levels == [(2, 0.0)]
+        assert [used[mu] for mu in grid] == want
 
     def test_a_long_grid_is_solved_in_batches_within_the_stack_bound(
             self, monkeypatch):
@@ -699,9 +740,9 @@ class TestGridSolver:
             stacks.append(matrix.shape)
             return step(matrix, basis)
 
-        def recorded(coefficients, mus, half):
+        def recorded(coefficients, mus, shifts, half):
             solves.append((half, list(mus)))
-            return solve(coefficients, mus, half)
+            return solve(coefficients, mus, shifts, half)
 
         monkeypatch.setattr(modulation, "_subspace_step", measured)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)

@@ -177,7 +177,7 @@ class TestBranchDerivative:
                                                           monkeypatch):
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
         monkeypatch.setattr(waves, "_bordered_jacobian",
-                            lambda model, a0, eta, c: np.zeros((18, 18)))
+                            lambda model, terms, eta, c: np.zeros((18, 18)))
         with pytest.raises(ArithmeticError, match="singular"):
             branch_derivative(branch)
 
