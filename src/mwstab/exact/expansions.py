@@ -58,7 +58,7 @@ def _solve_harmonics(rhs):
             raise ExactEngineError("profile corrections must be even")
         if n == 1:
             raise ExactEngineError("resonant right-hand side at harmonic 1")
-        out._insert(key, val / Fraction(1 - n * n))
+        out._accumulate(key, val / Fraction(1 - n * n))
     return out
 
 
@@ -202,7 +202,7 @@ class ExactModulation:
         out = ScalarSeries(caps=self.disc.caps)
         for (p, q, r, im), val in self.disc.terms.items():
             if p + q <= 2:
-                out._insert((p, q, r, im), val)
+                out._accumulate((p, q, r, im), val)
         return out
 
     def evalf_b(self, a, mu, k, gamma=0.0):

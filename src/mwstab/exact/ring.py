@@ -82,10 +82,10 @@ class Coeff:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
         if not isinstance(other, Coeff):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.terms == ({(0, 0, 0): other} if other else {})
         return self.terms == other.terms
 
     def __hash__(self):
@@ -95,10 +95,10 @@ class Coeff:
         return Coeff({key: -val for key, val in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
         if not isinstance(other, Coeff):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Coeff.rational(other)
         merged = dict(self.terms)
         for key, val in other.terms.items():
             merged[key] = merged[key] + val if key in merged else val
@@ -116,10 +116,10 @@ class Coeff:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Coeff({key: val * other for key, val in self.terms.items()})
         if not isinstance(other, Coeff):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return Coeff({key: val * other for key, val in self.terms.items()})
         out = {}
         for (ek1, e31, eg1), f1 in self.terms.items():
             for (ek2, e32, eg2), f2 in other.terms.items():

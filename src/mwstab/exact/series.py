@@ -14,6 +14,9 @@ Three layers share one bookkeeping scheme:
 Terms whose a- or mu-power exceeds the truncation caps, and ``sin(0z)``
 terms, are dropped on insertion; everything kept is exact.  Lambda stays
 linear at the operator level and quadratic after the 2x2 determinant.
+
+Terms from outside are validated where they enter (the constructors,
+``term``, ``basis``, ``OperatorSeries.add``), not again by arithmetic.
 """
 
 from fractions import Fraction
@@ -38,12 +41,13 @@ def _coeff(value):
     raise TypeError(f"expected Coeff/int/Fraction, got {type(value).__name__}")
 
 
-def _combine_im(im1, im2):
-    """i^im1 * i^im2 -> (sign, im)."""
-    total = im1 + im2
-    if total == 2:
-        return -1, 0
-    return 1, total
+def _times(val, factor):
+    """``val * factor``, without multiplying by a unit int or Coeff."""
+    if factor == 1:
+        return val
+    if factor == -1:
+        return -val
+    return val * factor
 
 
 class _Series:
@@ -61,32 +65,39 @@ class _Series:
                 self._insert(key, val)
 
     def _insert(self, key, coeff):
+        """Validate a term given from outside the engine, then add it."""
         coeff = _coeff(coeff)
         if coeff.is_zero():
             return
         if len(key) != self.KEY_LEN:
             raise ValueError(f"bad key length for {type(self).__name__}")
-        p, q, r, im = key[:4]
+        if key[3] not in (0, 1):
+            raise ExactEngineError("imaginary marker must be 0 or 1")
+        if key[6:] and key[6] > self.MAX_S:
+            raise ExactEngineError(
+                f"derivative order {key[6]} exceeds limit {self.MAX_S}")
+        self._accumulate(key, coeff)
+
+    def _accumulate(self, key, coeff):
+        """Add a nonzero ``coeff`` that the engine's own arithmetic made at
+        a well-formed ``key``, checking only what arithmetic can trip: the
+        lambda limit, negative powers (``scale(dp=-1)``), the caps and
+        ``sin(0z)``; a sum that cancels is removed."""
+        p, q, r = key[:3]
         if p < 0 or q < 0:
             raise ExactEngineError("negative a- or mu-power")
         if r > self.MAX_R:
             raise ExactEngineError(
                 f"lambda power {r} exceeds limit {self.MAX_R}")
-        if im not in (0, 1):
-            raise ExactEngineError("imaginary marker must be 0 or 1")
-        if key[6:] and key[6] > self.MAX_S:
-            raise ExactEngineError(
-                f"derivative order {key[6]} exceeds limit {self.MAX_S}")
-        if p > self.caps[0] or q > self.caps[1]:
-            return  # truncated
-        if key[4:6] == (0, 1):
-            return  # sin(0z) vanishes
+        if p > self.caps[0] or q > self.caps[1] or key[4:6] == (0, 1):
+            return
         old = self.terms.get(key)
-        new = coeff if old is None else old + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            del self.terms[key]
+        if old is not None:
+            coeff = old + coeff
+            if not coeff:
+                del self.terms[key]
+                return
+        self.terms[key] = coeff
 
     # ----- linear structure ------------------------------------------------
 
@@ -96,15 +107,16 @@ class _Series:
     def copy(self, caps=None):
         out = type(self)(caps=caps or self.caps)
         for key, val in self.terms.items():
-            out._insert(key, val)
+            out._accumulate(key, val)
         return out
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = self.copy()
+        out = self._empty()
+        out.terms = dict(self.terms)
         for key, val in other.terms.items():
-            out._insert(key, val)
+            out._accumulate(key, val)
         return out
 
     def __sub__(self, other):
@@ -117,34 +129,42 @@ class _Series:
         """Multiply by ``coeff * a^dp mu^dq lambda^dr i^dim``."""
         coeff = _coeff(coeff)
         out = self._empty()
+        if coeff.is_zero():
+            return out
+        factors = (coeff, -coeff)
         for key, val in self.terms.items():
             p, q, r, im = key[:4]
-            sign, new_im = _combine_im(im, dim)
-            new_key = (p + dp, q + dq, r + dr, new_im) + key[4:]
-            out._insert(new_key, val * coeff * sign)
+            im += dim  # i^im: bit 0 is the marker, bit 1 the sign
+            out._accumulate((p + dp, q + dq, r + dr, im & 1) + key[4:],
+                            _times(val, factors[im >> 1 & 1]))
         return out
 
     def _product(self, other, out, harmonics):
         """Accumulate into ``out`` every pair of terms: scalar parts
-        multiply, and ``harmonics(tail1, tail2)`` lists the ``(Fraction,
-        tail)`` pieces that the trig parts of the two keys combine into,
-        none of them ``sin(0z)``.  A pair whose a- or mu-power exceeds the
-        caps of ``out``, or that combines into no piece, is skipped before
-        its coefficients are multiplied: ``_insert`` would drop it."""
+        multiply, and ``harmonics(tail1, tail2)`` gives the weight and the
+        ``(sign, tail)`` pieces that the trig parts of the two keys combine
+        into, none of them ``sin(0z)``.  The weight depends on ``tail1``
+        alone, so each term of ``self`` is weighted once, and a sign is a
+        negation.  A pair past the caps of ``out``, or with no piece, is
+        skipped before its coefficients are multiplied."""
         cap_p, cap_q = out.caps
         for (p1, q1, r1, im1, *tail1), c1 in self.terms.items():
+            weighted = None
             for (p2, q2, r2, im2, *tail2), c2 in other.terms.items():
                 p, q = p1 + p2, q1 + q2
                 if p > cap_p or q > cap_q:
                     continue
-                pieces = harmonics(tail1, tail2)
+                weight, pieces = harmonics(tail1, tail2)
                 if not pieces:
                     continue
-                sign, im = _combine_im(im1, im2)
-                base = c1 * c2
-                for frac, tail in pieces:
-                    out._insert((p, q, r1 + r2, im) + tail,
-                                base * (frac * sign))
+                if weighted is None:
+                    weighted = c1 if weight == 1 else c1 * weight
+                base = weighted * c2
+                flip = im1 + im2 == 2  # i * i = -1
+                key = (p, q, r1 + r2, (im1 + im2) & 1)
+                for sign, tail in pieces:
+                    out._accumulate(key + tail,
+                                    base if (sign < 0) == flip else -base)
         return out
 
     def __eq__(self, other):
@@ -216,7 +236,7 @@ class ScalarSeries(_Series):
         out = self._empty()
         for (p, q, rr, im), val in self.terms.items():
             if rr == r:
-                out._insert((p, q, 0, im), val)
+                out._accumulate((p, q, 0, im), val)
         return out
 
     def strip_i(self):
@@ -225,7 +245,7 @@ class ScalarSeries(_Series):
         for (p, q, r, im), val in self.terms.items():
             if im != 1:
                 raise ExactEngineError("series is not purely imaginary")
-            out._insert((p, q, r, 0), val)
+            out._accumulate((p, q, r, 0), val)
         return out
 
     def require_real(self):
@@ -242,7 +262,7 @@ class ScalarSeries(_Series):
                 raise ExactEngineError(
                     f"term mu^{q} not divisible by mu^{power} "
                     "(parity violation)")
-            out._insert((p, q - power, r, im), val)
+            out._accumulate((p, q - power, r, im), val)
         return out
 
     def evalf(self, a, mu, k, gamma=0.0):
@@ -257,7 +277,7 @@ class ScalarSeries(_Series):
 
 def _scalar_product(tail1, tail2):
     """Scalar keys carry no harmonic."""
-    return [(1, ())]
+    return 1, [(1, ())]
 
 
 BASIS_TAGS = {
@@ -266,29 +286,29 @@ BASIS_TAGS = {
 }
 
 
+_HALF = Fraction(1, 2)
+
+
 def _trig_product(tail1, tail2):
-    """Product-to-sum rules for ``(n, par)`` pairs; returns
-    ``[(Fraction, (n, par))]`` without the ``sin(0z)`` pieces, which
+    """Product-to-sum rules for ``(n, par)`` pairs; returns the weight
+    1/2 and ``[(sign, (n, par))]`` without the ``sin(0z)`` pieces, which
     vanish."""
     (n1, par1), (n2, par2) = tail1, tail2
-    half = Fraction(1, 2)
     diff = abs(n1 - n2)
     if par1 == par2:
         # cos cos = (cos d + cos s)/2, sin sin = (cos d - cos s)/2
-        return [(half, (diff, 0)), (half if par1 == 0 else -half,
-                                    (n1 + n2, 0))]
+        return _HALF, [(1, (diff, 0)), (1 - 2 * par1, (n1 + n2, 0))]
     # sin(n1 z) cos(n2 z) = (sin s + sin((n1 - n2) z))/2, and the
     # opposite sign of the second piece for cos(n1 z) sin(n2 z)
-    sign = half if (par1 == 1) == (n1 >= n2) else -half
-    return [(frac, (n, 1)) for frac, n in ((half, n1 + n2), (sign, diff))
-            if n]
+    sign = 1 if (par1 == 1) == (n1 >= n2) else -1
+    return _HALF, [(s, (n, 1)) for s, n in ((1, n1 + n2), (sign, diff)) if n]
 
 
 def _pairing(tail1, tail2):
-    """Torus average of two harmonics: 1 (constant), 1/2 or 0."""
+    """Torus average of two harmonics: 1 (constant), 1/2 or no piece."""
     if tail1 != tail2:
-        return []
-    return [(Fraction(1) if tail1[0] == 0 else Fraction(1, 2), ())]
+        return 1, []
+    return (1 if tail1[0] == 0 else _HALF), [(1, ())]
 
 
 class TrigPolySeries(_Series):
@@ -323,7 +343,9 @@ class TrigPolySeries(_Series):
             step = self._empty()
             for key, val in out.terms.items():
                 n, par = key[4:]
-                step._insert(key[:4] + (n, 1 - par), val * (n if par else -n))
+                if n:
+                    step._accumulate(key[:4] + (n, 1 - par),
+                                     _times(val, n if par else -n))
             out = step
         return out
 
@@ -375,7 +397,7 @@ class OperatorSeries(_Series):
         out = TrigPolySeries(caps=self.caps)
         for key, val in self.terms.items():
             if key[6] == s:
-                out._insert(key[:6], val)
+                out._accumulate(key[:6], val)
         return out
 
     def commutator_z(self):
@@ -387,7 +409,7 @@ class OperatorSeries(_Series):
         for (p, q, r, im, n, par, s), val in self.terms.items():
             if s == 0:
                 continue
-            out._insert((p, q, r, im, n, par, s - 1), val * s)
+            out._accumulate((p, q, r, im, n, par, s - 1), _times(val, s))
         return out
 
     def apply(self, func):
@@ -398,5 +420,6 @@ class OperatorSeries(_Series):
             func = TrigPolySeries.basis(func, caps=self.caps)
         out = TrigPolySeries(caps=self.caps)
         for s in range(self.MAX_S + 1):
-            out = out + self.multiplier(s) * func.deriv(s)
+            # func.deriv(s), usually the shorter, first: halved once a term
+            func.deriv(s)._product(self.multiplier(s), out, _trig_product)
         return out

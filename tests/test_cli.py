@@ -937,6 +937,16 @@ class TestSolverFailures:
         assert "not finite" in payload["message"]
         assert payload["residual_norm"] is None
 
+    def test_diverging_newton_exits_solver(self, capsys):
+        code, out, err = run_cli(capsys, "wave", "--model", "B", "--gamma",
+                                 "1e20", "--a", "0.02")
+        assert code == EXIT_SOLVER and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        payload = _strict_json(err)
+        assert payload["error"] == "convergence"
+        assert "diverges" in payload["message"]
+        assert 0.0 < payload["residual_norm"] < 1e70
+
     def test_singular_jacobian_exits_solver(self, capsys, monkeypatch):
         from mwstab import waves
 

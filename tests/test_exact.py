@@ -107,6 +107,32 @@ class TestSeriesMechanics:
         dz = OperatorSeries.term(Coeff.one(), s=1)
         assert dz.commutator_z() == OperatorSeries.term(Coeff.one(), s=0)
 
+    def test_product_past_the_lambda_limit_raises(self):
+        square = ScalarSeries.term(Coeff.one(), r=2)
+        with pytest.raises(ExactEngineError, match="lambda power 3"):
+            square * ScalarSeries.term(Coeff.one(), r=1)
+
+    def test_lowering_the_a_power_of_an_a0_term_raises(self):
+        f = TrigPolySeries.term(Coeff.one(), p=1, n=1) \
+            + TrigPolySeries.term(Coeff.one(), n=2)
+        with pytest.raises(ExactEngineError, match="negative"):
+            f.scale(1, dp=-1)
+
+    def test_product_drops_sin0_pieces_and_terms_above_the_caps(self):
+        sin1 = TrigPolySeries.basis("sin1")
+        # sin z cos z = (sin 2z + sin 0z) / 2
+        assert (sin1 * TrigPolySeries.basis("cos1")).terms == {
+            (0, 0, 0, 0, 2, 1): Coeff.rational(1, 2)}
+        # sin z sin z = (cos 0z - cos 2z) / 2; the a^3 and mu^3 pairs
+        # pass the caps (2, 2)
+        f = sin1 + TrigPolySeries.term(Coeff.one(), p=2, q=1, n=1, par=1)
+        g = sin1 + TrigPolySeries.term(Coeff.one(), p=1, q=2, n=1, par=1)
+        half = Coeff.rational(1, 2)
+        assert (f * g).terms == {
+            (0, 0, 0, 0, 0, 0): half, (0, 0, 0, 0, 2, 0): -half,
+            (2, 1, 0, 0, 0, 0): half, (2, 1, 0, 0, 2, 0): -half,
+            (1, 2, 0, 0, 0, 0): half, (1, 2, 0, 0, 2, 0): -half}
+
 
 coeffs = st.builds(lambda frac, ek, e3, eg: Coeff({(ek, e3, eg): frac}),
                    st.fractions(-4, 4, max_denominator=6),
@@ -167,6 +193,126 @@ def test_trig_poly_product_and_derivative_rules(f, g, h):
     op = OperatorSeries()
     _add_d2_of(op, f)
     assert op.apply(g) == (f * g).deriv(2)
+
+
+op_keys = st.tuples(trig_keys, st.integers(0, 2)).map(
+    lambda pair: pair[0] + (pair[1],))
+op_series = st.dictionaries(op_keys, coeffs, max_size=5).map(
+    lambda terms: OperatorSeries(terms=terms))
+caps_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
+scalar_series = st.dictionaries(trig_keys.map(lambda key: key[:4]), coeffs,
+                                max_size=4).map(
+    lambda terms: ScalarSeries(terms=terms))
+
+
+def reference_build(kind, caps, terms):
+    """A series rebuilt term by term through the validating ``_insert``,
+    from ``(key, value)`` pairs that may repeat keys, carry ``sin(0z)``,
+    zero values or powers above the caps."""
+    out = kind(caps=caps)
+    for key, val in terms:
+        out._insert(key, val)
+    return out
+
+
+def reference_pieces(tail1, tail2):
+    """Product-to-sum of two harmonics, ``sin(0z)`` and negative
+    frequencies included: ``cos A cos B = (cos(A-B) + cos(A+B))/2``,
+    ``sin A sin B = (cos(A-B) - cos(A+B))/2``, ``sin A cos B = (sin(A+B) +
+    sin(A-B))/2`` and ``cos A sin B = (sin(A+B) - sin(A-B))/2``."""
+    (n1, par1), (n2, par2) = tail1, tail2
+    half = Fraction(1, 2)
+    d, s = n1 - n2, n1 + n2
+    if par1 == par2:
+        pieces = [(half, d, 0), (half if par1 == 0 else -half, s, 0)]
+    elif par1 == 1:
+        pieces = [(half, s, 1), (half, d, 1)]
+    else:
+        pieces = [(half, s, 1), (-half, d, 1)]
+    # cos(-nz) = cos(nz), sin(-nz) = -sin(nz)
+    return [(frac if n >= 0 or par == 0 else -frac, (abs(n), par))
+            for frac, n, par in pieces]
+
+
+def reference_product(f, g, pieces):
+    terms = []
+    for (p1, q1, r1, im1, *tail1), c1 in f.terms.items():
+        for (p2, q2, r2, im2, *tail2), c2 in g.terms.items():
+            sign = -1 if im1 + im2 == 2 else 1
+            for frac, tail in pieces(tail1, tail2):
+                terms.append(((p1 + p2, q1 + q2, r1 + r2, (im1 + im2) % 2)
+                              + tail, c1 * c2 * frac * sign))
+    return terms
+
+
+def reference_deriv(f):
+    return reference_build(TrigPolySeries, f.caps, [
+        (key[:4] + (key[4], 1 - key[5]), val * (key[4] if key[5] else
+                                                -key[4]))
+        for key, val in f.terms.items()])
+
+
+def assert_no_zero_coeff(series):
+    for val in series.terms.values():
+        assert_reduced(val)
+        assert val
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f=trig_polys, g=trig_polys, op=op_series, x=scalar_series,
+       y=scalar_series, caps=caps_pairs, coeff=ring_elements,
+       shift=st.tuples(st.integers(0, 1), st.integers(0, 1),
+                       st.integers(0, 1), st.integers(0, 1)))
+def test_arithmetic_matches_the_validating_reference(f, g, op, x, y, caps,
+                                                      coeff, shift):
+    """Every arithmetic operation, which accumulates its terms without
+    validating them again, equals the same terms rebuilt one by one
+    through ``_insert``; no result keeps a zero coefficient, also where
+    terms cancel."""
+    dp, dq, dr, dim = shift
+    trig = TrigPolySeries
+    results = {
+        "copy": (f.copy(caps=caps),
+                 reference_build(trig, caps, f.terms.items())),
+        "add": (f + g, reference_build(
+            trig, f.caps, list(f.terms.items()) + list(g.terms.items()))),
+        "cancel": (f + f.scale(-1) + g, g.copy()),
+        "scale": (f.scale(coeff, dp, dq, dr, dim), reference_build(
+            trig, f.caps, [((p + dp, q + dq, r + dr, (im + dim) % 2, n, par),
+                            val * coeff * (-1 if im + dim == 2 else 1))
+                           for (p, q, r, im, n, par), val in f.terms.items()
+                           ])),
+        "mul": (f * g, reference_build(trig, f.caps, reference_product(
+            f, g, reference_pieces))),
+        "mul_cancel": (f * g + f * g.scale(-1), trig()),
+        "scalar_mul": (x * y, reference_build(
+            ScalarSeries, x.caps, reference_product(
+                x, y, lambda t1, t2: [(Fraction(1), ())]))),
+        "deriv": (f.deriv(), reference_deriv(f)),
+        "deriv2": (f.deriv(2), reference_deriv(reference_deriv(f))),
+        "multiplier": (op.multiplier(1), reference_build(
+            trig, op.caps, [(key[:6], val) for key, val in op.terms.items()
+                            if key[6] == 1])),
+        "commutator_z": (op.commutator_z(), reference_build(
+            OperatorSeries, op.caps, [
+                (key[:6] + (key[6] - 1,), val * key[6])
+                for key, val in op.terms.items() if key[6]])),
+        "inner": (f.inner(g), reference_build(
+            ScalarSeries, f.caps, reference_product(
+                f, g, lambda t1, t2: [] if t1 != t2 else [
+                    (Fraction(1) if t1[0] == 0 else Fraction(1, 2), ())]))),
+    }
+    derivs = [g, reference_deriv(g), reference_deriv(reference_deriv(g))]
+    results["apply"] = (op.apply(g), reference_build(trig, op.caps, [
+        term for s in range(3) for term in reference_product(
+            reference_build(trig, op.caps, [
+                (key[:6], val) for key, val in op.terms.items()
+                if key[6] == s]),
+            derivs[s], reference_pieces)]))
+    for name, (got, want) in results.items():
+        assert type(got) is type(want), name
+        assert got.terms == want.terms, name
+        assert_no_zero_coeff(got)
 
 
 class TestStokesSeries:

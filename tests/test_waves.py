@@ -148,6 +148,33 @@ class TestSolveWave:
             solve_wave(MODEL_A, 0.2, 1.0, max_iter=1, n_modes=16)
         assert info.value.residual_norm > 0.0
 
+    def test_diverging_newton_stops_within_five_solves(self, monkeypatch):
+        from mwstab import waves
+
+        solves = []
+        jacobian = waves._bordered_jacobian
+
+        def counted(*args):
+            solves.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(waves, "_bordered_jacobian", counted)
+        with pytest.raises(ConvergenceError, match="diverges") as info:
+            solve_wave(Model("B", gamma=1e20), 0.02, 1.0)
+        assert 1 <= len(solves) <= 5
+        assert 0.0 < info.value.residual_norm < 1e70
+
+    @pytest.mark.parametrize("variant, gamma, a, k, steps", [
+        ("A", 0.0, 0.45, 1.0, 7), ("B", 50.0, 0.078, 1.0, 3),
+        ("B", 2.0, 0.2, 1.0, 3), ("B", 1000.0, 0.078, 1.0, 9),
+        ("B", -1000.0, 0.02, 1.4, 6), ("B", 2.0, 0.45, 1.0, 4),
+        ("B", 0.0, 0.45, 1.0, 4), ("B", 100.0, 0.25, 1.0, 20)])
+    def test_converging_waves_keep_their_newton_steps(self, variant, gamma,
+                                                      a, k, steps):
+        # the last one's error grows 466-fold over its seed's on the way
+        branch = solve_wave(Model(variant, gamma=gamma), a, k)
+        assert len(branch.newton_residuals) == steps
+
     def test_validity_guard(self):
         # the one bound is |a| k^2 <= 0.45
         for a, k in ((0.46, 1.0), (0.115, 2.0)):
