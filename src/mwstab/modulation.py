@@ -71,9 +71,18 @@ _RANK_FLOOR = 1e-8
 _STEP_POWER = 2
 #: ``_critical_pairs`` solves a grid in batches whose stack of step
 #: matrices holds at most this many bytes, or a single ``mu``: an 11-point
-#: grid takes 372 KB on the central block at N = 64, one batch, where
-#: 10000 points at N = 1024 would take 84 GB in one stack
+#: grid takes 108 KB on a 35x35 block, one batch, where 10000 points on
+#: the whole pencil at N = 1024 would take 84 GB in one stack
 _STACK_BYTES = 2**20
+#: ``_block_half`` adds this many modes to the last offset ``j`` at which
+#: ``j^2 |A0[0, j]|`` exceeds eps of the row's largest entry.  Over 278
+#: random waves (both models, gamma in [-1000, 1000], a k^2 up to 0.45,
+#: N = 16 to 128, 6 random mu in [-0.1, 0.1] each), the smallest block
+#: that certified every mu lay 5 below to 3 above that offset; unweighted,
+#: it lay up to 12 above (model B, gamma = -753, a k^2 = 0.032, N = 128).
+#: A further 150 waves of the benchmark's domain (gamma in [0, 3], a k^2
+#: up to 0.078, N = 64 and 128) lay 0 to 2 above: all certified first
+_BLOCK_MARGIN = 3
 
 
 class DegeneratePairError(ArithmeticError):
@@ -235,7 +244,10 @@ def critical_growth(model, branch, mu):
     ``projected_det``'s roots: ``(lambda_plus, lambda_minus)``, tracked to
     the unperturbed modes ``+1`` and ``-1`` by nearest dispersion; a
     reflected pair ``lambda, -conj(lambda)``, which ties there, comes with
-    the growing member first.  The one-mu call of ``_critical_pairs``.
+    the growing member first.  The one-mu call of ``_critical_pairs``:
+    solved on the wave's block ``|n| <= _block_half`` (``h`` from 9 to 24
+    over the benchmark's domain, at any N) where its certificate holds,
+    else on the whole pencil.
 
     The span settles on the two eigenvalues nearest ``_critical_shift``:
     only a pair on its far side (up to ``_SHIFT_SIDE_NOISE``) is the pair
@@ -280,53 +292,125 @@ def _subspace_step(step, basis):
     return image, np.sqrt(np.add.reduce(moved * moved, (1, 2))), errors
 
 
-def _labelled_pair(model, mu, sigma, solved):
-    """``_grid_pairs``' frequencies ``omega`` at ``mu`` and shift ``sigma``
-    as ``critical_growth``'s pair, after the shift-side and degeneracy
-    checks, or its error raised."""
-    if isinstance(solved, Exception):
-        raise solved
-    omega, move = solved
-    if np.max(omega.real * np.sign(sigma)) > _SHIFT_SIDE_NOISE * abs(sigma):
-        raise ConvergenceError(
-            f"critical subspace at mu={mu} settled on frequencies "
-            f"{omega[0].real:.6g}, {omega[1].real:.6g}, one on the side of "
-            f"the shift {sigma:.6g}: not the pair nearest zero", move)
+def _labelled_pairs(model, mus, shifts, solved):
+    """``_grid_pairs``' frequencies ``omega`` over a grid, at shifts
+    ``shifts``, as ``critical_growth``'s pairs, after the shift-side and
+    degeneracy checks; the first failure in grid order is raised.  The
+    checks and the labels run on the whole grid at once, from one
+    ``dispersion`` call."""
+    failed = np.array([isinstance(result, Exception) for result in solved],
+                      dtype=bool)
+    omega = np.array([(0.0, 0.0) if bad else result[0]
+                      for bad, result in zip(failed, solved)],
+                     dtype=complex).reshape(-1, 2)
+    sigma = np.asarray(shifts, dtype=float)
+    side = np.max(omega.real * np.sign(sigma)[:, None], axis=1) \
+        > _SHIFT_SIDE_NOISE * np.abs(sigma)
     pair = 1j * omega
-    if abs(pair[0] - pair[1]) < 1e-12:
+    spacing = np.abs(pair[:, 0] - pair[:, 1])
+    bad = np.flatnonzero(failed | side | (spacing < 1e-12))
+    if bad.size:
+        i = bad[0]
+        mu = mus[i]
+        if failed[i]:
+            raise solved[i]
+        if side[i]:
+            raise ConvergenceError(
+                f"critical subspace at mu={mu} settled on frequencies "
+                f"{omega[i, 0].real:.6g}, {omega[i, 1].real:.6g}, one on the "
+                f"side of the shift {sigma[i]:.6g}: not the pair nearest "
+                f"zero", solved[i][1])
         raise DegeneratePairError(
             f"critical eigenvalues coincide at mu={mu} "
-            f"(spacing {abs(pair[0] - pair[1]):.3e})")
-    targets = 1j * dispersion(model, np.array([1, -1]), mu)
-    kept, swapped = (np.abs(pair - t).sum() for t in (targets, targets[::-1]))
-    if kept > swapped or (kept == swapped and pair[0].real < pair[1].real):
-        pair = pair[::-1]
-    return complex(pair[0]), complex(pair[1])
+            f"(spacing {spacing[i]:.3e})")
+    targets = 1j * dispersion(model, np.array([1, -1]),
+                              np.asarray(mus, dtype=float)[:, None])
+    kept, swapped = (np.abs(pair - t).sum(axis=1)
+                     for t in (targets, targets[:, ::-1]))
+    flip = (kept > swapped) | ((kept == swapped)
+                               & (pair[:, 0].real < pair[:, 1].real))
+    pair[flip] = pair[flip, ::-1]
+    return [(complex(plus), complex(minus)) for plus, minus in pair]
+
+
+def _block_half(coefficients):
+    """Half-width ``h`` of the first block ``_critical_pairs`` solves on:
+    the last offset ``j`` at which ``j^2 |A0[0, j]|`` exceeds eps of the
+    row's largest entry, plus ``_BLOCK_MARGIN``, at most ``N // 2``.  The
+    pair's eigenvectors decay with the wave's band, so ``h`` is set by the
+    wave and not by N; the weight ``j^2``, the ``D^2`` the rows beyond the
+    block apply, reaches further where the band decays slowly."""
+    n = coefficients.n_modes
+    row = np.abs(coefficients.A0[n, n:])
+    offsets = np.arange(n + 1.0)
+    # NaN reads as above the level: an operator not finite takes N // 2
+    above = ~(offsets * offsets * row <= np.finfo(float).eps * row.max())
+    return min(n // 2, int(np.flatnonzero(above).max(initial=0))
+               + _BLOCK_MARGIN)
+
+
+def _stacked(solve, matrices, *rest):
+    """``solve`` (``np.linalg.inv``, ``solve`` or ``eigvals``) on a stack of
+    matrices in one call; when the stack raises ``LinAlgError``, each
+    matrix that raises it alone is replaced by the identity and the stack
+    solved again.  Returns the results and the error of each matrix
+    replaced, by index; the others' results are those of one call each."""
+    try:
+        return solve(matrices, *rest), {}
+    except np.linalg.LinAlgError:
+        errors = {}
+        for i, items in enumerate(zip(matrices, *rest)):
+            try:
+                solve(*items)
+            except np.linalg.LinAlgError as exc:
+                errors[i] = exc
+        matrices = matrices.copy()
+        matrices[list(errors)] = np.eye(matrices.shape[-1])
+        return solve(matrices, *rest), errors
+
+
+def _block_pencils(coefficients, mus, half):
+    """``PencilCoefficients.at(mu, half)``'s ``L0`` and ``s`` at each ``mu``
+    of a grid, as two stacks formed in one broadcast by the same operations:
+    entry for entry blocks of the whole pencil."""
+    n = coefficients.n_modes
+    inner = slice(n - half, n + half + 1)
+    a0, a1, a2 = (term[inner, inner] for term in
+                  (coefficients.A0, coefficients.A1, coefficients.A2))
+    mu = np.asarray(mus, dtype=float)[:, None, None]
+    l0 = a0 + mu * a1
+    l0 += (mu * mu) * a2
+    return l0, coefficients.alpha * (np.arange(-half, half + 1) + mu[:, 0])
 
 
 def _grid_pairs(coefficients, mus, shifts, half):
     """The critical pair's frequencies and last move at each ``mu``, solved
     together on the modes ``|n| <= half``, or the error that stopped it.
-    ``((L0 - sigma diag(s))^-1 diag(s))^_STEP_POWER`` at each ``mu``'s
-    shift ``sigma`` (``_critical_shift``), which never divides by ``s``,
-    fills one stack, the only one live; ``_subspace_step`` maps
-    each span from the unit vectors of modes +1 and -1, freezing it once it
-    fails or its move stops shrinking at rounding level (``_SUBSPACE_TOL``).
-    The pair are the eigenvalues of the 2x2 pencil on the span ``Q``, which
-    a block (``half < N``) keeps where ``|L0[out, in] Q|_F <= eps |(|L0[in,
-    in]| |Q|)|_F``: the modes it drops see the pair less than rounding does
-    (Curtis & Deconinck, Math. Comp. 79, 2010)."""
+    The grid is one stack from start to finish: the pencils come from
+    ``_block_pencils``, and ``((L0 - sigma diag(s))^-1 diag(s))^
+    _STEP_POWER`` at each ``mu``'s shift ``sigma`` (``_critical_shift``),
+    which never divides by ``s``, from one stacked inverse, with the
+    shifted copies freed; ``_subspace_step`` maps each span from the
+    unit vectors of modes +1 and -1, freezing it once it fails or its move
+    stops shrinking at rounding level (``_SUBSPACE_TOL``).  The pair are
+    the eigenvalues of the 2x2 pencil on the span ``Q``, solved as a stack,
+    which a block (``half < N``) keeps where ``|L0[out, in] Q|_F <= eps
+    |(|L0[in, in]| |Q|)|_F``: the modes it drops see the pair less than
+    rounding does (Curtis & Deconinck, Math. Comp. 79, 2010).  Each
+    ``mu``'s result is that of a grid of its own, bit for bit."""
     size, n, m = 2 * half + 1, coefficients.n_modes, len(mus)
-    stack, results = np.zeros((m, size, size)), [None] * m
-    for i, (mu, sigma) in enumerate(zip(mus, shifts)):
-        pencil = coefficients.at(mu, half)  # its L0 is shifted in place
-        pencil.L0.ravel()[::size + 1] -= sigma * pencil.s
-        try:
-            stack[i] = np.linalg.matrix_power(
-                np.linalg.inv(pencil.L0) * pencil.s, _STEP_POWER)
-        except np.linalg.LinAlgError as exc:
-            results[i] = ArithmeticError(
-                f"critical pair solve failed at mu={mu}: {exc}")
+    l0, s = _block_pencils(coefficients, mus, half)
+    shifted = l0.copy()
+    shifted.reshape(m, -1)[:, ::size + 1] -= np.asarray(shifts)[:, None] * s
+    inverse, errors = _stacked(np.linalg.inv, shifted)
+    del shifted
+    inverse *= s[:, None, :]
+    stack = np.linalg.matrix_power(inverse, _STEP_POWER)
+    del inverse
+    results = [None] * m
+    for i, exc in errors.items():
+        results[i] = ArithmeticError(
+            f"critical pair solve failed at mu={mus[i]}: {exc}")
     basis = np.zeros((m, size, 2))
     basis[:, half + 1, 0] = basis[:, half - 1, 1] = 1.0
     live = np.array([result is None for result in results], dtype=bool)
@@ -345,36 +429,46 @@ def _grid_pairs(coefficients, mus, shifts, half):
         results[i] = ConvergenceError(
             f"critical subspace still moving by {moves[i]:.3e} at "
             f"mu={mus[i]} after {_MAX_SUBSPACE_STEPS} steps", moves[i])
-    inner = slice(n - half, n + half + 1)
-    for i in [i for i, result in enumerate(results) if result is None]:
-        mu, q, pencil = mus[i], basis[i], coefficients.at(mus[i], half)
-        try:
-            results[i] = np.linalg.eigvals(np.linalg.solve(
-                q.T @ (pencil.s[:, None] * q), q.T @ (pencil.L0 @ q))), \
-                float(moves[i])
-        except np.linalg.LinAlgError as exc:
+    done = np.flatnonzero([result is None for result in results])
+    q, l0 = basis[done], l0[done]
+    qt = np.swapaxes(q, 1, 2)
+    ritz, errors = _stacked(np.linalg.solve, qt @ (s[done, :, None] * q),
+                            qt @ (l0 @ q))
+    omega, failed = _stacked(np.linalg.eigvals, ritz)
+    errors = {**failed, **errors}  # a failed solve is the error reported
+    certified = np.ones(done.size, dtype=bool)
+    if half < n:
+        outer = np.r_[0:n - half, n + half + 1:2 * n + 1]
+        inner = slice(n - half, n + half + 1)
+        c0, c1, c2 = (term[outer, inner] @ q for term in
+                      (coefficients.A0, coefficients.A1, coefficients.A2))
+        mu = np.asarray(mus, dtype=float)[done, None, None]
+        coupling = c0 + mu * c1 + (mu * mu) * c2
+        certified = np.linalg.norm(coupling, axis=(1, 2)) \
+            <= np.finfo(float).eps \
+            * np.linalg.norm(np.abs(l0) @ np.abs(q), axis=(1, 2))
+    omega = omega.astype(complex)
+    for j, i in enumerate(done):
+        if j in errors:
             results[i] = ArithmeticError(
-                f"critical pair solve failed at mu={mu}: {exc}")
-            continue
-        if half < n:
-            c0, c1, c2 = (term[:, inner] @ q for term in
-                          (coefficients.A0, coefficients.A1, coefficients.A2))
-            coupling = np.delete(c0 + mu * c1 + (mu * mu) * c2, inner, axis=0)
-            if not np.linalg.norm(coupling) <= np.finfo(float).eps \
-                    * np.linalg.norm(np.abs(pencil.L0) @ np.abs(q)):
-                results[i] = ArithmeticError(
-                    f"critical pair at mu={mu} is not certified on the block")
+                f"critical pair solve failed at mu={mus[i]}: {errors[j]}")
+        elif certified[j]:
+            results[i] = omega[j], float(moves[i])
+        else:
+            results[i] = ArithmeticError(
+                f"critical pair at mu={mus[i]} is not certified on the block")
     return results
 
 
 def _critical_pairs(coefficients, mus):
     """``critical_growth``'s pairs at ``k = 1`` over a grid, in batches of
-    ``_STACK_BYTES``: on the central block ``|n| <= N // 2``, else and at
-    ``mu = 0`` on the whole pencil, whose failure alone raises; the shifts
-    are evaluated once for the grid."""
+    ``_STACK_BYTES``: on the wave's block ``|n| <= _block_half``, else and
+    at ``mu = 0`` on the whole pencil, whose failure alone raises; the
+    shifts are evaluated once for the grid, and the pairs labelled
+    together (``_labelled_pairs``)."""
     n, pairs = coefficients.n_modes, [None] * len(mus)
     shifts = _critical_shift(coefficients.model, mus)
-    for half in (n // 2, n):
+    for half in (_block_half(coefficients), n):
         todo = [i for i, mu in enumerate(mus) if pairs[i] is None
                 and (half == n or mu != 0.0 and n >= 2)]
         batch = max(1, _STACK_BYTES // (8 * (2 * half + 1) ** 2))
@@ -384,8 +478,7 @@ def _critical_pairs(coefficients, mus):
             for i, pair in zip(part, solved):
                 if half == n or not isinstance(pair, Exception):
                     pairs[i] = pair
-    return [_labelled_pair(coefficients.model, mu, sigma, pair)
-            for mu, sigma, pair in zip(mus, shifts, pairs)]
+    return _labelled_pairs(coefficients.model, mus, shifts, pairs)
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -240,10 +241,17 @@ def grid_pair(coefficients, mu, half):
 
 def whole_pair(coefficients, mu):
     """The critical pair at ``k = 1`` solved on the whole pencil."""
+    return labelled(coefficients, mu,
+                    grid_pair(coefficients, mu, coefficients.n_modes))
+
+
+def labelled(coefficients, mu, solved):
+    """``_labelled_pairs``' pair from ``_grid_pairs``' result at one
+    ``mu``, or its error raised."""
     model = coefficients.model
-    return modulation._labelled_pair(
-        model, mu, modulation._critical_shift(model, mu),
-        grid_pair(coefficients, mu, coefficients.n_modes))
+    pair, = modulation._labelled_pairs(
+        model, [mu], [modulation._critical_shift(model, mu)], [solved])
+    return pair
 
 
 def block_pair(coefficients, mu, half):
@@ -421,10 +429,11 @@ class TestCriticalGrowth:
                                                  monkeypatch):
         # a stop at a move of 1e-6 leaves the pair off by up to 1e-11
         # relative, too little for a comparison with the slice to see
-        # each iteration, on the central block and on the whole pencil
+        # each iteration, on the wave's block and on the whole pencil
         # after a block that fails its certificate, from its own size
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, 1.0, n_modes=32)
+        coefficients = bloch.pencil_coefficients(model, branch)
         runs = []
         step = modulation._subspace_step
 
@@ -438,7 +447,8 @@ class TestCriticalGrowth:
 
         monkeypatch.setattr(modulation, "_subspace_step", recorded)
         critical_growth(model, branch, mu)
-        assert runs[0][0].shape[0] == 2 * (branch.n_modes // 2) + 1
+        assert runs[0][0].shape[0] \
+            == 2 * modulation._block_half(coefficients) + 1
         for spans in runs:
             n = spans[0].shape[0] // 2
             start = np.zeros((2 * n + 1, 2))
@@ -532,7 +542,42 @@ def test_certified_block_pair_is_the_whole_pencils(variant, a, k, gamma, mu):
         assert max(abs(x - y) for x, y in zip(pair, whole)) <= 1e-13 * scale
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
+       k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0),
+       mu=st.floats(-0.1, 0.1).filter(lambda mu: abs(mu) >= 1e-3))
+def test_the_waves_block_gives_the_whole_pencils_pair(variant, a, k, gamma,
+                                                      mu):
+    """At N = 64, over ``test_certified_block_pair_is_the_whole_pencils``'
+    domain: where the wave's block (``_block_half``) is certified, its pair
+    is the whole pencil's to 1e-13 relative; it is certified wherever
+    ``a k^2 <= 0.078``."""
+    model = Model(variant, gamma=gamma if variant == "B" else 0.0)
+    branch = solve_wave(model, a, k, n_modes=64)
+    coefficients = bloch.pencil_coefficients(model, branch)
+    half = modulation._block_half(coefficients)
+    solved = block_pair(coefficients, mu, half)
+    if solved is None:
+        assert a * k * k > 0.078
+        return
+    pair, whole = labelled(coefficients, mu, solved), \
+        whole_pair(coefficients, mu)
+    scale = max(abs(x) for x in whole)
+    assert max(abs(x - y) for x, y in zip(pair, whole)) <= 1e-13 * scale
+
+
 class TestCentralBlock:
+    @pytest.mark.parametrize("model", [
+        MODEL_A, Model("B", gamma=0.3), Model("B", gamma=2.0)],
+        ids=["A", "B-0.3", "B-2"])
+    def test_the_waves_block_does_not_grow_with_n(self, model):
+        # the pair's eigenvectors decay with the wave, not with N
+        for a in (0.005, 0.01, 0.02, 0.03, 0.05):
+            halves = {modulation._block_half(bloch.pencil_coefficients(
+                model, solve_wave(model, a, 1.0, n_modes=n)))
+                for n in (64, 128, 256)}
+            assert len(halves) == 1 and halves.pop() < 64 // 2, a
+
     @pytest.mark.parametrize("model", [
         MODEL_A, Model("B", gamma=0.3), Model("B", gamma=2.0)],
         ids=["A", "B-0.3", "B-2"])
@@ -584,19 +629,31 @@ class TestCentralBlock:
         assert blocks == list(mus)
 
     def test_the_sweep_runs_on_the_block(self, monkeypatch):
-        # with the whole pencil's solve refused, a sweep in the benchmark's
-        # domain still completes: every pair came from the block
+        # with every block larger than the wave's refused, the whole
+        # pencil's included, a sweep in the benchmark's domain still
+        # completes, and so do the grids of its waves in GRID_WAVES: every
+        # pair came from the wave's block
         solve = modulation._grid_pairs
 
         def refused(coefficients, mus, shifts, half):
-            if half == coefficients.n_modes:
-                raise AssertionError("whole pencil solved")
+            if half > modulation._block_half(coefficients):
+                raise AssertionError(f"block of half-width {half} solved")
             return solve(coefficients, mus, shifts, half)
 
         monkeypatch.setattr(modulation, "_grid_pairs", refused)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.05, 1.2,
                                     np.linspace(0.0, 0.05, 11))
         assert report.verdict == "unstable"
+        waves = [wave for wave in GRID_WAVES
+                 if wave[2] * wave[3]**2 <= 0.078 and 0.0 <= wave[1] <= 3.0]
+        assert len(waves) == 6
+        for variant, gamma, a, k in waves:
+            model = Model(variant, gamma=gamma)
+            branch = solve_wave(model, a, k, n_modes=64)
+            coefficients = bloch.pencil_coefficients(model, branch)
+            for grid in GRIDS.values():
+                modulation._critical_pairs(
+                    coefficients, [float(mu) for mu in grid if mu])
 
 
 #: (model, gamma, a, k) of verdict-sweep and threshold-bisect operations of
@@ -639,9 +696,9 @@ class TestGridSolver:
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
         coefficients = bloch.pencil_coefficients(model, branch)
         grid, mid = [0.005, 0.02, 0.03, -0.04, 0.05], 2
-        blocks = [modulation._labelled_pair(
-            model, mu, modulation._critical_shift(model, mu),
-            block_pair(coefficients, mu, 32)) for mu in grid]
+        half = modulation._block_half(coefficients)
+        blocks = [labelled(coefficients, mu,
+                           block_pair(coefficients, mu, half)) for mu in grid]
         whole = whole_pair(coefficients, grid[mid])
         step, solve, solves = (modulation._subspace_step,
                                modulation._grid_pairs, [])
@@ -664,9 +721,111 @@ class TestGridSolver:
         monkeypatch.setattr(modulation, "_subspace_step", failing)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
         pairs = modulation._critical_pairs(coefficients, grid)
-        assert solves == [(32, grid), (64, [grid[mid]])]
+        assert solves == [(half, grid), (64, [grid[mid]])]
         assert pairs[mid] == whole
         assert pairs[:mid] + pairs[mid + 1:] == blocks[:mid] + blocks[mid + 1:]
+
+    @pytest.mark.parametrize("variant,gamma,a,k", GRID_WAVES)
+    def test_the_stack_gives_each_mus_pair_bit_for_bit(self, variant, gamma,
+                                                       a, k):
+        # the grid's stacked inverse, Ritz pencils, eigenvalues and
+        # certificates against a grid of one mu at a time, on the same block
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, a, k, n_modes=64)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid = [float(mu) for mu in GRIDS["mixed-sign"] if mu]
+        for half in (modulation._block_half(coefficients), 64):
+            together = modulation._grid_pairs(
+                coefficients, grid, modulation._critical_shift(model, grid),
+                half)
+            for mu, solved in zip(grid, together):
+                alone = grid_pair(coefficients, mu, half)
+                if isinstance(alone, Exception):
+                    assert type(solved) is type(alone)
+                    assert str(solved) == str(alone)
+                else:
+                    assert solved[0].tobytes() == alone[0].tobytes()
+                    assert solved[1] == alone[1]
+
+    @pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 2.0)])
+    def test_the_grids_blocks_are_the_pencils_to_the_bit(self, variant,
+                                                         gamma):
+        # one broadcast for the grid, entry for entry PencilCoefficients.at
+        model = Model(variant, gamma=gamma)
+        branch = solve_wave(model, 0.05, 1.2, n_modes=32)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        grid = [0.1, 1e-3, -0.1, -1e-3, 0.0]
+        for half in (modulation._block_half(coefficients), 5, 32):
+            l0, s = modulation._block_pencils(coefficients, grid, half)
+            for i, mu in enumerate(grid):
+                pencil = coefficients.at(mu, half)
+                assert l0[i].tobytes() == pencil.L0.tobytes()
+                assert s[i].tobytes() == pencil.s.tobytes()
+
+    def test_a_singular_shifted_pencil_fails_at_its_mu_only(self):
+        # with the operator's mode-0 row zero, L0 - sigma diag(s) is
+        # singular at mu = 0 alone; the stacked inverse keeps the others,
+        # on the whole pencil, which needs no certificate
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=32)
+        coefficients = bloch.pencil_coefficients(model, branch)
+        terms = [term.copy() for term in (coefficients.A0, coefficients.A1,
+                                          coefficients.A2)]
+        for term in terms:
+            term[32] = 0.0
+        broken = dataclasses.replace(coefficients, A0=terms[0], A1=terms[1],
+                                     A2=terms[2])
+        grid, half = [0.03, 0.0, -0.02], 32
+        together = modulation._grid_pairs(
+            broken, grid, modulation._critical_shift(model, grid), half)
+        assert isinstance(together[1], ArithmeticError)
+        assert str(together[1]) \
+            == "critical pair solve failed at mu=0.0: Singular matrix"
+        for mu, solved in zip(grid[::2], together[::2]):
+            alone = grid_pair(broken, mu, half)
+            assert not isinstance(solved, Exception)
+            assert solved[0].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("solve,stacks", [
+        (np.linalg.inv, [np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)]),
+        (np.linalg.eigvals, [[[1.0, 2.0], [0.0, 3.0]],
+                             [[np.nan, 0.0], [0.0, 1.0]],
+                             [[0.0, -1.0], [1.0, 0.0]]])],
+        ids=["inv", "eigvals"])
+    def test_a_stack_sets_its_failing_matrix_apart(self, solve, stacks):
+        # the middle matrix raises LinAlgError alone; the others keep the
+        # results of one call each
+        results, errors = modulation._stacked(solve, np.array(stacks))
+        assert list(errors) == [1]
+        assert isinstance(errors[1], np.linalg.LinAlgError)
+        for i in (0, 2):
+            assert np.array_equal(results[i], solve(np.array(stacks[i])))
+
+    @pytest.mark.parametrize("turn", range(3))
+    def test_the_first_failure_in_grid_order_is_raised(self, turn):
+        # a solve error, a frequency on the shift's side and a degenerate
+        # pair, in each order after a good point: the grid's checks run
+        # at once, and the first failure in grid order is the one raised
+        model = Model("B", gamma=2.0)
+        failures = [(ArithmeticError, "solve failed",
+                     ArithmeticError("critical pair solve failed")),
+                    (ConvergenceError, "side of the shift",
+                     (np.array([0.02, -0.5], dtype=complex), 1e-16)),
+                    (DegeneratePairError, "coincide",
+                     (np.array([0.02, 0.02], dtype=complex), 1e-16))]
+        failures = failures[turn:] + failures[:turn]
+        grid = [0.01, 0.02, 0.03, 0.04]
+        solved = [(np.array([0.02, 0.01], dtype=complex), 1e-16)] \
+            + [result for _, _, result in failures]
+        error, message, first = failures[0]
+        with pytest.raises(error, match=message) as raised:
+            modulation._labelled_pairs(
+                model, grid, modulation._critical_shift(model, grid), solved)
+        assert type(raised.value) is error
+        if isinstance(first, Exception):
+            assert raised.value is first
+        else:
+            assert "mu=0.02" in str(raised.value)
 
     def test_the_step_power_keeps_a_hundred_times_the_rank_floor(
             self, monkeypatch):
@@ -727,11 +886,12 @@ class TestGridSolver:
 
     def test_a_long_grid_is_solved_in_batches_within_the_stack_bound(
             self, monkeypatch):
-        # at N = 128 a 129x129 block takes 133 KB, so 7 fit in the bound;
-        # a 200-point grid in one stack would take 27 MB
+        # at N = 128 the wave's 31x31 block takes 7.7 KB, so 136 fit in the
+        # bound; a 200-point grid in one stack would take 1.5 MB
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=128)
         coefficients = bloch.pencil_coefficients(model, branch)
+        assert modulation._block_half(coefficients) == 15
         grid = [float(mu) for mu in np.linspace(-0.1, 0.1, 201) if mu]
         step, solve, stacks, solves = (modulation._subspace_step,
                                        modulation._grid_pairs, [], [])
@@ -747,9 +907,9 @@ class TestGridSolver:
         monkeypatch.setattr(modulation, "_subspace_step", measured)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
         modulation._critical_pairs(coefficients, grid)
-        assert {half for half, _ in solves} == {64}
+        assert {half for half, _ in solves} == {15}
         assert [mu for _, mus in solves for mu in mus] == grid
-        assert {len(mus) for _, mus in solves} == {7, 4}
+        assert [len(mus) for _, mus in solves] == [136, 64]
         assert max(8 * m * size * size for m, size, _ in stacks) \
             <= modulation._STACK_BYTES
 
