@@ -18,7 +18,8 @@ import functools
 import numpy as np
 from dataclasses import dataclass
 
-from .waves import Model, SQRT3, Units, linearized_operator
+from .waves import (Model, SQRT3, Units, _operator_block,
+                    _operator_projection, _operator_terms)
 
 __all__ = [
     "BlochPencil", "PencilCoefficients", "SpectrumSample", "CollisionRecord",
@@ -55,24 +56,58 @@ class BlochPencil:
 class PencilCoefficients:
     """The Bloch pencil of one branch point as exact polynomials in ``mu``:
     ``L0(mu) = A0 + mu A1 + mu^2 A2`` and ``s(mu) = alpha (n + mu)``, with
-    ``alpha = 2c`` (model A) or 1 (model B)."""
+    ``alpha = 2c`` (model A) or 1 (model B).  Held as the wave's operator
+    terms (``waves._residual_and_terms``), from which ``block`` gathers any
+    rows against any columns of ``(A0, A1, A2)`` and ``project`` their
+    projection onto a few columns; ``A0``, ``A1`` and ``A2``, the whole
+    ``(2N+1)^2`` matrices, are gathered on first read, of which each block
+    is a slice to the bit."""
 
     model: Model
     n_modes: int
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
+    terms: tuple
     alpha: float
 
-    def at(self, mu, half=None):
-        """The pencil at one Floquet exponent on the modes ``|n| <= half``
-        (all by default), entry for entry a block of the whole pencil."""
+    def block(self, rows, cols, powers=3):
+        """The first ``powers`` of ``(A0, A1, A2)`` on the modes ``rows``
+        against the modes ``cols`` (``waves._operator_block``)."""
+        return _operator_block(self.terms, rows, cols, powers)
+
+    def project(self, u):
+        """``u^T A_j u`` for ``j = 0, 1, 2`` on the last axis, from the
+        terms' products with the columns of ``u`` alone
+        (``waves._operator_projection``)."""
+        return _operator_projection(self.terms, u)
+
+    @functools.cached_property
+    def _whole(self):
+        """The whole ``(A0, A1, A2)``, gathered once; read-only, as every
+        read shares them."""
+        modes = np.arange(-self.n_modes, self.n_modes + 1)
+        whole = self.block(modes, modes)
+        for matrix in whole:
+            matrix.setflags(write=False)
+        return whole
+
+    @property
+    def A0(self):
+        return self._whole[0]
+
+    @property
+    def A1(self):
+        return self._whole[1]
+
+    @property
+    def A2(self):
+        return self._whole[2]
+
+    def at(self, mu):
+        """The whole pencil at one Floquet exponent."""
         if not in_floquet_domain(mu):
             raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
-        n = self.n_modes if half is None else half
-        inner = slice(self.n_modes - n, self.n_modes + n + 1)
-        l0 = self.A0[inner, inner] + mu * self.A1[inner, inner]
-        l0 += (mu * mu) * self.A2[inner, inner]
+        n = self.n_modes
+        l0 = self.A0 + mu * self.A1
+        l0 += (mu * mu) * self.A2
         s = self.alpha * (np.arange(-n, n + 1) + mu)
         return BlochPencil(model=self.model, mu=mu, n_modes=n, L0=l0, s=s)
 
@@ -115,17 +150,15 @@ class SymmetryReport:
 def pencil_coefficients(model, branch, n_modes=None):
     """The Bloch pencil's coefficients in ``mu`` at a branch point (see
     ``PencilCoefficients`` and ``waves.linearized_operator``); at the
-    branch's own ``N`` they are its ``linearization``.  ``model`` must be
-    the branch's: another model's operator on its profile is no pencil."""
+    branch's own ``N`` they hold its operator terms, no matrix gathered
+    yet.  ``model`` must be the branch's: another model's operator on its
+    profile is no pencil."""
     if model != branch.model:
         raise ValueError(f"{model} is not the branch's model {branch.model}")
     n = branch.n_modes if n_modes is None else n_modes
-    if n == branch.n_modes:
-        a0, a1, a2 = branch.linearization
-    else:
-        a0, a1, a2 = linearized_operator(model, branch.unit_eta.resized(n),
-                                         branch.unit_c)
-    return PencilCoefficients(model=model, n_modes=n, A0=a0, A1=a1, A2=a2,
+    terms = branch._terms if n == branch.n_modes else _operator_terms(
+        model, branch.unit_eta.resized(n), branch.unit_c)
+    return PencilCoefficients(model=model, n_modes=n, terms=terms,
                               alpha=2.0 * branch.unit_c if model.is_a
                               else 1.0)
 

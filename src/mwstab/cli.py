@@ -35,9 +35,10 @@ EXIT_INDETERMINATE = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
-#: largest ``--modes``: the pencils are dense real (2N+1)^2 matrices,
-#: 34 MB each at N = 1024, and a branch holds four of them; also the
-#: deepest ``--n-min``, since no pencil has a mode below -MAX_MODES
+#: largest ``--modes``: a spectrum sweep's pencils are dense real
+#: (2N+1)^2 matrices, 34 MB each at N = 1024, and it holds four of them
+#: (``index`` gathers none, and peaks at 115 MB there); also the deepest
+#: ``--n-min``, since no pencil has a mode below -MAX_MODES
 MAX_MODES = 1024
 #: largest ``--mu-grid`` count, 50 times the default 201-point spectrum
 #: grid (the benchmark's grids have 11 and 51 points): ``spectrum`` keeps
@@ -236,7 +237,6 @@ def cmd_spectrum(args):
                         n_modes=config.n_modes, tol=config.tol)
     samples = sweep_mus(config.model_tag(), branch, mus)
     frequency = branch.units.frequency
-    del branch  # and its linearization, before the rows are formatted
     lines = ["mu,re_lambda,im_lambda,branch_id"]
     for sample in samples:
         lam = sample.eigenvalues

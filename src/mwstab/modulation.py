@@ -167,7 +167,8 @@ def _det_polynomials(coefficients, basis):
     ``mu``.  So ``b0, b1, -b2``, its ``t^0, t^1, t^2`` parts, are exact
     polynomials of degree 4, 3 and 2, even, odd and even; the terms parity
     forbids, and the double zero's constant in ``b0``, are rounding noise
-    and are dropped.
+    and are dropped.  ``P`` is projected from the operator terms
+    (``PencilCoefficients.project``), no whole matrix gathered.
     """
     n = coefficients.n_modes
     u = np.column_stack([basis.phi1.resized(n).to_modes().imag,
@@ -176,8 +177,7 @@ def _det_polynomials(coefficients, basis):
     if norms.min() < 1e-12:
         raise ArithmeticError("critical basis is numerically degenerate")
     # p[i, j] and q[i, j]: entry polynomials in mu, ascending powers
-    p = np.stack([u.T @ m @ u for m in (coefficients.A0, coefficients.A1,
-                                        coefficients.A2)], axis=-1)
+    p = coefficients.project(u)
     modes = np.arange(-n, n + 1)
     q = coefficients.alpha * np.stack(
         [u.T @ (modes[:, None] * u), u.T @ u], axis=-1)
@@ -341,7 +341,8 @@ def _block_half(coefficients):
     wave and not by N; the weight ``j^2``, the ``D^2`` the rows beyond the
     block apply, reaches further where the band decays slowly."""
     n = coefficients.n_modes
-    row = np.abs(coefficients.A0[n, n:])
+    a0, = coefficients.block([0], np.arange(n + 1), 1)
+    row = np.abs(a0[0])
     offsets = np.arange(n + 1.0)
     # NaN reads as above the level: an operator not finite takes N // 2
     above = ~(offsets * offsets * row <= np.finfo(float).eps * row.max())
@@ -370,13 +371,16 @@ def _stacked(solve, matrices, *rest):
 
 
 def _block_pencils(coefficients, mus, half):
-    """``PencilCoefficients.at(mu, half)``'s ``L0`` and ``s`` at each ``mu``
-    of a grid, as two stacks formed in one broadcast by the same operations:
-    entry for entry blocks of the whole pencil."""
-    n = coefficients.n_modes
-    inner = slice(n - half, n + half + 1)
-    a0, a1, a2 = (term[inner, inner] for term in
-                  (coefficients.A0, coefficients.A1, coefficients.A2))
+    """The pencil's ``L0`` and ``s`` on the modes ``|n| <= half`` at each
+    ``mu`` of a grid, as two stacks formed in one broadcast by the
+    operations of ``PencilCoefficients.at``: entry for entry blocks of the
+    whole pencil.  Only the block is gathered, and the whole pencil
+    (``half = N``) read once per coefficients."""
+    if half == coefficients.n_modes:
+        a0, a1, a2 = coefficients.A0, coefficients.A1, coefficients.A2
+    else:
+        inner = np.arange(-half, half + 1)
+        a0, a1, a2 = coefficients.block(inner, inner)
     mu = np.asarray(mus, dtype=float)[:, None, None]
     l0 = a0 + mu * a1
     l0 += (mu * mu) * a2
@@ -438,10 +442,9 @@ def _grid_pairs(coefficients, mus, shifts, half):
     errors = {**failed, **errors}  # a failed solve is the error reported
     certified = np.ones(done.size, dtype=bool)
     if half < n:
-        outer = np.r_[0:n - half, n + half + 1:2 * n + 1]
-        inner = slice(n - half, n + half + 1)
-        c0, c1, c2 = (term[outer, inner] @ q for term in
-                      (coefficients.A0, coefficients.A1, coefficients.A2))
+        outer = np.r_[-n:-half, half + 1:n + 1]
+        c0, c1, c2 = (term @ q for term in coefficients.block(
+            outer, np.arange(-half, half + 1)))
         mu = np.asarray(mus, dtype=float)[done, None, None]
         coupling = c0 + mu * c1 + (mu * mu) * c2
         certified = np.linalg.norm(coupling, axis=(1, 2)) \

@@ -32,7 +32,7 @@ zero-mode, every iterate even).
 import functools
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .fourier import TrigSeries
 
@@ -132,6 +132,13 @@ class WaveBranch:
     residual_norm: float
     #: sup-norm residual after each Newton step (diagnostic)
     newton_residuals: tuple = field(default=(), repr=False)
+    #: ``_operator_terms`` at this wave, when its solve evaluated them; else
+    #: ``_terms`` evaluates them on first use
+    terms: InitVar[tuple | None] = None
+
+    def __post_init__(self, terms):
+        if terms is not None:
+            object.__setattr__(self, "_terms", terms)
 
     @property
     def units(self):
@@ -151,17 +158,8 @@ class WaveBranch:
 
     @functools.cached_property
     def _terms(self):
-        """``_operator_terms`` here, for the tangent and the linearization."""
+        """``_operator_terms`` here, for the tangent and the Bloch pencil."""
         return _operator_terms(self.model, self.unit_eta, self.unit_c)
-
-    @functools.cached_property
-    def linearization(self):
-        """``linearized_operator``'s ``(A0, A1, A2)`` at this wave, built on
-        first use for the Bloch pencil and its projections; read-only."""
-        operator = _operator_matrices(self._terms)
-        for matrix in operator:
-            matrix.setflags(write=False)
-        return operator
 
 
 def _unit_amplitude(model, a, k):
@@ -215,45 +213,50 @@ def analytic_wave(model, a, k, n_modes=DEFAULT_N_MODES):
     """
     unit_a = _unit_amplitude(model, a, k)
     eta, c = _analytic_seed(model, unit_a, n_modes)
+    res, terms = _residual_and_terms(model, eta, c)
     return WaveBranch(model=model, a=a, k=k, unit_a=unit_a, unit_eta=eta,
-                      unit_c=c, residual_norm=residual(model, eta,
-                                                       c).sup_norm())
+                      unit_c=c, residual_norm=res.sup_norm(), terms=terms)
+
+
+def _residual_and_terms(model, eta, c):
+    """``residual`` and ``_operator_terms`` at ``(eta, c)`` from one
+    evaluation, which shares the derivatives and model B's ``(w')^2``.
+
+    The terms are the profile series of ``linearized_operator``: with
+    ``X = diag(n + mu)``, ``D = i X``, multiplication by the odd term
+    ``i R`` and by the even terms ``C`` (left) and ``E`` (right),
+    ``L0 = -R X - X^2 C - E X^2 - 1``.  Model A has no ``E`` (``None``)."""
+    n = eta.n_modes
+    d1 = eta.deriv()
+    d2 = eta.deriv(2)
+    if model.is_a:
+        res = (3.0 * c**2) * d2 - 2.0 * (eta * d2) - (d1 * d1) + eta
+        # L0 = -2 eta' D + D^2 [(2 eta - 3c^2) .] - 1
+        odd = -2.0 * d1
+        left = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
+        return res, (odd, left, None)
+    g = model.gamma
+    sq = d1 * d1
+    res = (eta * d2) - c * d2 + 0.5 * sq - 0.5 * g * (d2 * sq) - eta
+    # L0 = [(-w' - g w' w'') .] D + D^2 [(w - c) .] - (g/2) w'^2 D^2 - 1
+    odd = -d1 + (-g) * (d1 * d2)
+    left = eta + TrigSeries.constant(-c, n)
+    return res, (odd, left, (-0.5 * g) * sq)
 
 
 def residual(model, eta, c):
     """Traveling-wave ODE residual at ``k = 1`` as a series; zero iff
     ``(eta, c)`` solves it."""
-    d1 = eta.deriv()
-    d2 = eta.deriv(2)
-    if model.is_a:
-        return (3.0 * c**2) * d2 - 2.0 * (eta * d2) - (d1 * d1) + eta
-    sq = d1 * d1
-    return (eta * d2) - c * d2 + 0.5 * sq \
-        - 0.5 * model.gamma * (d2 * sq) - eta
+    return _residual_and_terms(model, eta, c)[0]
 
 
 def _operator_terms(model, eta, c):
-    """The profile series of ``linearized_operator`` at ``(eta, c)``: with
-    ``X = diag(n + mu)``, ``D = i X``, multiplication by the odd term
-    ``i R`` and by the even terms ``C`` (left) and ``E`` (right),
-    ``L0 = -R X - X^2 C - E X^2 - 1``.  Model A has no ``E`` (``None``)."""
+    """``linearized_operator``'s profile series ``(R, C, E)`` at ``(eta,
+    c)`` (``_residual_and_terms``), for an even profile only."""
     if not eta.is_even():
         raise ValueError("the linearized operator is built for an even "
                          "profile only")
-    n = eta.n_modes
-    wz = eta.deriv()
-    if model.is_a:
-        # L0 = -2 eta' D + D^2 [(2 eta - 3c^2) .] - 1
-        odd = -2.0 * wz
-        left = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
-        right = None
-    else:
-        # L0 = [(-w' - g w' w'') .] D + D^2 [(w - c) .] - (g/2) w'^2 D^2 - 1
-        g = model.gamma
-        odd = -wz + (-g) * (wz * eta.deriv(2))
-        left = eta + TrigSeries.constant(-c, n)
-        right = (-0.5 * g) * (wz * wz)
-    return odd, left, right
+    return _residual_and_terms(model, eta, c)[1]
 
 
 def linearized_operator(model, eta, c):
@@ -266,48 +269,84 @@ def linearized_operator(model, eta, c):
     i mu``, at most squared, so ``L0(mu) = A0 + mu A1 + mu^2 A2``; the real
     ``(A0, A1, A2)`` of an even profile are returned (any other profile
     raises ``ValueError``), each term's matrix gathered once from its band
-    (``_operator_rows``).  ``D^2`` acts *after* multiplication by the
+    (``_operator_block``).  ``D^2`` acts *after* multiplication by the
     profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
-    term multiplies *after* differentiation (``_operator_terms``).
+    term multiplies *after* differentiation (``_residual_and_terms``).
     """
-    return _operator_matrices(_operator_terms(model, eta, c))
+    modes = np.arange(-eta.n_modes, eta.n_modes + 1)
+    return _operator_block(_operator_terms(model, eta, c), modes, modes)
 
 
-def _operator_rows(terms, first):
-    """Rows ``first..N``, against every column, of the terms' matrices
-    ``(R, C, E)``, each gathered from its band at ``row - col + 2N``, and of
-    ``A0``, ``L0`` at ``mu = 0``, formed from them."""
+def _operator_block(terms, rows, cols, powers=3):
+    """The first ``powers`` of ``linearized_operator``'s ``(A0, A1, A2)``
+    on the modes ``rows`` against the modes ``cols`` (integer arrays in
+    ``-N..N``), from the terms ``(R, C, E)``: each term's entries gathered
+    from its band at ``row - col + 2N`` and the coefficients formed from
+    them by the same operations, entry for entry, whatever the block, so
+    every block is the same slice of the whole matrices to the bit."""
     n = terms[1].n_modes
-    index = np.arange(first, n + 1)[:, None] - np.arange(-n, n + 1) + 2 * n
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    index = rows[:, None] - cols + 2 * n
     r, cl, er = (None if term is None else term.band()[index]
                  for term in terms)
-    m = np.arange(-n, n + 1.0)
+    m, m_row = cols.astype(float), rows.astype(float)
     a0 = np.multiply(r, -m)
-    a0 -= np.multiply(cl, (m * m)[first + n:, None])
+    a0 -= np.multiply(cl, (m_row * m_row)[:, None])
     if er is not None:
         a0 -= np.multiply(er, m * m)
-    a0.ravel()[first + n::2 * n + 2] -= 1.0
-    return (r, cl, er), a0
-
-
-def _operator_matrices(terms):
-    """``linearized_operator``'s ``(A0, A1, A2)`` from ``_operator_terms``."""
-    n = terms[1].n_modes
-    (r, cl, er), a0 = _operator_rows(terms, -n)
-    twice = 2.0 * np.arange(-n, n + 1.0)
+    a0[rows[:, None] == cols] -= 1.0
+    if powers == 1:
+        return (a0,)
     a1, a2 = np.negative(r), np.negative(cl)
-    a1 -= np.multiply(cl, twice[:, None])
+    a1 -= np.multiply(cl, (2.0 * m_row)[:, None])
     if er is not None:
-        a1 -= np.multiply(er, twice)
+        a1 -= np.multiply(er, 2.0 * m)
         a2 -= er
     return a0, a1, a2
+
+
+def _toeplitz_product(term, u):
+    """The term's matrix, gathered at ``row - col + 2N`` as in
+    ``_operator_block``, times the columns of ``u``, from one convolution
+    of its band with the columns laid end to end, each followed by the
+    ``2N`` zeros that keep its products apart from the next's."""
+    n = term.n_modes
+    size = 4 * n + 1
+    laid = np.zeros((u.shape[1], size))
+    laid[:, :2 * n + 1] = u.T
+    full = np.convolve(term.band()[n:3 * n + 1], laid.ravel())
+    return full[:laid.size].reshape(-1, size)[:, n:3 * n + 1].T
+
+
+def _operator_projection(terms, u):
+    """``u^T A_j u`` for ``linearized_operator``'s ``(A0, A1, A2)``,
+    stacked on the last axis, from the terms' products with the columns
+    of ``u`` alone (``_toeplitz_product``), no ``(2N+1)^2`` matrix
+    formed: ``R`` is antisymmetric and ``C``, ``E`` symmetric, so with
+    ``X = diag(n)``, ``u^T A0 u = (R u)^T X u - (X^2 u)^T C u -
+    (E u)^T X^2 u - u^T u``, ``u^T A1 u = (R u)^T u - 2 (X u)^T C u -
+    2 (E u)^T X u`` and ``u^T A2 u = -u^T C u - (E u)^T u``.  Equal to the
+    projection of the whole matrices to rounding."""
+    n = terms[1].n_modes
+    m = np.arange(-n, n + 1.0)[:, None]
+    u1, u2 = m * u, (m * m) * u
+    r, cl, er = (None if term is None else _toeplitz_product(term, u)
+                 for term in terms)
+    p0 = r.T @ u1 - u2.T @ cl - u.T @ u
+    p1 = r.T @ u - 2.0 * (u1.T @ cl)
+    p2 = -(u.T @ cl)
+    if er is not None:
+        p0 -= er.T @ u2
+        p1 -= 2.0 * (er.T @ u1)
+        p2 -= er.T @ u
+    return np.stack([p0, p1, p2], axis=-1)
 
 
 def _cosine_fold(terms):
     """``A0`` folded onto cosines: its rows ``0..N``, where column ``-q``
     adds to column ``q`` (``exp(-iqz)`` brings ``cos(qz)`` there)."""
     n = terms[1].n_modes
-    _, a0 = _operator_rows(terms, 0)
+    a0, = _operator_block(terms, np.arange(n + 1), np.arange(-n, n + 1), 1)
     fold = a0[:, n:]
     fold[:, 1:] += a0[:, n - 1::-1]
     return fold
@@ -338,13 +377,16 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     equations are the residual's cosine coefficients for harmonics
     ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
     analytic expansion, whose residual is first evaluated as Newton's
-    first iterate.  The Jacobian is ``linearized_operator``'s ``A0`` folded
-    onto cosines (``_cosine_fold``, from its rows ``0..N`` alone), bordered
-    by the speed column and the amplitude row.  ``tol`` bounds the ``k =
-    1`` residual; ``ConvergenceError`` is raised when the iteration stalls
-    above it, diverges (an error ``DIVERGENCE`` times its best so far),
-    runs out of steps, meets a singular Jacobian, or meets a residual that
-    is not finite, the first sign of an iterate that is not.
+    first iterate.  Each iterate's residual and operator terms come from
+    one evaluation (``_residual_and_terms``), and the converged iterate's
+    terms are the branch's, for its tangent and its pencil.  The Jacobian
+    is ``linearized_operator``'s ``A0`` folded onto cosines
+    (``_cosine_fold``, from its rows ``0..N`` alone), bordered by the speed
+    column and the amplitude row.  ``tol`` bounds the ``k = 1`` residual;
+    ``ConvergenceError`` is raised when the iteration stalls above it,
+    diverges (an error ``DIVERGENCE`` times its best so far), runs out of
+    steps, meets a singular Jacobian, or meets a residual that is not
+    finite, the first sign of an iterate that is not.
     """
     unit_a = _unit_amplitude(model, a, k)
     if tol <= 0:
@@ -359,7 +401,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
         eta = TrigSeries(x[:n + 1])
         c = x[n + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            res = residual(model, eta, c)
+            res, terms = _residual_and_terms(model, eta, c)
             sup = res.sup_norm()
         history.append(sup)
         if not np.isfinite(sup):
@@ -369,7 +411,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
         if err <= tol:
             return WaveBranch(model=model, a=a, k=k, unit_a=unit_a,
                               unit_eta=eta, unit_c=c, residual_norm=sup,
-                              newton_residuals=tuple(history))
+                              newton_residuals=tuple(history), terms=terms)
         if err > DIVERGENCE * best:
             raise ConvergenceError(
                 f"Newton iteration diverges: error {err:.3e} at step "
@@ -386,8 +428,8 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
                 f"after {len(history)} steps", best)
         rhs = np.concatenate([res.cos, [x[1] - unit_a]])
         try:
-            dx = np.linalg.solve(_bordered_jacobian(
-                model, _operator_terms(model, eta, c), eta, c), rhs)
+            dx = np.linalg.solve(
+                _bordered_jacobian(model, terms, eta, c), rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular Newton Jacobian at step {len(history)}",

@@ -129,19 +129,51 @@ class TestPencilAssembly:
     @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)])
     def test_central_block_is_the_whole_pencils_to_the_bit(self, model):
         # the critical pair's block and the whole pencil come from one
-        # constructor: the block's entries are the whole one's, not close
+        # gather: the block's entries are the whole one's, not close
         branch = solve_wave(model, 0.05, 1.2, n_modes=32)
         coefficients = pencil_coefficients(model, branch)
         for mu in (0.1, 1e-3, 0.37, -0.1, -1e-3, -0.49):
             whole = coefficients.at(mu)
             assert whole.n_modes == 32
-            for half in (16, 5, 1):
-                block = coefficients.at(mu, half)
+            for half in (16, 5, 1, 32):
+                modes = np.arange(-half, half + 1)
+                a0, a1, a2 = coefficients.block(modes, modes)
+                l0 = a0 + mu * a1
+                l0 += (mu * mu) * a2
                 inner = slice(32 - half, 32 + half + 1)
-                assert block.n_modes == half and block.mu == mu
-                assert np.array_equal(block.L0, whole.L0[inner, inner])
-                assert np.array_equal(block.s, whole.s[inner])
-            assert np.array_equal(coefficients.at(mu, 32).L0, whole.L0)
+                assert np.array_equal(l0, whole.L0[inner, inner])
+                assert np.array_equal(coefficients.alpha * (modes + mu),
+                                      whole.s[inner])
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)],
+                             ids=["A", "B"])
+    def test_every_block_gather_is_a_slice_of_the_whole(self, model, n):
+        # the central row, the wave's block, the rows outside it against
+        # it, and random sets of rows and columns, in any order and with
+        # repeats: each of A0, A1, A2 is the whole matrix's slice to the
+        # bit, and so is A0 gathered alone
+        branch = solve_wave(model, 0.05, 1.2, n_modes=n)
+        coefficients = pencil_coefficients(model, branch)
+        whole = linearized_operator(model, branch.unit_eta, branch.unit_c)
+        half = n // 4
+        rng = np.random.default_rng(n)
+        inner = np.arange(-half, half + 1)
+        outer = np.r_[-n:-half, half + 1:n + 1]
+        picks = [([0], np.arange(n + 1)), (inner, inner), (outer, inner)]
+        picks += [(rng.integers(-n, n + 1, size), rng.integers(-n, n + 1, 7))
+                  for size in (1, 9, 2 * n + 1)]
+        for rows, cols in picks:
+            index = np.ix_(np.asarray(rows) + n, np.asarray(cols) + n)
+            gathered = coefficients.block(rows, cols)
+            assert len(gathered) == 3
+            for block, matrix in zip(gathered, whole):
+                assert np.array_equal(block, matrix[index])
+            first, = coefficients.block(rows, cols, 1)
+            assert np.array_equal(first, whole[0][index])
+        for term, matrix in zip((coefficients.A0, coefficients.A1,
+                                 coefficients.A2), whole):
+            assert np.array_equal(term, matrix)
 
     def test_mu_domain_guard(self):
         branch = flat_branch(MODEL_A)

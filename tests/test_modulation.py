@@ -231,6 +231,64 @@ class TestProjectedDet:
             projected_det(MODEL_A, branch_a005, broken, 0.01)
 
 
+def projection_excess(model, a, k, n=64):
+    """The largest ratio, over ``j`` and the four entries, of ``|u^T A_j u|``
+    projected from the operator terms (``PencilCoefficients.project``)
+    minus that of the whole matrices, over the rounding bound ``(8N + 16)
+    eps (|u|^T S_j |u|)``, where ``u`` is ``_det_polynomials``' basis and
+    ``S_j`` the sum of the absolute terms ``A_j`` is formed from: ``|R| |X|
+    + X^2 |C| + |E| X^2 + 1``, ``|R| + 2 |X| |C| + 2 |E| |X|`` and ``|C| +
+    |E|``.  Each route sums ``2N + 1`` products twice and a few more
+    terms, first-order rounding ``(4N + 5) eps`` of that magnitude; over
+    60 random waves of the hypothesis domain the ratio read at most
+    7.1e-3, where flipping the sign of one term of ``u^T A1 u`` read 3e10."""
+    branch = solve_wave(model, a, k, n_modes=n)
+    basis = critical_basis(model, branch)
+    coefficients = bloch.pencil_coefficients(model, branch)
+    u = np.column_stack([basis.phi1.to_modes().imag,
+                         basis.phi2.to_modes().real])
+    projected = coefficients.project(u)
+    whole = np.stack([u.T @ term @ u for term in (
+        coefficients.A0, coefficients.A1, coefficients.A2)], axis=-1)
+    modes = np.arange(-n, n + 1)
+    index = modes[:, None] - modes + 2 * n
+    r, c, e = (np.zeros((2 * n + 1,) * 2) if term is None
+               else np.abs(term.band()[index]) for term in coefficients.terms)
+    x = np.abs(modes).astype(float)
+    sizes = [r * x + (x * x)[:, None] * c + e * (x * x) + np.eye(2 * n + 1),
+             r + 2.0 * x[:, None] * c + 2.0 * e * x, c + e]
+    bound = (8 * n + 16) * np.finfo(float).eps * np.stack(
+        [np.abs(u).T @ size @ np.abs(u) for size in sizes], axis=-1)
+    return np.max(np.abs(projected - whole) / bound)
+
+
+#: the waves of the CI step "Critical pairs outside the block's
+#: certificate", (model, gamma, a, k)
+FALLBACK_WAVES = [("A", 0.0, 0.45, 1.0), ("B", 50.0, 0.078, 1.0),
+                  ("B", 2.0, 0.2, 1.0), ("B", 1000.0, 0.078, 1.0),
+                  ("B", -1000.0, 0.02, 1.4)]
+
+
+class TestProjectionFromTerms:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from("AB"), a=st.floats(0.005, 0.1),
+           k=st.floats(0.8, 1.5), gamma=st.floats(0.0, 3.0))
+    def test_within_rounding_of_the_whole_matrices(self, variant, a, k,
+                                                   gamma):
+        model = Model(variant, gamma=gamma if variant == "B" else 0.0)
+        assert projection_excess(model, a, k) <= 1.0
+
+    @pytest.mark.parametrize("variant,gamma,a,k", [
+        ("A", 0.0, 0.0, 1.0), ("B", 2.0, 0.0, 1.0), *FALLBACK_WAVES])
+    def test_flat_and_fallback_waves(self, variant, gamma, a, k):
+        assert projection_excess(Model(variant, gamma=gamma), a, k) <= 1.0
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_at_other_cutoffs(self, n):
+        for model in (MODEL_A, Model("B", gamma=2.0)):
+            assert projection_excess(model, 0.05, 1.2, n) <= 1.0
+
+
 def grid_pair(coefficients, mu, half):
     """``_grid_pairs``' result at the one ``mu`` and its shift, on the modes
     ``|n| <= half``."""
@@ -750,17 +808,27 @@ class TestGridSolver:
     @pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 2.0)])
     def test_the_grids_blocks_are_the_pencils_to_the_bit(self, variant,
                                                          gamma):
-        # one broadcast for the grid, entry for entry PencilCoefficients.at
+        # one broadcast for the grid, entry for entry the pencil formed at
+        # each mu from the block gather as PencilCoefficients.at forms it,
+        # and the whole pencil's block
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, 0.05, 1.2, n_modes=32)
         coefficients = bloch.pencil_coefficients(model, branch)
         grid = [0.1, 1e-3, -0.1, -1e-3, 0.0]
         for half in (modulation._block_half(coefficients), 5, 32):
+            modes = np.arange(-half, half + 1)
+            inner = slice(32 - half, 32 + half + 1)
+            a0, a1, a2 = coefficients.block(modes, modes)
             l0, s = modulation._block_pencils(coefficients, grid, half)
             for i, mu in enumerate(grid):
-                pencil = coefficients.at(mu, half)
-                assert l0[i].tobytes() == pencil.L0.tobytes()
-                assert s[i].tobytes() == pencil.s.tobytes()
+                pencil = a0 + mu * a1
+                pencil += (mu * mu) * a2
+                assert l0[i].tobytes() == pencil.tobytes()
+                whole = coefficients.at(mu)
+                assert np.array_equal(l0[i], whole.L0[inner, inner])
+                assert s[i].tobytes() \
+                    == (coefficients.alpha * (modes + mu)).tobytes()
+                assert np.array_equal(s[i], whole.s[inner])
 
     def test_a_singular_shifted_pencil_fails_at_its_mu_only(self):
         # with the operator's mode-0 row zero, L0 - sigma diag(s) is
@@ -768,13 +836,18 @@ class TestGridSolver:
         # on the whole pencil, which needs no certificate
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=32)
+
+        class Broken(bloch.PencilCoefficients):
+            def block(self, rows, cols, powers=3):
+                gathered = super().block(rows, cols, powers)
+                for term in gathered:
+                    term[np.asarray(rows) == 0] = 0.0
+                return gathered
+
         coefficients = bloch.pencil_coefficients(model, branch)
-        terms = [term.copy() for term in (coefficients.A0, coefficients.A1,
-                                          coefficients.A2)]
-        for term in terms:
-            term[32] = 0.0
-        broken = dataclasses.replace(coefficients, A0=terms[0], A1=terms[1],
-                                     A2=terms[2])
+        broken = Broken(**{field.name: getattr(coefficients, field.name)
+                           for field in dataclasses.fields(coefficients)})
+        assert not broken.A0[32].any() and not broken.A2[32].any()
         grid, half = [0.03, 0.0, -0.02], 32
         together = modulation._grid_pairs(
             broken, grid, modulation._critical_shift(model, grid), half)
@@ -995,16 +1068,24 @@ class TestVerdicts:
         assert solved == list(np.linspace(0.0, 0.05, 5)[1:])
 
     def test_one_coefficient_build_per_branch(self, monkeypatch):
-        # the operator is built once per converged wave, for its Bloch
-        # pencil and projection; each Newton Jacobian and the bordered
-        # tangent fold A0 onto cosines instead: one fold per entry of
-        # newton_residuals (the last iterate converges without a Jacobian,
-        # and the tangent takes one).  The profile's operator terms are
-        # evaluated once per Jacobian and once per converged wave, whose
-        # tangent and linearization share them
-        builds, folds, terms, starts, branches = [], [], [], [], []
-        build, solve = waves._operator_matrices, modulation.solve_wave
-        fold, evaluate = waves._cosine_fold, waves._operator_terms
+        # the whole (2N+1)^2 operator is gathered only where the wave's
+        # block fails its certificate: the projection comes from the
+        # operator terms, the block and the certificate gather their own
+        # rows.  Each Newton Jacobian and the bordered tangent fold A0 onto
+        # cosines: one fold per entry of newton_residuals (the last iterate
+        # converges without a Jacobian, and the tangent takes one).  The
+        # profile's operator terms are evaluated with each iterate's
+        # residual, once per entry of newton_residuals, and the converged
+        # wave keeps its last iterate's: none after convergence
+        wholes, folds, evaluations, starts, branches = [], [], [], [], []
+        gather, solve = waves._operator_block, modulation.solve_wave
+        fold, evaluate = waves._cosine_fold, waves._residual_and_terms
+
+        def counted_gather(terms, rows, cols, *rest):
+            size = 2 * terms[1].n_modes + 1
+            if len(rows) == size and len(cols) == size:
+                wholes.append(size)
+            return gather(terms, rows, cols, *rest)
 
         def counted(calls, fn):
             def wrapper(*args):
@@ -1013,37 +1094,54 @@ class TestVerdicts:
             return wrapper
 
         def counted_solve(*args, **kwargs):
-            starts.append(len(builds))
+            starts.append(len(evaluations))
             branches.append(solve(*args, **kwargs))
+            starts.append(len(evaluations))
             return branches[-1]
 
         def per_solve():
-            ends = starts[1:] + [len(builds)]
+            """Evaluations in each solve and between it and the next."""
+            ends = starts[1:] + [len(evaluations)]
             return [end - start for start, end in zip(starts, ends)]
 
-        # every linearization, the branch's and linearized_operator's,
-        # goes through _operator_matrices
-        monkeypatch.setattr(waves, "_operator_matrices",
-                            counted(builds, build))
+        def refused(*args):
+            raise AssertionError("operator terms evaluated alone")
+
+        # every gather, the block's, the certificate's, the whole pencil's
+        # and the fold's, goes through _operator_block
+        monkeypatch.setattr(waves, "_operator_block", counted_gather)
+        monkeypatch.setattr(bloch, "_operator_block", counted_gather)
         monkeypatch.setattr(waves, "_cosine_fold", counted(folds, fold))
-        monkeypatch.setattr(waves, "_operator_terms",
-                            counted(terms, evaluate))
+        monkeypatch.setattr(waves, "_residual_and_terms",
+                            counted(evaluations, evaluate))
+        monkeypatch.setattr(waves, "_operator_terms", refused)
+        monkeypatch.setattr(bloch, "_operator_terms", refused)
         monkeypatch.setattr(modulation, "solve_wave", counted_solve)
+        # at N = 32 the wave's block, h = 12, is certified at every mu (at
+        # N = 16 it is capped at N // 2 = 8, and is not)
         discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
-                           np.linspace(0.0, 0.05, 11), n_modes=16)
+                           np.linspace(0.0, 0.05, 11), n_modes=32)
         assert len(branches) == 1
-        assert per_solve() == [1]
+        assert wholes == []
         assert len(folds) == len(branches[0].newton_residuals)
-        assert len(terms) == (len(branches[0].newton_residuals) - 1) + 1
-        builds.clear(), folds.clear(), terms.clear()
+        assert per_solve() == [len(branches[0].newton_residuals), 0]
+        wholes.clear(), folds.clear(), evaluations.clear()
         starts.clear(), branches.clear()
         threshold_bisect(1.0, 0.01, 0.0, 2.0, width=0.1, n_modes=16)
         # one wave per evaluation
         assert len(branches) > 3
-        assert per_solve() == [1] * len(branches)
+        assert wholes == []
         assert len(folds) == sum(len(b.newton_residuals) for b in branches)
-        assert len(terms) == sum((len(b.newton_residuals) - 1) + 1
-                                 for b in branches)
+        assert per_solve() == [count for b in branches
+                               for count in (len(b.newton_residuals), 0)]
+        wholes.clear()
+        # a wave whose block fails its certificate at every mu: its pairs
+        # come from the whole pencil, in two batches of at most seven
+        # 129x129 stacks, from one gather
+        report = discriminant_sweep(MODEL_A, 0.45, 1.0,
+                                    np.linspace(0.005, 0.05, 10))
+        assert report.verdict == "stable"
+        assert wholes == [2 * 64 + 1]
 
     def test_margin_function(self):
         assert positivity_margin(0.0, 0.0) == 1e-10

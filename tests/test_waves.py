@@ -227,11 +227,21 @@ def test_cosine_fold_is_the_fold_of_the_whole_operator(variant, gamma, n):
         fold = waves._cosine_fold(waves._operator_terms(model, eta, c))
         assert fold.shape == (n + 1, n + 1)
         assert np.array_equal(fold, whole)
-    # the converged wave's own terms give its tangent's fold and its
-    # linearization, both bit for bit
+    # the converged wave holds the terms its last Newton iterate evaluated,
+    # which are those evaluated afresh and give its tangent's fold and its
+    # linearization, all bit for bit
+    assert "_terms" in vars(branch)
+    fresh = waves._operator_terms(model, branch.unit_eta, branch.unit_c)
+    for held, built in zip(branch._terms, fresh):
+        assert (held is None) == (built is None)
+        if held is not None:
+            assert held.cos.tobytes() == built.cos.tobytes()
+            assert held.sin.tobytes() == built.sin.tobytes()
     assert np.array_equal(waves._cosine_fold(branch._terms), fold)
-    for held, built in zip(branch.linearization, linearized_operator(
-            model, branch.unit_eta, branch.unit_c)):
+    modes = np.arange(-n, n + 1)
+    for held, built in zip(waves._operator_block(branch._terms, modes, modes),
+                           linearized_operator(model, branch.unit_eta,
+                                               branch.unit_c)):
         assert np.array_equal(held, built)
 
 
