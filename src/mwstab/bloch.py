@@ -8,7 +8,7 @@ a spectral point iff the pencil is singular.  In the exponential basis,
 where ``d/dz + i*mu`` is diagonal and multiplication by a trigonometric
 polynomial is a Toeplitz block, an even profile gives a real ``L0``
 quadratic in ``mu`` and ``L1 = i diag(s)`` with ``s`` real and linear in
-``mu``: one set of real coefficients serves a whole branch and each slice
+``mu``: one gather of real coefficients serves a whole grid and each slice
 is a real standard eigenproblem.  Pencils and spectra are at ``k = 1``.
 """
 
@@ -18,14 +18,12 @@ import functools
 import numpy as np
 from dataclasses import dataclass
 
-from .waves import (Model, SQRT3, Units, _operator_block,
-                    _operator_projection, _operator_terms)
+from .waves import Model, SQRT3, Units, _operator_block, _operator_terms
 
 __all__ = [
-    "BlochPencil", "PencilCoefficients", "SpectrumSample", "CollisionRecord",
-    "SymmetryReport", "assemble_pencil", "pencil_coefficients", "dispersion",
-    "find_collisions", "spectrum_slice", "symmetry_check",
-    "hausdorff_distance", "sweep_mus", "one_blas_thread",
+    "BlochPencil", "SpectrumSample", "CollisionRecord", "SymmetryReport",
+    "assemble_pencil", "dispersion", "find_collisions", "spectrum_slice",
+    "symmetry_check", "hausdorff_distance", "sweep_mus", "one_blas_thread",
     "in_floquet_domain", "INFINITE_EIGENVALUE_CUTOFF",
 ]
 
@@ -50,66 +48,6 @@ class BlochPencil:
     n_modes: int
     L0: np.ndarray
     s: np.ndarray
-
-
-@dataclass(frozen=True)
-class PencilCoefficients:
-    """The Bloch pencil of one branch point as exact polynomials in ``mu``:
-    ``L0(mu) = A0 + mu A1 + mu^2 A2`` and ``s(mu) = alpha (n + mu)``, with
-    ``alpha = 2c`` (model A) or 1 (model B).  Held as the wave's operator
-    terms (``waves._residual_and_terms``), from which ``block`` gathers any
-    rows against any columns of ``(A0, A1, A2)`` and ``project`` their
-    projection onto a few columns; ``A0``, ``A1`` and ``A2``, the whole
-    ``(2N+1)^2`` matrices, are gathered on first read, of which each block
-    is a slice to the bit."""
-
-    model: Model
-    n_modes: int
-    terms: tuple
-    alpha: float
-
-    def block(self, rows, cols, powers=3):
-        """The first ``powers`` of ``(A0, A1, A2)`` on the modes ``rows``
-        against the modes ``cols`` (``waves._operator_block``)."""
-        return _operator_block(self.terms, rows, cols, powers)
-
-    def project(self, u):
-        """``u^T A_j u`` for ``j = 0, 1, 2`` on the last axis, from the
-        terms' products with the columns of ``u`` alone
-        (``waves._operator_projection``)."""
-        return _operator_projection(self.terms, u)
-
-    @functools.cached_property
-    def _whole(self):
-        """The whole ``(A0, A1, A2)``, gathered once; read-only, as every
-        read shares them."""
-        modes = np.arange(-self.n_modes, self.n_modes + 1)
-        whole = self.block(modes, modes)
-        for matrix in whole:
-            matrix.setflags(write=False)
-        return whole
-
-    @property
-    def A0(self):
-        return self._whole[0]
-
-    @property
-    def A1(self):
-        return self._whole[1]
-
-    @property
-    def A2(self):
-        return self._whole[2]
-
-    def at(self, mu):
-        """The whole pencil at one Floquet exponent."""
-        if not in_floquet_domain(mu):
-            raise ValueError(f"Floquet exponent {mu} outside (-1/2, 1/2]")
-        n = self.n_modes
-        l0 = self.A0 + mu * self.A1
-        l0 += (mu * mu) * self.A2
-        s = self.alpha * (np.arange(-n, n + 1) + mu)
-        return BlochPencil(model=self.model, mu=mu, n_modes=n, L0=l0, s=s)
 
 
 @dataclass(frozen=True)
@@ -147,20 +85,35 @@ class SymmetryReport:
                 and self.hausdorff_conjugation <= self.tol)
 
 
-def pencil_coefficients(model, branch, n_modes=None):
-    """The Bloch pencil's coefficients in ``mu`` at a branch point (see
-    ``PencilCoefficients`` and ``waves.linearized_operator``); at the
-    branch's own ``N`` they hold its operator terms, no matrix gathered
-    yet.  ``model`` must be the branch's: another model's operator on its
-    profile is no pencil."""
+def _pencil_terms(model, branch, n_modes=None):
+    """The operator terms of the branch point's pencil at ``N = n_modes``
+    (``waves._operator_terms``; at the branch's own ``N`` the ones it
+    holds) and the ``alpha`` of ``s = alpha (n + mu)``: ``2c`` for model A,
+    1 for B.  ``model`` must be the branch's: another model's operator on
+    its profile is no pencil."""
     if model != branch.model:
         raise ValueError(f"{model} is not the branch's model {branch.model}")
     n = branch.n_modes if n_modes is None else n_modes
     terms = branch._terms if n == branch.n_modes else _operator_terms(
         model, branch.unit_eta.resized(n), branch.unit_c)
-    return PencilCoefficients(model=model, n_modes=n, terms=terms,
-                              alpha=2.0 * branch.unit_c if model.is_a
-                              else 1.0)
+    return terms, (2.0 * branch.unit_c if model.is_a else 1.0)
+
+
+def _pencils(block, alpha, mus):
+    """``L0(mu) = A0 + mu A1 + mu^2 A2`` and ``s(mu) = alpha (n + mu)`` on
+    the modes ``|n| <= h`` of a square block ``(A0, A1, A2)`` gathered on
+    them (``waves._operator_block``), at one Floquet exponent or stacked
+    over a grid of them: the one place the pencil is formed, so the
+    pencil on a block is the whole pencil's slice to the bit."""
+    mu = np.asarray(mus, dtype=float)
+    if not np.all((-0.5 < mu) & (mu <= 0.5)):
+        raise ValueError(f"Floquet exponent {mus} outside (-1/2, 1/2]")
+    a0, a1, a2 = block
+    mu = mu[..., None, None]
+    l0 = a0 + mu * a1
+    l0 += (mu * mu) * a2
+    half = a0.shape[0] // 2
+    return l0, alpha * (np.arange(-half, half + 1) + mu[..., 0])
 
 
 def assemble_pencil(model, branch, mu, n_modes=None):
@@ -170,7 +123,11 @@ def assemble_pencil(model, branch, mu, n_modes=None):
     ``L1 = i diag(s)`` is ``2c (d/dz + i mu)`` for model A and
     ``d/dz + i mu`` for B.
     """
-    return pencil_coefficients(model, branch, n_modes).at(mu)
+    terms, alpha = _pencil_terms(model, branch, n_modes)
+    n = terms[1].n_modes
+    modes = np.arange(-n, n + 1)
+    l0, s = _pencils(_operator_block(terms, modes, modes), alpha, mu)
+    return BlochPencil(model=model, mu=mu, n_modes=n, L0=l0, s=s)
 
 
 def dispersion(model, n, mu, k=1.0):
@@ -354,7 +311,11 @@ def parallel_map(fn, items):
 
 
 def sweep_mus(model, branch, mus):
-    """Spectra over a Floquet grid at ``k = 1``, from one set of pencil
-    coefficients."""
-    coefficients = pencil_coefficients(model, branch)
-    return parallel_map(lambda mu: spectrum_slice(coefficients.at(mu)), mus)
+    """Spectra over a Floquet grid at ``k = 1``, from one gather of the
+    whole ``(A0, A1, A2)``."""
+    terms, alpha = _pencil_terms(model, branch)
+    n = branch.n_modes
+    modes = np.arange(-n, n + 1)
+    whole = _operator_block(terms, modes, modes)
+    return parallel_map(lambda mu: spectrum_slice(
+        BlochPencil(model, mu, n, *_pencils(whole, alpha, mu))), mus)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 from .fourier import TrigSeries
 from .waves import (Model, Units, ConvergenceError, solve_wave,
-                    branch_derivative, DEFAULT_N_MODES, DEFAULT_TOL)
-from .bloch import pencil_coefficients, dispersion
+                    branch_derivative, _operator_block, _operator_projection,
+                    DEFAULT_N_MODES, DEFAULT_TOL)
+from .bloch import _pencil_terms, _pencils, dispersion
 
 __all__ = [
     "CriticalBasis", "QuadraticDet", "StabilityReport",
@@ -156,7 +157,7 @@ def critical_basis(model, branch):
                          a=branch.a, k=branch.k)
 
 
-def _det_polynomials(coefficients, basis):
+def _det_polynomials(model, branch, basis):
     """``d0, d1, d2`` of the projected determinant as polynomials in
     ``mu^2``: row ``j`` holds the constant and the ``mu^2`` coefficient.
 
@@ -167,20 +168,20 @@ def _det_polynomials(coefficients, basis):
     ``mu``.  So ``b0, b1, -b2``, its ``t^0, t^1, t^2`` parts, are exact
     polynomials of degree 4, 3 and 2, even, odd and even; the terms parity
     forbids, and the double zero's constant in ``b0``, are rounding noise
-    and are dropped.  ``P`` is projected from the operator terms
-    (``PencilCoefficients.project``), no whole matrix gathered.
+    and are dropped.  ``P`` is projected from the branch's operator terms
+    (``waves._operator_projection``), no whole matrix gathered.
     """
-    n = coefficients.n_modes
+    terms, alpha = _pencil_terms(model, branch)
+    n = branch.n_modes
     u = np.column_stack([basis.phi1.resized(n).to_modes().imag,
                          basis.phi2.resized(n).to_modes().real])
     norms = np.sum(u * u, axis=0)
     if norms.min() < 1e-12:
         raise ArithmeticError("critical basis is numerically degenerate")
     # p[i, j] and q[i, j]: entry polynomials in mu, ascending powers
-    p = coefficients.project(u)
+    p = _operator_projection(terms, u)
     modes = np.arange(-n, n + 1)
-    q = coefficients.alpha * np.stack(
-        [u.T @ (modes[:, None] * u), u.T @ u], axis=-1)
+    q = alpha * np.stack([u.T @ (modes[:, None] * u), u.T @ u], axis=-1)
     conv = np.convolve
     b0 = conv(p[0, 0], p[1, 1]) - conv(p[0, 1], p[1, 0])
     b1 = (conv(p[0, 0], q[1, 1]) + conv(q[0, 0], p[1, 1])
@@ -224,7 +225,7 @@ def projected_det(model, branch, basis, mu):
     ``mu^2`` (``_det_polynomials``), evaluated directly, ``mu = 0`` too."""
     if not abs(mu) <= 0.2:
         raise ValueError("projection is meaningful only for |mu| <= 0.2")
-    d = _det_polynomials(pencil_coefficients(model, branch), basis)
+    d = _det_polynomials(model, branch, basis)
     return _quadratic_det(d, mu, branch.a, branch.units)
 
 
@@ -257,7 +258,7 @@ def critical_growth(model, branch, mu):
     if not abs(mu) <= SWEEP_MU_MAX:
         raise ValueError(
             f"critical tracking is restricted to |mu| <= {SWEEP_MU_MAX}")
-    pair, = _critical_pairs(pencil_coefficients(model, branch), [mu])
+    pair, = _critical_pairs(model, branch, [mu])
     return tuple(branch.units.frequency(x) for x in pair)
 
 
@@ -333,15 +334,15 @@ def _labelled_pairs(model, mus, shifts, solved):
     return [(complex(plus), complex(minus)) for plus, minus in pair]
 
 
-def _block_half(coefficients):
+def _block_half(terms):
     """Half-width ``h`` of the first block ``_critical_pairs`` solves on:
     the last offset ``j`` at which ``j^2 |A0[0, j]|`` exceeds eps of the
     row's largest entry, plus ``_BLOCK_MARGIN``, at most ``N // 2``.  The
     pair's eigenvectors decay with the wave's band, so ``h`` is set by the
     wave and not by N; the weight ``j^2``, the ``D^2`` the rows beyond the
     block apply, reaches further where the band decays slowly."""
-    n = coefficients.n_modes
-    a0, = coefficients.block([0], np.arange(n + 1), 1)
+    n = terms[1].n_modes
+    a0, = _operator_block(terms, [0], np.arange(n + 1), 1)
     row = np.abs(a0[0])
     offsets = np.arange(n + 1.0)
     # NaN reads as above the level: an operator not finite takes N // 2
@@ -370,28 +371,13 @@ def _stacked(solve, matrices, *rest):
         return solve(matrices, *rest), errors
 
 
-def _block_pencils(coefficients, mus, half):
-    """The pencil's ``L0`` and ``s`` on the modes ``|n| <= half`` at each
-    ``mu`` of a grid, as two stacks formed in one broadcast by the
-    operations of ``PencilCoefficients.at``: entry for entry blocks of the
-    whole pencil.  Only the block is gathered, and the whole pencil
-    (``half = N``) read once per coefficients."""
-    if half == coefficients.n_modes:
-        a0, a1, a2 = coefficients.A0, coefficients.A1, coefficients.A2
-    else:
-        inner = np.arange(-half, half + 1)
-        a0, a1, a2 = coefficients.block(inner, inner)
-    mu = np.asarray(mus, dtype=float)[:, None, None]
-    l0 = a0 + mu * a1
-    l0 += (mu * mu) * a2
-    return l0, coefficients.alpha * (np.arange(-half, half + 1) + mu[:, 0])
-
-
-def _grid_pairs(coefficients, mus, shifts, half):
+def _grid_pairs(columns, alpha, mus, shifts):
     """The critical pair's frequencies and last move at each ``mu``, solved
     together on the modes ``|n| <= half``, or the error that stopped it.
+    ``columns``, ``(A0, A1, A2)`` on every mode against those, holds the
+    block in its rows ``|n| <= half`` and the certificate's in the rest.
     The grid is one stack from start to finish: the pencils come from
-    ``_block_pencils``, and ``((L0 - sigma diag(s))^-1 diag(s))^
+    ``bloch._pencils``, and ``((L0 - sigma diag(s))^-1 diag(s))^
     _STEP_POWER`` at each ``mu``'s shift ``sigma`` (``_critical_shift``),
     which never divides by ``s``, from one stacked inverse, with the
     shifted copies freed; ``_subspace_step`` maps each span from the
@@ -402,8 +388,10 @@ def _grid_pairs(coefficients, mus, shifts, half):
     |(|L0[in, in]| |Q|)|_F``: the modes it drops see the pair less than
     rounding does (Curtis & Deconinck, Math. Comp. 79, 2010).  Each
     ``mu``'s result is that of a grid of its own, bit for bit."""
-    size, n, m = 2 * half + 1, coefficients.n_modes, len(mus)
-    l0, s = _block_pencils(coefficients, mus, half)
+    n, half = (length // 2 for length in columns[0].shape)
+    size, m = 2 * half + 1, len(mus)
+    l0, s = _pencils([term[n - half:n + half + 1] for term in columns],
+                     alpha, mus)
     shifted = l0.copy()
     shifted.reshape(m, -1)[:, ::size + 1] -= np.asarray(shifts)[:, None] * s
     inverse, errors = _stacked(np.linalg.inv, shifted)
@@ -442,9 +430,8 @@ def _grid_pairs(coefficients, mus, shifts, half):
     errors = {**failed, **errors}  # a failed solve is the error reported
     certified = np.ones(done.size, dtype=bool)
     if half < n:
-        outer = np.r_[-n:-half, half + 1:n + 1]
-        c0, c1, c2 = (term @ q for term in coefficients.block(
-            outer, np.arange(-half, half + 1)))
+        outer = np.r_[:n - half, n + half + 1:2 * n + 1]
+        c0, c1, c2 = (term[outer] @ q for term in columns)
         mu = np.asarray(mus, dtype=float)[done, None, None]
         coupling = c0 + mu * c1 + (mu * mu) * c2
         certified = np.linalg.norm(coupling, axis=(1, 2)) \
@@ -463,25 +450,30 @@ def _grid_pairs(coefficients, mus, shifts, half):
     return results
 
 
-def _critical_pairs(coefficients, mus):
+def _critical_pairs(model, branch, mus):
     """``critical_growth``'s pairs at ``k = 1`` over a grid, in batches of
     ``_STACK_BYTES``: on the wave's block ``|n| <= _block_half``, else and
-    at ``mu = 0`` on the whole pencil, whose failure alone raises; the
-    shifts are evaluated once for the grid, and the pairs labelled
-    together (``_labelled_pairs``)."""
-    n, pairs = coefficients.n_modes, [None] * len(mus)
-    shifts = _critical_shift(coefficients.model, mus)
-    for half in (_block_half(coefficients), n):
+    at ``mu = 0`` on the whole pencil, whose failure alone raises; each
+    gathered once, the whole only when some ``mu`` needs it, the shifts
+    evaluated once, and the pairs labelled together (``_labelled_pairs``)."""
+    terms, alpha = _pencil_terms(model, branch)
+    n, pairs = branch.n_modes, [None] * len(mus)
+    shifts = _critical_shift(model, mus)
+    for half in (_block_half(terms), n):
         todo = [i for i, mu in enumerate(mus) if pairs[i] is None
                 and (half == n or mu != 0.0 and n >= 2)]
+        if not todo:
+            continue
+        columns = _operator_block(terms, np.arange(-n, n + 1),
+                                  np.arange(-half, half + 1))
         batch = max(1, _STACK_BYTES // (8 * (2 * half + 1) ** 2))
         for part in (todo[j:j + batch] for j in range(0, len(todo), batch)):
-            solved = _grid_pairs(coefficients, [mus[i] for i in part],
-                                 shifts[part], half)
+            solved = _grid_pairs(columns, alpha, [mus[i] for i in part],
+                                 shifts[part])
             for i, pair in zip(part, solved):
                 if half == n or not isinstance(pair, Exception):
                     pairs[i] = pair
-    return _labelled_pairs(coefficients.model, mus, shifts, pairs)
+    return _labelled_pairs(model, mus, shifts, pairs)
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
@@ -496,9 +488,9 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
     measured real part is rounding noise), so the pair is not computed
     there and ``D`` decides alone.  The rule is applied at ``k = 1``, so
     the verdict depends on ``a k^2`` alone; the report gives ``D`` and the
-    growth at ``k``.  The pencil's coefficients and their projection are
-    built once for the whole grid, and its pairs solved together
-    (``_critical_pairs``).
+    growth at ``k``.  The pencil's projection is formed once for the
+    whole grid from the branch's operator terms, and its pairs solved
+    together (``_critical_pairs``).
     """
     mu_grid = [float(m) for m in mu_grid]
     if not mu_grid:
@@ -507,13 +499,12 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
         raise ValueError(f"sweep grid must satisfy |mu| <= {SWEEP_MU_MAX}")
     branch = solve_wave(model, a, k, n_modes=n_modes, tol=tol)
     basis = critical_basis(model, branch)
-    coefficients = pencil_coefficients(model, branch)
-    d = _det_polynomials(coefficients, basis)
+    d = _det_polynomials(model, branch, basis)
 
     unit_a, shown = branch.unit_a, branch.units
     dets = [_quadratic_det(d, mu, unit_a, Units(model, 1.0))
             for mu in mu_grid]
-    pairs = _critical_pairs(coefficients, [mu for mu in mu_grid if mu != 0.0])
+    pairs = _critical_pairs(model, branch, [mu for mu in mu_grid if mu != 0.0])
     # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
     growth = max([0.0, *(max(lp.real, lm.real) for lp, lm in pairs)])
 
@@ -551,7 +542,9 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3,
     ``gamma``, so a few steps suffice.  The search returns an evaluated
     point, an endpoint included, whose ``|D|`` is within the floor
     ``(8 eps + r) (d1^2 + 4 |d0 d2|)``, or else the secant point of the
-    first bracket no wider than ``width``.
+    first bracket no wider than ``width``; a wider bracket with both ends
+    within the floor resolves no root (a flat wave, or ``a k^2`` below
+    about 1e-7) and raises ``ValueError``.
     ``8 eps`` is the rounding of the cancellation in ``D``; ``r``, the
     wave's Newton residual (``residual_norm``), allows for the error that
     a profile solved only to ``tol`` puts into each ``d_j`` (at
@@ -573,6 +566,11 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3,
         return float((lo * f_hi - hi * f_lo) / (f_hi - f_lo))
 
     (f_lo, root_lo), (f_hi, root_hi) = disc_at(gamma_lo), disc_at(gamma_hi)
+    if root_lo and root_hi and abs(gamma_hi - gamma_lo) > width:
+        raise ValueError(
+            f"the bracket resolves no root, D being within its rounding "
+            f"floor at both ends: D({gamma_lo})={f_lo:.3e}, "
+            f"D({gamma_hi})={f_hi:.3e}")
     if root_lo or root_hi:
         return gamma_lo if root_lo else gamma_hi
     if np.sign(f_lo) == np.sign(f_hi):

@@ -38,7 +38,7 @@ from .fourier import TrigSeries
 
 __all__ = [
     "Model", "Units", "WaveBranch", "ConvergenceError", "ValidityError",
-    "analytic_wave", "residual", "linearized_operator", "solve_wave",
+    "analytic_wave", "residual", "solve_wave",
     "branch_derivative", "wave_speed_expansion", "EXPANSION_LIMIT",
 ]
 
@@ -222,7 +222,7 @@ def _residual_and_terms(model, eta, c):
     """``residual`` and ``_operator_terms`` at ``(eta, c)`` from one
     evaluation, which shares the derivatives and model B's ``(w')^2``.
 
-    The terms are the profile series of ``linearized_operator``: with
+    The terms are the profile series of ``_operator_block``: with
     ``X = diag(n + mu)``, ``D = i X``, multiplication by the odd term
     ``i R`` and by the even terms ``C`` (left) and ``E`` (right),
     ``L0 = -R X - X^2 C - E X^2 - 1``.  Model A has no ``E`` (``None``)."""
@@ -251,39 +251,26 @@ def residual(model, eta, c):
 
 
 def _operator_terms(model, eta, c):
-    """``linearized_operator``'s profile series ``(R, C, E)`` at ``(eta,
-    c)`` (``_residual_and_terms``), for an even profile only."""
+    """``_operator_block``'s profile series ``(R, C, E)`` at ``(eta, c)``
+    (``_residual_and_terms``), for an even profile only."""
     if not eta.is_even():
         raise ValueError("the linearized operator is built for an even "
                          "profile only")
     return _residual_and_terms(model, eta, c)[1]
 
 
-def linearized_operator(model, eta, c):
-    """Linearized traveling-wave ODE at ``k = 1`` about ``(eta, c)`` on
-    Bloch modes ``exp(i mu z) V(z)``, as the matrix on the ``exp(inz)``
-    coefficients of ``V``, ``|n| <= eta.n_modes``: the ``L0`` of the Bloch
-    pencil, and at ``mu = 0`` minus (A) or plus (B) the derivative of
-    ``residual`` in the profile, whose fold onto cosines is Newton's
-    Jacobian (``_cosine_fold``).  ``mu`` enters only through ``D = d/dz +
-    i mu``, at most squared, so ``L0(mu) = A0 + mu A1 + mu^2 A2``; the real
-    ``(A0, A1, A2)`` of an even profile are returned (any other profile
-    raises ``ValueError``), each term's matrix gathered once from its band
-    (``_operator_block``).  ``D^2`` acts *after* multiplication by the
-    profile coefficient in the ``(.)''`` terms; the model-B ``(w')^2``
-    term multiplies *after* differentiation (``_residual_and_terms``).
-    """
-    modes = np.arange(-eta.n_modes, eta.n_modes + 1)
-    return _operator_block(_operator_terms(model, eta, c), modes, modes)
-
-
 def _operator_block(terms, rows, cols, powers=3):
-    """The first ``powers`` of ``linearized_operator``'s ``(A0, A1, A2)``
-    on the modes ``rows`` against the modes ``cols`` (integer arrays in
-    ``-N..N``), from the terms ``(R, C, E)``: each term's entries gathered
-    from its band at ``row - col + 2N`` and the coefficients formed from
-    them by the same operations, entry for entry, whatever the block, so
-    every block is the same slice of the whole matrices to the bit."""
+    """The first ``powers`` of the real ``(A0, A1, A2)`` of ``L0(mu) = A0 +
+    mu A1 + mu^2 A2``, the linearized traveling-wave ODE at ``k = 1`` on
+    the ``exp(inz)`` coefficients of Bloch modes ``exp(i mu z) V(z)``, on
+    the modes ``rows`` against the modes ``cols`` (integer arrays in
+    ``-N..N``), from the terms ``(R, C, E)`` of an even profile.  ``D^2``
+    acts *after* multiplication by the profile coefficient, model B's
+    ``(w')^2`` term *after* differentiation; at ``mu = 0``, ``A0`` is minus
+    (A) or plus (B) the derivative of ``residual`` in the profile.  Each
+    term's entries are gathered from its band at ``row - col + 2N`` and the
+    coefficients formed by the same operations, so every block is the same
+    slice of the whole matrices to the bit."""
     n = terms[1].n_modes
     rows, cols = np.asarray(rows), np.asarray(cols)
     index = rows[:, None] - cols + 2 * n
@@ -319,7 +306,7 @@ def _toeplitz_product(term, u):
 
 
 def _operator_projection(terms, u):
-    """``u^T A_j u`` for ``linearized_operator``'s ``(A0, A1, A2)``,
+    """``u^T A_j u`` for ``_operator_block``'s ``(A0, A1, A2)``,
     stacked on the last axis, from the terms' products with the columns
     of ``u`` alone (``_toeplitz_product``), no ``(2N+1)^2`` matrix
     formed: ``R`` is antisymmetric and ``C``, ``E`` symmetric, so with
@@ -380,7 +367,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     first iterate.  Each iterate's residual and operator terms come from
     one evaluation (``_residual_and_terms``), and the converged iterate's
     terms are the branch's, for its tangent and its pencil.  The Jacobian
-    is ``linearized_operator``'s ``A0`` folded onto cosines
+    is ``_operator_block``'s ``A0`` folded onto cosines
     (``_cosine_fold``, from its rows ``0..N`` alone), bordered by the speed
     column and the amplitude row.  ``tol`` bounds the ``k = 1`` residual;
     ``ConvergenceError`` is raised when the iteration stalls above it,

@@ -8,15 +8,22 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from mwstab.fourier import TrigSeries
-from mwstab.waves import (Model, Units, solve_wave, SQRT3,
-                          linearized_operator)
-from mwstab import bloch
-from mwstab.bloch import (assemble_pencil, pencil_coefficients, dispersion,
-                          find_collisions, spectrum_slice, symmetry_check,
-                          hausdorff_distance, sweep_mus, one_blas_thread,
+from mwstab.waves import Model, Units, solve_wave, SQRT3
+from mwstab import bloch, waves
+from mwstab.bloch import (assemble_pencil, dispersion, find_collisions,
+                          spectrum_slice, symmetry_check, hausdorff_distance,
+                          sweep_mus, one_blas_thread,
                           INFINITE_EIGENVALUE_CUTOFF)
 
 MODEL_A = Model("A")
+
+
+def whole_operator(model, eta, c):
+    """The whole ``(A0, A1, A2)`` at ``(eta, c)``, from operator terms
+    evaluated afresh."""
+    modes = np.arange(-eta.n_modes, eta.n_modes + 1)
+    return waves._operator_block(waves._operator_terms(model, eta, c), modes,
+                                 modes)
 
 
 def flat_branch(model, k=1.0, n_modes=16):
@@ -118,7 +125,7 @@ class TestPencilAssembly:
         # with d/dz + i mu does
         rng = np.random.default_rng(3)
         branch = solve_wave(model, 0.05, 1.0, n_modes=32)
-        coeffs = linearized_operator(model, branch.unit_eta, branch.unit_c)
+        coeffs = whole_operator(model, branch.unit_eta, branch.unit_c)
         assert all(m.dtype == np.float64 for m in coeffs)
         v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
         for mu in (0.0, 0.2, -0.37):
@@ -131,19 +138,19 @@ class TestPencilAssembly:
         # the critical pair's block and the whole pencil come from one
         # gather: the block's entries are the whole one's, not close
         branch = solve_wave(model, 0.05, 1.2, n_modes=32)
-        coefficients = pencil_coefficients(model, branch)
+        alpha = 2.0 * branch.unit_c if model.is_a else 1.0
         for mu in (0.1, 1e-3, 0.37, -0.1, -1e-3, -0.49):
-            whole = coefficients.at(mu)
+            whole = assemble_pencil(model, branch, mu)
             assert whole.n_modes == 32
             for half in (16, 5, 1, 32):
                 modes = np.arange(-half, half + 1)
-                a0, a1, a2 = coefficients.block(modes, modes)
+                a0, a1, a2 = waves._operator_block(branch._terms, modes,
+                                                   modes)
                 l0 = a0 + mu * a1
                 l0 += (mu * mu) * a2
                 inner = slice(32 - half, 32 + half + 1)
                 assert np.array_equal(l0, whole.L0[inner, inner])
-                assert np.array_equal(coefficients.alpha * (modes + mu),
-                                      whole.s[inner])
+                assert np.array_equal(alpha * (modes + mu), whole.s[inner])
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     @pytest.mark.parametrize("model", [MODEL_A, Model("B", gamma=2.0)],
@@ -154,8 +161,7 @@ class TestPencilAssembly:
         # repeats: each of A0, A1, A2 is the whole matrix's slice to the
         # bit, and so is A0 gathered alone
         branch = solve_wave(model, 0.05, 1.2, n_modes=n)
-        coefficients = pencil_coefficients(model, branch)
-        whole = linearized_operator(model, branch.unit_eta, branch.unit_c)
+        whole = whole_operator(model, branch.unit_eta, branch.unit_c)
         half = n // 4
         rng = np.random.default_rng(n)
         inner = np.arange(-half, half + 1)
@@ -165,14 +171,15 @@ class TestPencilAssembly:
                   for size in (1, 9, 2 * n + 1)]
         for rows, cols in picks:
             index = np.ix_(np.asarray(rows) + n, np.asarray(cols) + n)
-            gathered = coefficients.block(rows, cols)
+            gathered = waves._operator_block(branch._terms, rows, cols)
             assert len(gathered) == 3
             for block, matrix in zip(gathered, whole):
                 assert np.array_equal(block, matrix[index])
-            first, = coefficients.block(rows, cols, 1)
+            first, = waves._operator_block(branch._terms, rows, cols, 1)
             assert np.array_equal(first, whole[0][index])
-        for term, matrix in zip((coefficients.A0, coefficients.A1,
-                                 coefficients.A2), whole):
+        modes = np.arange(-n, n + 1)
+        for term, matrix in zip(
+                waves._operator_block(branch._terms, modes, modes), whole):
             assert np.array_equal(term, matrix)
 
     def test_mu_domain_guard(self):
@@ -188,7 +195,7 @@ class TestPencilAssembly:
         # operator on A's wave was built without complaint
         branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=12)
         with pytest.raises(ValueError, match="not the branch's model"):
-            pencil_coefficients(other, branch, n_modes)
+            bloch._pencil_terms(other, branch, n_modes)
         with pytest.raises(ValueError, match="not the branch's model"):
             assemble_pencil(other, branch, 0.1, n_modes)
 
@@ -329,12 +336,29 @@ class TestSweep:
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.05, 1.0, n_modes=16)
         mus = [-0.3, 0.0, 0.02, 0.5]
-        coeffs = pencil_coefficients(model, branch)
+        modes = np.arange(-16, 17)
+        a0, a1, a2 = waves._operator_block(branch._terms, modes, modes)
         for mu, sample in zip(mus, sweep_mus(model, branch, mus)):
             pencil = assemble_pencil(model, branch, mu)
-            assert np.array_equal(coeffs.at(mu).L0, pencil.L0)
+            l0 = a0 + mu * a1
+            l0 += (mu * mu) * a2
+            assert np.array_equal(l0, pencil.L0)
             assert np.array_equal(
                 sample.eigenvalues, spectrum_slice(pencil).eigenvalues)
+
+    def test_a_sweep_gathers_the_whole_matrices_once(self, monkeypatch):
+        # every mu of the grid forms its pencil from the one gather
+        branch = solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
+        gather, gathered = waves._operator_block, []
+
+        def counted(terms, rows, cols, *rest):
+            gathered.append((len(rows), len(cols)))
+            return gather(terms, rows, cols, *rest)
+
+        monkeypatch.setattr(bloch, "_operator_block", counted)
+        samples = sweep_mus(MODEL_A, branch, [-0.3, 0.0, 0.02, 0.25, 0.5])
+        assert len(samples) == 5
+        assert gathered == [(33, 33)]
 
 
 def greedy_labels(model, eigenvalues, mu, n_modes):

@@ -484,6 +484,21 @@ class TestIndexCommand:
         assert code == EXIT_OK
         assert json.loads(out)["threshold_estimate"] == 1.0
 
+    @pytest.mark.parametrize("a", ["0", "1e-8"])
+    def test_a_bracket_no_wave_in_it_resolves_is_a_config_error(self, capsys,
+                                                                a):
+        # D(0) of these waves is within its rounding floor at every gamma:
+        # the lower end used to be printed as the threshold, with exit 0
+        code, out, err = run_cli(capsys, "index", "--model", "B", "--a", a,
+                                 "--modes", "16", "--gamma-lo", "5",
+                                 "--gamma-hi", "7")
+        assert code == EXIT_CONFIG and out == ""
+        payload = _strict_json(err)
+        assert payload["error"] == "config"
+        assert "resolves no root" in payload["message"]
+        assert "D(5.0)=" in payload["message"]
+        assert "D(7.0)=" in payload["message"]
+
     def test_indeterminate_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--model", "B", "--gamma",
                                "1.1", "--a", "0.01", "--modes", "24",
@@ -1106,7 +1121,9 @@ def test_results_depend_on_a_k2_alone(model, log_k, share, gamma, ends,
         unit_code, unit_out, unit_err = _run_quietly(
             argv + ["--k=1.0", f"--a={a * k * k!r}"])
         assert code == unit_code, argv
-        if code == EXIT_SOLVER:
+        # a solver failure, or a threshold bracket no wave in it resolves
+        # (a flat wave's), fails alike at both
+        if code in (EXIT_SOLVER, EXIT_CONFIG):
             assert _strict_json(err)["message"] == \
                 _strict_json(unit_err)["message"]
             continue

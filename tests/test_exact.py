@@ -491,7 +491,6 @@ class TestOracleAgreement:
         16x per halving of a, an a^4 term.  At k != 1 the numeric d_j come
         through the unit scaling."""
         from mwstab.waves import Model, solve_wave
-        from mwstab.bloch import pencil_coefficients
         from mwstab.modulation import critical_basis, _det_polynomials
 
         tables = build_dump(det_and_discriminant(variant))
@@ -501,7 +500,7 @@ class TestOracleAgreement:
         numeric = []
         for a in amps:
             branch = solve_wave(model, a, k, n_modes=32)
-            d = _det_polynomials(pencil_coefficients(model, branch),
+            d = _det_polynomials(model, branch,
                                  critical_basis(model, branch))
             numeric.append([branch.units.frequency(d[j], -j)
                             for j in range(3)])

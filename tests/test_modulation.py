@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -59,7 +58,8 @@ def test_non_finite_input_meets_its_own_guard(monkeypatch, branch_a005,
         raise AssertionError("a solve ran")
 
     for module, name in ((waves, "residual"), (modulation, "solve_wave"),
-                         (modulation, "pencil_coefficients")):
+                         (modulation, "_pencil_terms"),
+                         (modulation, "_pencils")):
         monkeypatch.setattr(module, name, solved)
     with pytest.raises(error, match=message) as raised:
         call(branch_a005, basis_a005)
@@ -233,7 +233,7 @@ class TestProjectedDet:
 
 def projection_excess(model, a, k, n=64):
     """The largest ratio, over ``j`` and the four entries, of ``|u^T A_j u|``
-    projected from the operator terms (``PencilCoefficients.project``)
+    projected from the operator terms (``waves._operator_projection``)
     minus that of the whole matrices, over the rounding bound ``(8N + 16)
     eps (|u|^T S_j |u|)``, where ``u`` is ``_det_polynomials``' basis and
     ``S_j`` the sum of the absolute terms ``A_j`` is formed from: ``|R| |X|
@@ -244,16 +244,15 @@ def projection_excess(model, a, k, n=64):
     7.1e-3, where flipping the sign of one term of ``u^T A1 u`` read 3e10."""
     branch = solve_wave(model, a, k, n_modes=n)
     basis = critical_basis(model, branch)
-    coefficients = bloch.pencil_coefficients(model, branch)
     u = np.column_stack([basis.phi1.to_modes().imag,
                          basis.phi2.to_modes().real])
-    projected = coefficients.project(u)
-    whole = np.stack([u.T @ term @ u for term in (
-        coefficients.A0, coefficients.A1, coefficients.A2)], axis=-1)
+    projected = waves._operator_projection(branch._terms, u)
     modes = np.arange(-n, n + 1)
+    whole = np.stack([u.T @ term @ u for term in waves._operator_block(
+        branch._terms, modes, modes)], axis=-1)
     index = modes[:, None] - modes + 2 * n
     r, c, e = (np.zeros((2 * n + 1,) * 2) if term is None
-               else np.abs(term.band()[index]) for term in coefficients.terms)
+               else np.abs(term.band()[index]) for term in branch._terms)
     x = np.abs(modes).astype(float)
     sizes = [r * x + (x * x)[:, None] * c + e * (x * x) + np.eye(2 * n + 1),
              r + 2.0 * x[:, None] * c + 2.0 * e * x, c + e]
@@ -289,33 +288,47 @@ class TestProjectionFromTerms:
             assert projection_excess(model, 0.05, 1.2, n) <= 1.0
 
 
-def grid_pair(coefficients, mu, half):
+def gathered(branch, half):
+    """The pencil's ``(A0, A1, A2)`` on every mode against the modes ``|n|
+    <= half``, the one gather ``_critical_pairs`` gives ``_grid_pairs``."""
+    n = branch.n_modes
+    return waves._operator_block(branch._terms, np.arange(-n, n + 1),
+                                 np.arange(-half, half + 1))
+
+
+def half_of(columns):
+    """The block half-width of a ``gathered`` set of columns."""
+    return columns[0].shape[1] // 2
+
+
+def grid_pair(branch, mu, half):
     """``_grid_pairs``' result at the one ``mu`` and its shift, on the modes
     ``|n| <= half``."""
-    sigma = modulation._critical_shift(coefficients.model, mu)
-    solved, = modulation._grid_pairs(coefficients, [mu], [sigma], half)
+    sigma = modulation._critical_shift(branch.model, mu)
+    alpha = bloch._pencil_terms(branch.model, branch)[1]
+    solved, = modulation._grid_pairs(gathered(branch, half), alpha, [mu],
+                                     [sigma])
     return solved
 
 
-def whole_pair(coefficients, mu):
+def whole_pair(branch, mu):
     """The critical pair at ``k = 1`` solved on the whole pencil."""
-    return labelled(coefficients, mu,
-                    grid_pair(coefficients, mu, coefficients.n_modes))
+    return labelled(branch, mu, grid_pair(branch, mu, branch.n_modes))
 
 
-def labelled(coefficients, mu, solved):
+def labelled(branch, mu, solved):
     """``_labelled_pairs``' pair from ``_grid_pairs``' result at one
     ``mu``, or its error raised."""
-    model = coefficients.model
+    model = branch.model
     pair, = modulation._labelled_pairs(
         model, [mu], [modulation._critical_shift(model, mu)], [solved])
     return pair
 
 
-def block_pair(coefficients, mu, half):
+def block_pair(branch, mu, half):
     """The frequencies and last move of the pair solved on the block of
     modes ``|n| <= half``, or ``None`` where the block failed."""
-    solved = grid_pair(coefficients, mu, half)
+    solved = grid_pair(branch, mu, half)
     return None if isinstance(solved, Exception) else solved
 
 
@@ -491,7 +504,6 @@ class TestCriticalGrowth:
         # after a block that fails its certificate, from its own size
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, 1.0, n_modes=32)
-        coefficients = bloch.pencil_coefficients(model, branch)
         runs = []
         step = modulation._subspace_step
 
@@ -506,7 +518,7 @@ class TestCriticalGrowth:
         monkeypatch.setattr(modulation, "_subspace_step", recorded)
         critical_growth(model, branch, mu)
         assert runs[0][0].shape[0] \
-            == 2 * modulation._block_half(coefficients) + 1
+            == 2 * modulation._block_half(branch._terms) + 1
         for spans in runs:
             n = spans[0].shape[0] // 2
             start = np.zeros((2 * n + 1, 2))
@@ -587,10 +599,9 @@ def test_certified_block_pair_is_the_whole_pencils(variant, a, k, gamma, mu):
     ``a k^2 <= 0.078``, the benchmark's domain."""
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=64)
-    coefficients = bloch.pencil_coefficients(model, branch)
     whole = tuple(branch.units.frequency(x)
-                  for x in whole_pair(coefficients, mu))
-    central = None if mu == 0.0 else block_pair(coefficients, mu, 64 // 2)
+                  for x in whole_pair(branch, mu))
+    central = None if mu == 0.0 else block_pair(branch, mu, 64 // 2)
     pair = critical_growth(model, branch, mu)
     if central is None:
         assert a * k * k > 0.078 or mu == 0.0
@@ -612,14 +623,13 @@ def test_the_waves_block_gives_the_whole_pencils_pair(variant, a, k, gamma,
     ``a k^2 <= 0.078``."""
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=64)
-    coefficients = bloch.pencil_coefficients(model, branch)
-    half = modulation._block_half(coefficients)
-    solved = block_pair(coefficients, mu, half)
+    half = modulation._block_half(branch._terms)
+    solved = block_pair(branch, mu, half)
     if solved is None:
         assert a * k * k > 0.078
         return
-    pair, whole = labelled(coefficients, mu, solved), \
-        whole_pair(coefficients, mu)
+    pair, whole = labelled(branch, mu, solved), \
+        whole_pair(branch, mu)
     scale = max(abs(x) for x in whole)
     assert max(abs(x - y) for x, y in zip(pair, whole)) <= 1e-13 * scale
 
@@ -631,8 +641,8 @@ class TestCentralBlock:
     def test_the_waves_block_does_not_grow_with_n(self, model):
         # the pair's eigenvectors decay with the wave, not with N
         for a in (0.005, 0.01, 0.02, 0.03, 0.05):
-            halves = {modulation._block_half(bloch.pencil_coefficients(
-                model, solve_wave(model, a, 1.0, n_modes=n)))
+            halves = {modulation._block_half(
+                solve_wave(model, a, 1.0, n_modes=n)._terms)
                 for n in (64, 128, 256)}
             assert len(halves) == 1 and halves.pop() < 64 // 2, a
 
@@ -644,9 +654,8 @@ class TestCentralBlock:
         # of these 60 blocks failed their certificate
         for a in (0.005, 0.01, 0.02, 0.03, 0.05):
             branch = solve_wave(model, a, 1.0, n_modes=64)
-            coefficients = bloch.pencil_coefficients(model, branch)
             for mu in (0.005, 0.02, 0.05, -0.03):
-                assert block_pair(coefficients, mu, 64 // 2) is not None, \
+                assert block_pair(branch, mu, 64 // 2) is not None, \
                     (a, mu)
 
     @pytest.mark.parametrize("variant,gamma,a", [
@@ -655,12 +664,11 @@ class TestCentralBlock:
             self, variant, gamma, a):
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, 1.0, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         for mu in (0.005, 0.03, -0.05, 0.1):
-            solved = grid_pair(coefficients, mu, 64 // 2)
+            solved = grid_pair(branch, mu, 64 // 2)
             assert isinstance(solved, ArithmeticError)
             assert "not certified" in str(solved)
-            whole = whole_pair(coefficients, mu)
+            whole = whole_pair(branch, mu)
             assert critical_growth(model, branch, mu) == whole
 
     @pytest.mark.parametrize("error", [
@@ -670,18 +678,17 @@ class TestCentralBlock:
         # only the block's solve raises; the whole pencil's is left alone
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         solve = modulation._grid_pairs
         blocks = []
 
-        def failing(coefficients, mus, shifts, half):
-            if half < coefficients.n_modes:
+        def failing(columns, alpha, mus, shifts):
+            if half_of(columns) < branch.n_modes:
                 blocks.extend(mus)
                 return [error] * len(mus)
-            return solve(coefficients, mus, shifts, half)
+            return solve(columns, alpha, mus, shifts)
 
         mus = (0.005, 0.03, -0.05)
-        wholes = [whole_pair(coefficients, mu) for mu in mus]
+        wholes = [whole_pair(branch, mu) for mu in mus]
         monkeypatch.setattr(modulation, "_grid_pairs", failing)
         assert [critical_growth(model, branch, mu) for mu in mus] == wholes
         assert blocks == list(mus)
@@ -691,13 +698,20 @@ class TestCentralBlock:
         # pencil's included, a sweep in the benchmark's domain still
         # completes, and so do the grids of its waves in GRID_WAVES: every
         # pair came from the wave's block
-        solve = modulation._grid_pairs
+        solve, measure, halves = (modulation._grid_pairs,
+                                  modulation._block_half, [])
 
-        def refused(coefficients, mus, shifts, half):
-            if half > modulation._block_half(coefficients):
-                raise AssertionError(f"block of half-width {half} solved")
-            return solve(coefficients, mus, shifts, half)
+        def measured(terms):
+            halves.append(measure(terms))
+            return halves[-1]
 
+        def refused(columns, alpha, mus, shifts):
+            if half_of(columns) > halves[-1]:
+                raise AssertionError(
+                    f"block of half-width {half_of(columns)} solved")
+            return solve(columns, alpha, mus, shifts)
+
+        monkeypatch.setattr(modulation, "_block_half", measured)
         monkeypatch.setattr(modulation, "_grid_pairs", refused)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.05, 1.2,
                                     np.linspace(0.0, 0.05, 11))
@@ -708,10 +722,9 @@ class TestCentralBlock:
         for variant, gamma, a, k in waves:
             model = Model(variant, gamma=gamma)
             branch = solve_wave(model, a, k, n_modes=64)
-            coefficients = bloch.pencil_coefficients(model, branch)
             for grid in GRIDS.values():
                 modulation._critical_pairs(
-                    coefficients, [float(mu) for mu in grid if mu])
+                    model, branch, [float(mu) for mu in grid if mu])
 
 
 #: (model, gamma, a, k) of verdict-sweep and threshold-bisect operations of
@@ -737,9 +750,8 @@ class TestGridSolver:
         # the sign of each mu; mu = 0 goes to the whole pencil alone
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, k, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         grid = [float(mu) for mu in grid]
-        together = modulation._critical_pairs(coefficients, grid)
+        together = modulation._critical_pairs(model, branch, grid)
         for mu, pair in zip(grid, together):
             have = tuple(branch.units.frequency(x) for x in pair)
             alone = critical_growth(model, branch, mu)
@@ -752,12 +764,11 @@ class TestGridSolver:
             self, monkeypatch, failure):
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         grid, mid = [0.005, 0.02, 0.03, -0.04, 0.05], 2
-        half = modulation._block_half(coefficients)
-        blocks = [labelled(coefficients, mu,
-                           block_pair(coefficients, mu, half)) for mu in grid]
-        whole = whole_pair(coefficients, grid[mid])
+        half = modulation._block_half(branch._terms)
+        blocks = [labelled(branch, mu,
+                           block_pair(branch, mu, half)) for mu in grid]
+        whole = whole_pair(branch, grid[mid])
         step, solve, solves = (modulation._subspace_step,
                                modulation._grid_pairs, [])
 
@@ -772,13 +783,13 @@ class TestGridSolver:
                 move[mid] = 1.0
             return image, move, errors
 
-        def recorded(coefficients, mus, shifts, half):
-            solves.append((half, list(mus)))
-            return solve(coefficients, mus, shifts, half)
+        def recorded(columns, alpha, mus, shifts):
+            solves.append((half_of(columns), list(mus)))
+            return solve(columns, alpha, mus, shifts)
 
         monkeypatch.setattr(modulation, "_subspace_step", failing)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
-        pairs = modulation._critical_pairs(coefficients, grid)
+        pairs = modulation._critical_pairs(model, branch, grid)
         assert solves == [(half, grid), (64, [grid[mid]])]
         assert pairs[mid] == whole
         assert pairs[:mid] + pairs[mid + 1:] == blocks[:mid] + blocks[mid + 1:]
@@ -790,14 +801,14 @@ class TestGridSolver:
         # certificates against a grid of one mu at a time, on the same block
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, k, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         grid = [float(mu) for mu in GRIDS["mixed-sign"] if mu]
-        for half in (modulation._block_half(coefficients), 64):
+        alpha = bloch._pencil_terms(model, branch)[1]
+        for half in (modulation._block_half(branch._terms), 64):
             together = modulation._grid_pairs(
-                coefficients, grid, modulation._critical_shift(model, grid),
-                half)
+                gathered(branch, half), alpha, grid,
+                modulation._critical_shift(model, grid))
             for mu, solved in zip(grid, together):
-                alone = grid_pair(coefficients, mu, half)
+                alone = grid_pair(branch, mu, half)
                 if isinstance(alone, Exception):
                     assert type(solved) is type(alone)
                     assert str(solved) == str(alone)
@@ -808,26 +819,26 @@ class TestGridSolver:
     @pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 2.0)])
     def test_the_grids_blocks_are_the_pencils_to_the_bit(self, variant,
                                                          gamma):
-        # one broadcast for the grid, entry for entry the pencil formed at
-        # each mu from the block gather as PencilCoefficients.at forms it,
-        # and the whole pencil's block
+        # one broadcast for the grid, from the block rows of the columns
+        # _grid_pairs is given, entry for entry the pencil formed at each mu
+        # from the square block's gather, and the whole pencil's block
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, 0.05, 1.2, n_modes=32)
-        coefficients = bloch.pencil_coefficients(model, branch)
+        alpha = 2.0 * branch.unit_c if model.is_a else 1.0
         grid = [0.1, 1e-3, -0.1, -1e-3, 0.0]
-        for half in (modulation._block_half(coefficients), 5, 32):
+        for half in (modulation._block_half(branch._terms), 5, 32):
             modes = np.arange(-half, half + 1)
             inner = slice(32 - half, 32 + half + 1)
-            a0, a1, a2 = coefficients.block(modes, modes)
-            l0, s = modulation._block_pencils(coefficients, grid, half)
+            a0, a1, a2 = waves._operator_block(branch._terms, modes, modes)
+            l0, s = bloch._pencils(
+                [term[inner] for term in gathered(branch, half)], alpha, grid)
             for i, mu in enumerate(grid):
                 pencil = a0 + mu * a1
                 pencil += (mu * mu) * a2
                 assert l0[i].tobytes() == pencil.tobytes()
-                whole = coefficients.at(mu)
+                whole = assemble_pencil(model, branch, mu)
                 assert np.array_equal(l0[i], whole.L0[inner, inner])
-                assert s[i].tobytes() \
-                    == (coefficients.alpha * (modes + mu)).tobytes()
+                assert s[i].tobytes() == (alpha * (modes + mu)).tobytes()
                 assert np.array_equal(s[i], whole.s[inner])
 
     def test_a_singular_shifted_pencil_fails_at_its_mu_only(self):
@@ -837,25 +848,19 @@ class TestGridSolver:
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=32)
 
-        class Broken(bloch.PencilCoefficients):
-            def block(self, rows, cols, powers=3):
-                gathered = super().block(rows, cols, powers)
-                for term in gathered:
-                    term[np.asarray(rows) == 0] = 0.0
-                return gathered
-
-        coefficients = bloch.pencil_coefficients(model, branch)
-        broken = Broken(**{field.name: getattr(coefficients, field.name)
-                           for field in dataclasses.fields(coefficients)})
-        assert not broken.A0[32].any() and not broken.A2[32].any()
-        grid, half = [0.03, 0.0, -0.02], 32
+        broken = gathered(branch, 32)
+        for term in broken:
+            term[32] = 0.0
+        assert not broken[0][32].any() and not broken[2][32].any()
+        grid, alpha = [0.03, 0.0, -0.02], 1.0
         together = modulation._grid_pairs(
-            broken, grid, modulation._critical_shift(model, grid), half)
+            broken, alpha, grid, modulation._critical_shift(model, grid))
         assert isinstance(together[1], ArithmeticError)
         assert str(together[1]) \
             == "critical pair solve failed at mu=0.0: Singular matrix"
         for mu, solved in zip(grid[::2], together[::2]):
-            alone = grid_pair(broken, mu, half)
+            alone, = modulation._grid_pairs(
+                broken, alpha, [mu], [modulation._critical_shift(model, mu)])
             assert not isinstance(solved, Exception)
             assert solved[0].tobytes() == alone[0].tobytes()
 
@@ -907,7 +912,6 @@ class TestGridSolver:
         # first power, 4.4e-6 with the second, 1.2e-9 with the fourth
         model = Model("B", gamma=1000.0)
         branch = solve_wave(model, 0.078, 1.0, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         step, shares = modulation._subspace_step, []
 
         def measured(matrix, basis):
@@ -920,7 +924,7 @@ class TestGridSolver:
             return step(matrix, basis)
 
         monkeypatch.setattr(modulation, "_subspace_step", measured)
-        solved = grid_pair(coefficients, -0.003, 64 // 2)
+        solved = grid_pair(branch, -0.003, 64 // 2)
         # the block settles, and then fails its certificate
         assert "not certified" in str(solved)
         assert len(shares) > 2
@@ -933,7 +937,6 @@ class TestGridSolver:
         # bit for bit the one-mu value, from one dispersion call per grid
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, 0.03, 1.0, n_modes=32)
-        coefficients = bloch.pencil_coefficients(model, branch)
         grid = [0.03, -0.01, 0.002, -0.05, 0.1, 0.0]
         sigma = abs(bloch.dispersion(model, 2, 0.0)) / 30.0
         want = [(-sigma if mu > 0 else sigma).hex() for mu in grid]
@@ -947,13 +950,13 @@ class TestGridSolver:
                 levels.append((n, mu))
             return evaluate(model, n, mu, *rest)
 
-        def recorded(coefficients, mus, shifts, half):
+        def recorded(columns, alpha, mus, shifts):
             used.update(zip(mus, (float(x).hex() for x in shifts)))
-            return solve(coefficients, mus, shifts, half)
+            return solve(columns, alpha, mus, shifts)
 
         monkeypatch.setattr(modulation, "dispersion", counted)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
-        modulation._critical_pairs(coefficients, grid)
+        modulation._critical_pairs(model, branch, grid)
         assert levels == [(2, 0.0)]
         assert [used[mu] for mu in grid] == want
 
@@ -963,8 +966,7 @@ class TestGridSolver:
         # bound; a 200-point grid in one stack would take 1.5 MB
         model = Model("B", gamma=2.0)
         branch = solve_wave(model, 0.03, 1.0, n_modes=128)
-        coefficients = bloch.pencil_coefficients(model, branch)
-        assert modulation._block_half(coefficients) == 15
+        assert modulation._block_half(branch._terms) == 15
         grid = [float(mu) for mu in np.linspace(-0.1, 0.1, 201) if mu]
         step, solve, stacks, solves = (modulation._subspace_step,
                                        modulation._grid_pairs, [], [])
@@ -973,13 +975,13 @@ class TestGridSolver:
             stacks.append(matrix.shape)
             return step(matrix, basis)
 
-        def recorded(coefficients, mus, shifts, half):
-            solves.append((half, list(mus)))
-            return solve(coefficients, mus, shifts, half)
+        def recorded(columns, alpha, mus, shifts):
+            solves.append((half_of(columns), list(mus)))
+            return solve(columns, alpha, mus, shifts)
 
         monkeypatch.setattr(modulation, "_subspace_step", measured)
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
-        modulation._critical_pairs(coefficients, grid)
+        modulation._critical_pairs(model, branch, grid)
         assert {half for half, _ in solves} == {15}
         assert [mu for _, mus in solves for mu in mus] == grid
         assert [len(mus) for _, mus in solves] == [136, 64]
@@ -994,11 +996,10 @@ class TestGridSolver:
         # at a k^2 = 0.45 and mu = 0, on the whole pencil
         model = Model(variant, gamma=gamma)
         branch = solve_wave(model, a, 1.0, n_modes=64)
-        coefficients = bloch.pencil_coefficients(model, branch)
         grid = [float(mu) for mu in np.linspace(-0.1, 0.1, 21)]
-        together = modulation._critical_pairs(coefficients, grid)
+        together = modulation._critical_pairs(model, branch, grid)
         monkeypatch.setattr(modulation, "_STACK_BYTES", 1)
-        assert modulation._critical_pairs(coefficients, grid) == together
+        assert modulation._critical_pairs(model, branch, grid) == together
 
 
 class TestVerdicts:
@@ -1053,9 +1054,9 @@ class TestVerdicts:
         measured = modulation._critical_pairs
         solved = []
 
-        def recorded(coefficients, mus):
+        def recorded(model, branch, mus):
             solved.extend(mus)
-            return measured(coefficients, mus)
+            return measured(model, branch, mus)
 
         monkeypatch.setattr(modulation, "_critical_pairs", recorded)
         report = discriminant_sweep(Model("B", gamma=2.0), 0.01, 1.0,
@@ -1109,8 +1110,8 @@ class TestVerdicts:
 
         # every gather, the block's, the certificate's, the whole pencil's
         # and the fold's, goes through _operator_block
-        monkeypatch.setattr(waves, "_operator_block", counted_gather)
-        monkeypatch.setattr(bloch, "_operator_block", counted_gather)
+        for module in (waves, bloch, modulation):
+            monkeypatch.setattr(module, "_operator_block", counted_gather)
         monkeypatch.setattr(waves, "_cosine_fold", counted(folds, fold))
         monkeypatch.setattr(waves, "_residual_and_terms",
                             counted(evaluations, evaluate))
@@ -1209,6 +1210,16 @@ class TestThreshold:
         gammas = counted_solves(monkeypatch)
         assert threshold_bisect(1.0, 0.01, *bracket, n_modes=24) == 1.0
         assert gammas == list(bracket)
+
+    @pytest.mark.parametrize("a", [0.0, 1e-8])
+    def test_a_bracket_where_d_is_nowhere_resolved_is_refused(self, a):
+        # D(0) is within its rounding floor at both ends (0 or about 1e-15
+        # against a floor of about 6e-14): the search used to return the
+        # lower end as the threshold
+        with pytest.raises(ValueError, match="resolves no root") as raised:
+            threshold_bisect(1.0, a, 5.0, 7.0, n_modes=16)
+        assert "D(5.0)=" in str(raised.value)
+        assert "D(7.0)=" in str(raised.value)
 
     def test_same_sign_endpoints_rejected(self):
         with pytest.raises(ValueError, match="bracket"):

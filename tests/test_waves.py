@@ -6,11 +6,18 @@ from numpy.testing import assert_allclose
 from mwstab import waves
 from mwstab.fourier import TrigSeries
 from mwstab.waves import (Model, ConvergenceError, ValidityError,
-                          analytic_wave, residual, linearized_operator,
-                          solve_wave, branch_derivative,
-                          wave_speed_expansion, SQRT3)
+                          analytic_wave, residual, solve_wave,
+                          branch_derivative, wave_speed_expansion, SQRT3)
 
 MODEL_A = Model("A")
+
+
+def whole_operator(model, eta, c):
+    """The whole ``(A0, A1, A2)`` at ``(eta, c)``, from operator terms
+    evaluated afresh."""
+    modes = np.arange(-eta.n_modes, eta.n_modes + 1)
+    return waves._operator_block(waves._operator_terms(model, eta, c), modes,
+                                 modes)
 
 
 class TestAnalyticWave:
@@ -214,14 +221,14 @@ class TestBranchDerivative:
 @pytest.mark.parametrize("n", [16, 64])
 def test_cosine_fold_is_the_fold_of_the_whole_operator(variant, gamma, n):
     """Newton's and the tangent's folded A0, assembled from the operator's
-    bands alone, equals the fold of ``linearized_operator``'s A0 to the
+    bands alone, equals the fold of the whole operator's A0 to the
     last bit: at the analytic seed, Newton's first Jacobian, and at the
     converged wave."""
     model = Model(variant, gamma=gamma)
     branch = solve_wave(model, 0.02, 1.0, n_modes=n)
     seed = waves._analytic_seed(model, 0.02, n)
     for eta, c in (seed, (branch.unit_eta, branch.unit_c)):
-        a0 = linearized_operator(model, eta, c)[0]
+        a0 = whole_operator(model, eta, c)[0]
         whole = a0[n:, n:].copy()
         whole[:, 1:] += a0[n:, n - 1::-1]
         fold = waves._cosine_fold(waves._operator_terms(model, eta, c))
@@ -240,8 +247,8 @@ def test_cosine_fold_is_the_fold_of_the_whole_operator(variant, gamma, n):
     assert np.array_equal(waves._cosine_fold(branch._terms), fold)
     modes = np.arange(-n, n + 1)
     for held, built in zip(waves._operator_block(branch._terms, modes, modes),
-                           linearized_operator(model, branch.unit_eta,
-                                               branch.unit_c)):
+                           whole_operator(model, branch.unit_eta,
+                                          branch.unit_c)):
         assert np.array_equal(held, built)
 
 
@@ -253,7 +260,7 @@ def test_kernel_of_the_linearization(variant, a, k, gamma):
     tangent d eta/da matches a centered difference along the branch."""
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=32)
-    op = linearized_operator(model, branch.unit_eta, branch.unit_c)[0]
+    op = whole_operator(model, branch.unit_eta, branch.unit_c)[0]
     deta = branch.unit_eta.deriv().to_modes()
     # L0 eta' is -/+ the derivative of the residual along the translation
     # orbit: zero at an exact solution, Newton's leftover here
