@@ -14,6 +14,11 @@ is a real standard eigenproblem.  Pencils and spectra are at ``k = 1``.
 
 import contextlib
 import functools
+import os
+import pickle
+import signal
+import struct
+import threading
 
 import numpy as np
 from dataclasses import dataclass
@@ -304,15 +309,119 @@ def one_blas_thread():
         put(before)
 
 
+#: the 8-byte length that heads each pickled result a worker sends
+_FRAME = struct.Struct("<Q")
+
+
+def _worker_count(n_items):
+    """Processes ``parallel_map`` splits ``n_items`` over: one per CPU this
+    process may run on and at most one per item; 1 where fork is unsafe
+    (threads running) or missing (no ``os.fork``/``os.sched_getaffinity``)."""
+    if n_items < 2 or threading.active_count() > 1 or not (
+            hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_items)
+
+
+def _share(fn, items, first, step):
+    """``(index, fn(item))`` over ``items[first::step]``, up to the first
+    item that raises."""
+    done = []
+    for index in range(first, len(items), step):
+        try:
+            done.append((index, fn(items[index])))
+        except Exception:
+            break
+    return done
+
+
+def _serve_share(fn, items, first, step, read, write):
+    """Body of a forked worker; never returns.  It sends its share down
+    the pipe's ``write`` end as length-prefixed pickles once all of it is
+    done, so a full pipe never stalls the solving, and leaves by
+    ``os._exit`` without flushing the stdio it inherited."""
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            for done in _share(fn, items, first, step):
+                frame = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+                pipe.write(_FRAME.pack(len(frame)))
+                pipe.write(frame)
+    finally:
+        os._exit(0)
+
+
+def _receive(fd, results):
+    """Place each whole frame read from ``fd`` in ``results`` as it
+    arrives; a frame cut short by a dying worker is dropped."""
+    with os.fdopen(fd, "rb") as pipe:
+        while len(head := pipe.read(_FRAME.size)) == _FRAME.size:
+            size, = _FRAME.unpack(head)
+            frame = pipe.read(size)
+            if len(frame) < size:
+                return
+            index, result = pickle.loads(frame)
+            results[index] = result
+
+
 def parallel_map(fn, items):
-    """Ordered map over a Floquet grid; the spectrum sweep passes through
-    it, and ``perfbench`` traces it by name."""
-    return [fn(item) for item in items]
+    """``[fn(item) for item in items]``, split over forked processes.
+
+    With ``w = _worker_count(len(items))`` above 1, worker ``i`` of
+    ``1..w-1`` computes ``items[i::w]`` while this process computes
+    ``items[0::w]``; each runs ``fn`` on the BLAS thread count it inherits,
+    so the results are those of the serial map to the bit, in grid order.
+    A share stops at its first item that raises.  Items a share did not
+    deliver, because one raised or its worker died, are computed here
+    afterwards in grid order, so the first failing item raises what the
+    serial map would.  Every worker is reaped before this returns, and
+    killed first if this process raises.  The spectrum sweep passes
+    through here, and ``perfbench`` traces it by name; spans a worker
+    records stay in the worker.
+    """
+    items = list(items)
+    step = _worker_count(len(items))
+    if step == 1:
+        return [fn(item) for item in items]
+    missing = object()
+    results = [missing] * len(items)
+    pids, reads = [], []              # workers not yet reaped, their pipes
+    try:
+        for first in range(1, step):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(fn, items, first, step, read, write)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        for index, result in _share(fn, items, 0, step):
+            results[index] = result
+        while pids:
+            _receive(reads.pop(0), results)
+            os.waitpid(pids[0], 0)
+            pids.pop(0)
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for index, result in enumerate(results):
+        if result is missing:
+            results[index] = fn(items[index])
+    return results
 
 
 def sweep_mus(model, branch, mus):
-    """Spectra over a Floquet grid at ``k = 1``, from one gather of the
-    whole ``(A0, A1, A2)``."""
+    """Spectra over a Floquet grid at ``k = 1``, in grid order, from one
+    gather of the whole ``(A0, A1, A2)`` made before ``parallel_map``
+    splits the slices over the CPUs this process may use: each worker
+    inherits the gather, and the samples are the serial sweep's to the
+    bit.  A slice that fails raises the serial sweep's ``ArithmeticError``,
+    at the first failing ``mu`` of the grid."""
     terms, alpha = _pencil_terms(model, branch)
     n = branch.n_modes
     modes = np.arange(-n, n + 1)

@@ -42,8 +42,8 @@ EXIT_CONFIG = 4
 MAX_MODES = 1024
 #: largest ``--mu-grid`` count, 50 times the default 201-point spectrum
 #: grid (the benchmark's grids have 11 and 51 points): ``spectrum`` keeps
-#: each point's 2N+1 eigenvalues and CSV rows until it prints, and a count
-#: of 1e12 failed to allocate its grid
+#: each point's 2N+1 eigenvalues until it prints, and a count of 1e12
+#: failed to allocate its grid
 MAX_MU_POINTS = 10_000
 
 
@@ -172,12 +172,19 @@ def resolve_config(args):
 
 
 def _emit(text, out_path):
+    _emit_chunks((text,), out_path)
+
+
+def _emit_chunks(chunks, out_path):
+    """Write the strings ``chunks`` yields, in turn, to stdout or to
+    ``out_path``, opened only now: a run that failed before it has left no
+    file."""
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from None
 
@@ -236,20 +243,23 @@ def cmd_spectrum(args):
     branch = solve_wave(config.model_tag(), config.a, config.k,
                         n_modes=config.n_modes, tol=config.tol)
     samples = sweep_mus(config.model_tag(), branch, mus)
-    frequency = branch.units.frequency
-    lines = ["mu,re_lambda,im_lambda,branch_id"]
+    _emit_chunks(_spectrum_rows(samples, branch.units.frequency), config.out)
+    return EXIT_OK
+
+
+def _spectrum_rows(samples, frequency):
+    """The spectrum CSV, one chunk per sample: rows ordered by the
+    ``k = 1`` values, printed at ``k``."""
+    yield "mu,re_lambda,im_lambda,branch_id\n"
     for sample in samples:
         lam = sample.eigenvalues
-        # ordered by the k = 1 values, printed at k
         order = np.lexsort((lam.real, lam.imag, sample.branch_ids))
         mu = _float(sample.mu)
-        lines.extend(
-            f"{mu},{re!r},{im!r},{branch_id}" for branch_id, re, im in zip(
+        yield "".join(
+            f"{mu},{re!r},{im!r},{branch_id}\n" for branch_id, re, im in zip(
                 sample.branch_ids[order].tolist(),
                 frequency(lam.real[order]).tolist(),
                 frequency(lam.imag[order]).tolist()))
-    _emit("\n".join(lines) + "\n", config.out)
-    return EXIT_OK
 
 
 @_on_one_blas_thread

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -359,6 +364,161 @@ class TestSweep:
         samples = sweep_mus(MODEL_A, branch, [-0.3, 0.0, 0.02, 0.25, 0.5])
         assert len(samples) == 5
         assert gathered == [(33, 33)]
+
+
+def allow_cpus(monkeypatch, count):
+    """Let this process run on ``count`` CPUs, as ``parallel_map`` sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch):
+    """Record each ``os.fork`` this process makes."""
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_samples(samples, reference):
+    assert [s.mu for s in samples] == [s.mu for s in reference]
+    for mine, theirs in zip(samples, reference):
+        assert np.array_equal(mine.eigenvalues, theirs.eigenvalues)
+        assert np.array_equal(mine.branch_ids, theirs.branch_ids)
+
+
+class TestParallelMap:
+    @pytest.fixture(scope="class")
+    def branch(self):
+        return solve_wave(MODEL_A, 0.05, 1.0, n_modes=16)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("mus", [
+        [0.5], [0.0, 0.5], [-0.2, 0.0, 0.5], np.linspace(0.0, 0.5, 51)])
+    def test_the_sweep_is_the_serial_one_to_the_bit(self, monkeypatch, branch,
+                                                     count, mus):
+        allow_cpus(monkeypatch, 1)
+        serial = sweep_mus(MODEL_A, branch, mus)
+        allow_cpus(monkeypatch, count)
+        forks = count_forks(monkeypatch)
+        assert_same_samples(sweep_mus(MODEL_A, branch, mus), serial)
+        assert len(forks) == min(count, len(mus)) - 1
+        assert_no_worker_left()
+
+    def test_each_process_takes_every_wth_item(self, monkeypatch):
+        # this process takes items 0::3, the two workers 1::3 and 2::3
+        allow_cpus(monkeypatch, 3)
+        pairs = bloch.parallel_map(lambda x: (x, os.getpid()), range(8))
+        assert [x for x, _ in pairs] == list(range(8))
+        pids = [pid for _, pid in pairs]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 3
+        assert pids == pids[:3] * 2 + pids[:2]
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("why", [
+        "one item", "one cpu", "no affinity", "no fork", "a thread runs"])
+    def test_it_runs_serially(self, monkeypatch, why):
+        allow_cpus(monkeypatch, 2)
+        count_forks(monkeypatch)
+        items = [1, 2]
+        if why == "one item":
+            items = [1]
+        elif why == "one cpu":
+            allow_cpus(monkeypatch, 1)
+        elif why == "no affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        elif why == "no fork":
+            monkeypatch.delattr(os, "fork")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "a thread runs":
+            thread.start()
+        try:
+            pairs = bloch.parallel_map(lambda x: (x, os.getpid()), items)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join()
+        assert pairs == [(x, os.getpid()) for x in items]
+
+    @pytest.mark.parametrize("failing", [{4}, {4, 6}, {3, 5}, {1, 5}])
+    def test_a_failing_slice_raises_the_serial_error(self, monkeypatch,
+                                                      branch, failing):
+        # on 3 CPUs this process solves mus 0, 3, 6 and the workers 1, 4
+        # and 2, 5: the first failing mu of the grid raises, wherever it is
+        mus = np.linspace(-0.3, 0.3, 7)
+        broken_mus = {mus[i] for i in failing}
+        eigvals = np.linalg.eigvals
+
+        def broken(matrix):
+            if sys._getframe(1).f_locals["pencil"].mu in broken_mus:
+                raise np.linalg.LinAlgError("broken")
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", broken)
+        messages = []
+        for count in (1, 3):
+            allow_cpus(monkeypatch, count)
+            with pytest.raises(ArithmeticError) as info:
+                sweep_mus(MODEL_A, branch, mus)
+            messages.append(str(info.value))
+            assert_no_worker_left()
+        assert messages[0] == messages[1] == (
+            f"pencil eigensolver failed at mu={mus[min(failing)]}: broken")
+
+    def test_a_dead_workers_slices_come_from_this_process(self, monkeypatch,
+                                                          branch):
+        mus = np.linspace(0.0, 0.5, 9)
+        allow_cpus(monkeypatch, 1)
+        serial = sweep_mus(MODEL_A, branch, mus)
+        parent, solve = os.getpid(), bloch.spectrum_slice
+
+        def dying(pencil):
+            if os.getpid() != parent and pencil.mu == mus[4]:
+                os._exit(1)
+            return solve(pencil)
+
+        monkeypatch.setattr(bloch, "spectrum_slice", dying)
+        allow_cpus(monkeypatch, 3)
+        assert_same_samples(sweep_mus(MODEL_A, branch, mus), serial)
+        assert_no_worker_left()
+
+    def test_a_frame_cut_short_is_dropped(self):
+        # a worker that dies while it sends leaves its last frame unfinished
+        read, write = os.pipe()
+        whole, cut = (pickle.dumps(done) for done in ((0, "a"), (1, "b")))
+        os.write(write, bloch._FRAME.pack(len(whole)) + whole
+                 + bloch._FRAME.pack(len(cut)) + cut[:-1])
+        os.close(write)
+        results = [None, None]
+        bloch._receive(read, results)
+        assert results == ["a", None]
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def work(item):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return item
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            bloch.parallel_map(work, range(6))
+        assert_no_worker_left()
+        assert time.perf_counter() - started < 30
 
 
 def greedy_labels(model, eigenvalues, mu, n_modes):
