@@ -17,7 +17,6 @@ import functools
 import os
 import pickle
 import signal
-import struct
 import threading
 
 import numpy as np
@@ -309,10 +308,6 @@ def one_blas_thread():
         put(before)
 
 
-#: the 8-byte length that heads each pickled result a worker sends
-_FRAME = struct.Struct("<Q")
-
-
 def _worker_count(n_items):
     """Processes ``parallel_map`` splits ``n_items`` over: one per CPU this
     process may run on and at most one per item; 1 where fork is unsafe
@@ -337,31 +332,16 @@ def _share(fn, items, first, step):
 
 def _serve_share(fn, items, first, step, read, write):
     """Body of a forked worker; never returns.  It sends its share down
-    the pipe's ``write`` end as length-prefixed pickles once all of it is
-    done, so a full pipe never stalls the solving, and leaves by
-    ``os._exit`` without flushing the stdio it inherited."""
+    the pipe's ``write`` end as one pickle once all of it is done, so a
+    full pipe never stalls the solving, and leaves by ``os._exit`` without
+    flushing the stdio it inherited."""
     try:
         os.close(read)
         with os.fdopen(write, "wb") as pipe:
-            for done in _share(fn, items, first, step):
-                frame = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
-                pipe.write(_FRAME.pack(len(frame)))
-                pipe.write(frame)
+            pickle.dump(_share(fn, items, first, step), pipe,
+                        pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
-
-
-def _receive(fd, results):
-    """Place each whole frame read from ``fd`` in ``results`` as it
-    arrives; a frame cut short by a dying worker is dropped."""
-    with os.fdopen(fd, "rb") as pipe:
-        while len(head := pipe.read(_FRAME.size)) == _FRAME.size:
-            size, = _FRAME.unpack(head)
-            frame = pipe.read(size)
-            if len(frame) < size:
-                return
-            index, result = pickle.loads(frame)
-            results[index] = result
 
 
 def parallel_map(fn, items):
@@ -400,7 +380,11 @@ def parallel_map(fn, items):
         for index, result in _share(fn, items, 0, step):
             results[index] = result
         while pids:
-            _receive(reads.pop(0), results)
+            with os.fdopen(reads.pop(0), "rb") as pipe, contextlib.suppress(
+                    EOFError, pickle.UnpicklingError):
+                # a share cut short by a dying worker is computed below
+                for index, result in pickle.load(pipe):
+                    results[index] = result
             os.waitpid(pids[0], 0)
             pids.pop(0)
     finally:

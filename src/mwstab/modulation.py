@@ -245,21 +245,24 @@ def critical_growth(model, branch, mu):
     ``projected_det``'s roots: ``(lambda_plus, lambda_minus)``, tracked to
     the unperturbed modes ``+1`` and ``-1`` by nearest dispersion; a
     reflected pair ``lambda, -conj(lambda)``, which ties there, comes with
-    the growing member first.  The one-mu call of ``_critical_pairs``:
-    solved on the wave's block ``|n| <= _block_half`` (``h`` from 9 to 24
-    over the benchmark's domain, at any N) where its certificate holds,
-    else on the whole pencil.
-
-    The span settles on the two eigenvalues nearest ``_critical_shift``:
-    only a pair on its far side (up to ``_SHIFT_SIDE_NOISE``) is the pair
-    nearest zero, and a frequency on the shift's side, or no settled span
-    after ``_MAX_SUBSPACE_STEPS`` steps, raises ``ConvergenceError``.
+    the growing member first.  The one-mu call of ``_critical_pairs``,
+    whose errors it raises; a pair that coincides to 1e-12, which no label
+    tells apart, raises ``DegeneratePairError``.
     """
     if not abs(mu) <= SWEEP_MU_MAX:
         raise ValueError(
             f"critical tracking is restricted to |mu| <= {SWEEP_MU_MAX}")
-    pair, = _critical_pairs(model, branch, [mu])
-    return tuple(branch.units.frequency(x) for x in pair)
+    pair = 1j * _critical_pairs(model, branch, [mu])[0]
+    spacing = abs(pair[0] - pair[1])
+    if spacing < 1e-12:
+        raise DegeneratePairError(
+            f"critical eigenvalues coincide at mu={mu} "
+            f"(spacing {spacing:.3e})")
+    targets = 1j * dispersion(model, np.array([1, -1]), float(mu))
+    kept, swapped = (np.abs(pair - t).sum() for t in (targets, targets[::-1]))
+    if kept > swapped or kept == swapped and pair[0].real < pair[1].real:
+        pair = pair[::-1]
+    return tuple(branch.units.frequency(complex(x)) for x in pair)
 
 
 def _subspace_step(step, basis):
@@ -291,47 +294,6 @@ def _subspace_step(step, basis):
     second /= np.sqrt(np.add.reduce(second * second, 1))[:, None]
     moved = image - basis @ (np.swapaxes(basis, 1, 2) @ image)
     return image, np.sqrt(np.add.reduce(moved * moved, (1, 2))), errors
-
-
-def _labelled_pairs(model, mus, shifts, solved):
-    """``_grid_pairs``' frequencies ``omega`` over a grid, at shifts
-    ``shifts``, as ``critical_growth``'s pairs, after the shift-side and
-    degeneracy checks; the first failure in grid order is raised.  The
-    checks and the labels run on the whole grid at once, from one
-    ``dispersion`` call."""
-    failed = np.array([isinstance(result, Exception) for result in solved],
-                      dtype=bool)
-    omega = np.array([(0.0, 0.0) if bad else result[0]
-                      for bad, result in zip(failed, solved)],
-                     dtype=complex).reshape(-1, 2)
-    sigma = np.asarray(shifts, dtype=float)
-    side = np.max(omega.real * np.sign(sigma)[:, None], axis=1) \
-        > _SHIFT_SIDE_NOISE * np.abs(sigma)
-    pair = 1j * omega
-    spacing = np.abs(pair[:, 0] - pair[:, 1])
-    bad = np.flatnonzero(failed | side | (spacing < 1e-12))
-    if bad.size:
-        i = bad[0]
-        mu = mus[i]
-        if failed[i]:
-            raise solved[i]
-        if side[i]:
-            raise ConvergenceError(
-                f"critical subspace at mu={mu} settled on frequencies "
-                f"{omega[i, 0].real:.6g}, {omega[i, 1].real:.6g}, one on the "
-                f"side of the shift {sigma[i]:.6g}: not the pair nearest "
-                f"zero", solved[i][1])
-        raise DegeneratePairError(
-            f"critical eigenvalues coincide at mu={mu} "
-            f"(spacing {spacing[i]:.3e})")
-    targets = 1j * dispersion(model, np.array([1, -1]),
-                              np.asarray(mus, dtype=float)[:, None])
-    kept, swapped = (np.abs(pair - t).sum(axis=1)
-                     for t in (targets, targets[:, ::-1]))
-    flip = (kept > swapped) | ((kept == swapped)
-                               & (pair[:, 0].real < pair[:, 1].real))
-    pair[flip] = pair[flip, ::-1]
-    return [(complex(plus), complex(minus)) for plus, minus in pair]
 
 
 def _block_half(terms):
@@ -372,8 +334,10 @@ def _stacked(solve, matrices, *rest):
 
 
 def _grid_pairs(columns, alpha, mus, shifts):
-    """The critical pair's frequencies and last move at each ``mu``, solved
-    together on the modes ``|n| <= half``, or the error that stopped it.
+    """The critical pair's two frequencies ``omega`` (``lambda = i omega``)
+    at each ``mu``, solved together on the modes ``|n| <= half``, or the
+    error that stopped it: a failed solve, a span that lost a dimension or
+    never settled, a failed certificate or a pair on the shift's side.
     ``columns``, ``(A0, A1, A2)`` on every mode against those, holds the
     block in its rows ``|n| <= half`` and the certificate's in the rest.
     The grid is one stack from start to finish: the pencils come from
@@ -386,8 +350,10 @@ def _grid_pairs(columns, alpha, mus, shifts):
     the eigenvalues of the 2x2 pencil on the span ``Q``, solved as a stack,
     which a block (``half < N``) keeps where ``|L0[out, in] Q|_F <= eps
     |(|L0[in, in]| |Q|)|_F``: the modes it drops see the pair less than
-    rounding does (Curtis & Deconinck, Math. Comp. 79, 2010).  Each
-    ``mu``'s result is that of a grid of its own, bit for bit."""
+    rounding does (Curtis & Deconinck, Math. Comp. 79, 2010).  The span
+    settles on the two eigenvalues nearest the shift, so only a pair on
+    its far side (up to ``_SHIFT_SIDE_NOISE``) is the pair nearest zero.
+    Each ``mu``'s result is that of a grid of its own, bit for bit."""
     n, half = (length // 2 for length in columns[0].shape)
     size, m = 2 * half + 1, len(mus)
     l0, s = _pencils([term[n - half:n + half + 1] for term in columns],
@@ -438,24 +404,34 @@ def _grid_pairs(columns, alpha, mus, shifts):
             <= np.finfo(float).eps \
             * np.linalg.norm(np.abs(l0) @ np.abs(q), axis=(1, 2))
     omega = omega.astype(complex)
+    sigma = np.asarray(shifts, dtype=float)[done]
+    side = np.max(omega.real * np.sign(sigma)[:, None], axis=1) \
+        > _SHIFT_SIDE_NOISE * np.abs(sigma)
     for j, i in enumerate(done):
         if j in errors:
             results[i] = ArithmeticError(
                 f"critical pair solve failed at mu={mus[i]}: {errors[j]}")
-        elif certified[j]:
-            results[i] = omega[j], float(moves[i])
-        else:
+        elif not certified[j]:
             results[i] = ArithmeticError(
                 f"critical pair at mu={mus[i]} is not certified on the block")
+        elif side[j]:
+            results[i] = ConvergenceError(
+                f"critical subspace at mu={mus[i]} settled on frequencies "
+                f"{omega[j, 0].real:.6g}, {omega[j, 1].real:.6g}, one on the "
+                f"side of the shift {sigma[j]:.6g}: not the pair nearest "
+                f"zero", float(moves[i]))
+        else:
+            results[i] = omega[j]
     return results
 
 
 def _critical_pairs(model, branch, mus):
-    """``critical_growth``'s pairs at ``k = 1`` over a grid, in batches of
-    ``_STACK_BYTES``: on the wave's block ``|n| <= _block_half``, else and
-    at ``mu = 0`` on the whole pencil, whose failure alone raises; each
-    gathered once, the whole only when some ``mu`` needs it, the shifts
-    evaluated once, and the pairs labelled together (``_labelled_pairs``)."""
+    """The critical pair's frequencies at ``k = 1`` over a grid, an ``(m,
+    2)`` array of ``_grid_pairs``' rows, in batches of ``_STACK_BYTES``:
+    on the wave's block ``|n| <= _block_half``, else and at ``mu = 0`` on
+    the whole pencil, whose failure alone counts, the first in grid order
+    raised; each gathered once, the whole only when some ``mu`` needs it,
+    and the shifts evaluated once."""
     terms, alpha = _pencil_terms(model, branch)
     n, pairs = branch.n_modes, [None] * len(mus)
     shifts = _critical_shift(model, mus)
@@ -473,7 +449,10 @@ def _critical_pairs(model, branch, mus):
             for i, pair in zip(part, solved):
                 if half == n or not isinstance(pair, Exception):
                     pairs[i] = pair
-    return _labelled_pairs(model, mus, shifts, pairs)
+    for pair in pairs:
+        if isinstance(pair, Exception):
+            raise pair
+    return np.array(pairs, dtype=complex).reshape(-1, 2)
 
 
 def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
@@ -504,9 +483,10 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
     unit_a, shown = branch.unit_a, branch.units
     dets = [_quadratic_det(d, mu, unit_a, Units(model, 1.0))
             for mu in mu_grid]
-    pairs = _critical_pairs(model, branch, [mu for mu in mu_grid if mu != 0.0])
-    # 0.0 first: of equal items max keeps the first, so -0.0 reads 0.0
-    growth = max([0.0, *(max(lp.real, lm.real) for lp, lm in pairs)])
+    omega = _critical_pairs(model, branch, [mu for mu in mu_grid if mu != 0.0])
+    # Re(i omega) = -Im(omega); 0.0 first: of equal items max keeps the
+    # first, so -0.0 reads 0.0
+    growth = max([0.0, *(-omega.imag).max(axis=1).tolist()])
 
     margins = [positivity_margin(d.mu, unit_a) for d in dets]
     all_positive = all(d.disc > m for d, m in zip(dets, margins))

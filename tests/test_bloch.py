@@ -493,16 +493,36 @@ class TestParallelMap:
         assert_same_samples(sweep_mus(MODEL_A, branch, mus), serial)
         assert_no_worker_left()
 
-    def test_a_frame_cut_short_is_dropped(self):
-        # a worker that dies while it sends leaves its last frame unfinished
-        read, write = os.pipe()
-        whole, cut = (pickle.dumps(done) for done in ((0, "a"), (1, "b")))
-        os.write(write, bloch._FRAME.pack(len(whole)) + whole
-                 + bloch._FRAME.pack(len(cut)) + cut[:-1])
-        os.close(write)
-        results = [None, None]
-        bloch._receive(read, results)
-        assert results == ["a", None]
+    @pytest.mark.parametrize("kept", ["nothing", "half", "all-but-one"])
+    def test_a_pickle_cut_short_is_recomputed_here(self, monkeypatch, branch,
+                                                   kept):
+        # worker 1 of 3 dies while it sends, leaving no byte, half or all
+        # but the last byte of its pickle: its items come from this
+        # process, worker 2's from worker 2
+        mus = np.linspace(0.0, 0.5, 9)
+        allow_cpus(monkeypatch, 1)
+        serial = sweep_mus(MODEL_A, branch, mus)
+        dump = pickle.dump
+
+        def cut(share, pipe, protocol):
+            if share[0][0] != 1:
+                return dump(share, pipe, protocol)
+            data = pickle.dumps(share, protocol)
+            size = {"nothing": 0, "half": len(data) // 2,
+                    "all-but-one": len(data) - 1}[kept]
+            pipe.write(data[:size])
+            pipe.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(pickle, "dump", cut)
+        allow_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        pids = bloch.parallel_map(lambda x: os.getpid(), range(9))
+        assert pids[0::3] == pids[1::3] == [parent] * 3
+        assert parent not in pids[2::3]
+        assert_no_worker_left()
+        assert_same_samples(sweep_mus(MODEL_A, branch, mus), serial)
+        assert_no_worker_left()
 
     def test_an_interrupt_kills_and_reaps_the_workers(self, monkeypatch):
         allow_cpus(monkeypatch, 3)

@@ -517,13 +517,20 @@ class TestIndexCommand:
         assert payload["max_growth"] == 0.0
         assert min(disc for _, disc in payload["disc_samples"]) > 0.0
 
-    def test_coinciding_critical_pair_exits_solver(self, capsys):
-        code, out, err = run_cli(capsys, "index", "--a", "0", "--modes", "16",
-                                 "--mu-grid=1e-13:2e-13:2")
-        assert code == EXIT_SOLVER and out == ""
-        payload = _strict_json(err)
-        assert payload["error"] == "numeric"
-        assert "coincide" in payload["message"]
+    @pytest.mark.parametrize("argv", [
+        ("--a", "0", "--modes", "16", "--mu-grid=1e-13:2e-13:2"),
+        ("--model", "B", "--gamma", "2", "--a", "0.02",
+         "--mu-grid=0.009999687555778063:0.05:2")],
+        ids=["flat-wave", "collision"])
+    def test_a_coinciding_critical_pair_is_measured(self, capsys, argv):
+        # the verdict reads the pair's real parts alone, so a pair that
+        # coincides to 1e-12 (a flat wave's at |mu| below 7.6e-7; model B's
+        # at the first point, where the pair collides) no longer exits 3
+        code, out, err = run_cli(capsys, "index", *argv)
+        assert code == EXIT_INDETERMINATE and err == ""
+        payload = _strict_json(out)
+        assert payload["verdict"] == "indeterminate"
+        assert payload["max_growth"] == 0.0
 
     def test_threshold_requires_model_b(self, capsys):
         code, _, err = run_cli(capsys, "index", "--model", "A",

@@ -312,22 +312,17 @@ def grid_pair(branch, mu, half):
 
 
 def whole_pair(branch, mu):
-    """The critical pair at ``k = 1`` solved on the whole pencil."""
-    return labelled(branch, mu, grid_pair(branch, mu, branch.n_modes))
-
-
-def labelled(branch, mu, solved):
-    """``_labelled_pairs``' pair from ``_grid_pairs``' result at one
-    ``mu``, or its error raised."""
-    model = branch.model
-    pair, = modulation._labelled_pairs(
-        model, [mu], [modulation._critical_shift(model, mu)], [solved])
-    return pair
+    """``critical_growth``'s pair with the whole pencil solved in place of
+    the wave's block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modulation, "_block_half",
+                      lambda terms: branch.n_modes)
+        return critical_growth(branch.model, branch, mu)
 
 
 def block_pair(branch, mu, half):
-    """The frequencies and last move of the pair solved on the block of
-    modes ``|n| <= half``, or ``None`` where the block failed."""
+    """The frequencies of the pair solved on the block of modes ``|n| <=
+    half``, or ``None`` where the block failed."""
     solved = grid_pair(branch, mu, half)
     return None if isinstance(solved, Exception) else solved
 
@@ -599,8 +594,14 @@ def test_certified_block_pair_is_the_whole_pencils(variant, a, k, gamma, mu):
     ``a k^2 <= 0.078``, the benchmark's domain."""
     model = Model(variant, gamma=gamma if variant == "B" else 0.0)
     branch = solve_wave(model, a, k, n_modes=64)
-    whole = tuple(branch.units.frequency(x)
-                  for x in whole_pair(branch, mu))
+    try:
+        whole = whole_pair(branch, mu)
+    except DegeneratePairError:
+        # the double zero stays double (model B at gamma = 1, mu = 0): no
+        # label tells the pair apart, and critical_growth refuses it too
+        with pytest.raises(DegeneratePairError):
+            critical_growth(model, branch, mu)
+        return
     central = None if mu == 0.0 else block_pair(branch, mu, 64 // 2)
     pair = critical_growth(model, branch, mu)
     if central is None:
@@ -628,8 +629,8 @@ def test_the_waves_block_gives_the_whole_pencils_pair(variant, a, k, gamma,
     if solved is None:
         assert a * k * k > 0.078
         return
-    pair, whole = labelled(branch, mu, solved), \
-        whole_pair(branch, mu)
+    # the block is certified, so critical_growth's pair is the block's
+    pair, whole = critical_growth(model, branch, mu), whole_pair(branch, mu)
     scale = max(abs(x) for x in whole)
     assert max(abs(x - y) for x, y in zip(pair, whole)) <= 1e-13 * scale
 
@@ -752,9 +753,9 @@ class TestGridSolver:
         branch = solve_wave(model, a, k, n_modes=64)
         grid = [float(mu) for mu in grid]
         together = modulation._critical_pairs(model, branch, grid)
-        for mu, pair in zip(grid, together):
-            have = tuple(branch.units.frequency(x) for x in pair)
-            alone = critical_growth(model, branch, mu)
+        assert together.shape == (len(grid), 2)
+        for mu, have in zip(grid, together):
+            alone, = modulation._critical_pairs(model, branch, [mu])
             scale = max(abs(x) for x in alone)
             assert max(abs(x - y) for x, y in zip(have, alone)) \
                 <= 1e-12 * scale, mu
@@ -766,9 +767,8 @@ class TestGridSolver:
         branch = solve_wave(model, 0.03, 1.0, n_modes=64)
         grid, mid = [0.005, 0.02, 0.03, -0.04, 0.05], 2
         half = modulation._block_half(branch._terms)
-        blocks = [labelled(branch, mu,
-                           block_pair(branch, mu, half)) for mu in grid]
-        whole = whole_pair(branch, grid[mid])
+        blocks = [block_pair(branch, mu, half) for mu in grid]
+        whole = grid_pair(branch, grid[mid], 64)
         step, solve, solves = (modulation._subspace_step,
                                modulation._grid_pairs, [])
 
@@ -791,8 +791,9 @@ class TestGridSolver:
         monkeypatch.setattr(modulation, "_grid_pairs", recorded)
         pairs = modulation._critical_pairs(model, branch, grid)
         assert solves == [(half, grid), (64, [grid[mid]])]
-        assert pairs[mid] == whole
-        assert pairs[:mid] + pairs[mid + 1:] == blocks[:mid] + blocks[mid + 1:]
+        assert pairs[mid].tobytes() == whole.tobytes()
+        for i in [i for i in range(len(grid)) if i != mid]:
+            assert pairs[i].tobytes() == blocks[i].tobytes()
 
     @pytest.mark.parametrize("variant,gamma,a,k", GRID_WAVES)
     def test_the_stack_gives_each_mus_pair_bit_for_bit(self, variant, gamma,
@@ -813,8 +814,7 @@ class TestGridSolver:
                     assert type(solved) is type(alone)
                     assert str(solved) == str(alone)
                 else:
-                    assert solved[0].tobytes() == alone[0].tobytes()
-                    assert solved[1] == alone[1]
+                    assert solved.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("variant,gamma", [("A", 0.0), ("B", 2.0)])
     def test_the_grids_blocks_are_the_pencils_to_the_bit(self, variant,
@@ -862,7 +862,7 @@ class TestGridSolver:
             alone, = modulation._grid_pairs(
                 broken, alpha, [mu], [modulation._critical_shift(model, mu)])
             assert not isinstance(solved, Exception)
-            assert solved[0].tobytes() == alone[0].tobytes()
+            assert solved.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("solve,stacks", [
         (np.linalg.inv, [np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)]),
@@ -879,31 +879,79 @@ class TestGridSolver:
         for i in (0, 2):
             assert np.array_equal(results[i], solve(np.array(stacks[i])))
 
-    @pytest.mark.parametrize("turn", range(3))
-    def test_the_first_failure_in_grid_order_is_raised(self, turn):
-        # a solve error, a frequency on the shift's side and a degenerate
-        # pair, in each order after a good point: the grid's checks run
-        # at once, and the first failure in grid order is the one raised
+    @pytest.mark.parametrize("turn", range(2))
+    def test_the_first_failure_in_grid_order_is_raised(self, monkeypatch,
+                                                       turn):
+        # a solve error and a pair on the shift's side, in each order after
+        # a good point, on the block and on the whole pencil alike: the
+        # first failure in grid order is the one raised
         model = Model("B", gamma=2.0)
-        failures = [(ArithmeticError, "solve failed",
-                     ArithmeticError("critical pair solve failed")),
-                    (ConvergenceError, "side of the shift",
-                     (np.array([0.02, -0.5], dtype=complex), 1e-16)),
-                    (DegeneratePairError, "coincide",
-                     (np.array([0.02, 0.02], dtype=complex), 1e-16))]
-        failures = failures[turn:] + failures[:turn]
-        grid = [0.01, 0.02, 0.03, 0.04]
-        solved = [(np.array([0.02, 0.01], dtype=complex), 1e-16)] \
-            + [result for _, _, result in failures]
-        error, message, first = failures[0]
-        with pytest.raises(error, match=message) as raised:
-            modulation._labelled_pairs(
-                model, grid, modulation._critical_shift(model, grid), solved)
-        assert type(raised.value) is error
-        if isinstance(first, Exception):
-            assert raised.value is first
+        branch = solve_wave(model, 0.03, 1.0, n_modes=32)
+        grid = [0.01, 0.02, 0.03]
+        failing, side = grid[1 + turn], grid[2 - turn]
+        error = ArithmeticError("critical pair solve failed")
+        solve = modulation._grid_pairs
+
+        def broken(columns, alpha, mus, shifts):
+            # the shift moved to the pair's side of zero at one mu
+            shifts = [-x if mu == side else x for mu, x in zip(mus, shifts)]
+            solved = solve(columns, alpha, mus, shifts)
+            return [error if mu == failing else result
+                    for mu, result in zip(mus, solved)]
+
+        monkeypatch.setattr(modulation, "_grid_pairs", broken)
+        with pytest.raises((ArithmeticError, ConvergenceError)) as raised:
+            modulation._critical_pairs(model, branch, grid)
+        if turn == 0:
+            assert raised.value is error
         else:
-            assert "mu=0.02" in str(raised.value)
+            assert type(raised.value) is ConvergenceError
+            assert f"at mu={side} settled on" in str(raised.value)
+            assert "side of the shift" in str(raised.value)
+
+    def test_a_block_on_the_shifts_side_takes_the_whole_pencils_pair(
+            self, monkeypatch):
+        # with the shift on the pair's side of zero, the block settles
+        # there at every mu; the whole pencil, at the true shift, gives the
+        # pair
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=64)
+        mus = (0.005, 0.03, -0.05)
+        wholes = [whole_pair(branch, mu) for mu in mus]
+        solve, blocks = modulation._grid_pairs, []
+
+        def flipped(columns, alpha, mus, shifts):
+            if half_of(columns) == branch.n_modes:
+                return solve(columns, alpha, mus, shifts)
+            solved = solve(columns, alpha, mus, [-x for x in shifts])
+            blocks.extend(solved)
+            return solved
+
+        monkeypatch.setattr(modulation, "_grid_pairs", flipped)
+        assert [critical_growth(model, branch, mu) for mu in mus] == wholes
+        assert len(blocks) == len(mus)
+        for solved in blocks:
+            assert isinstance(solved, ConvergenceError)
+            assert "side of the shift" in str(solved)
+
+    def test_only_critical_growth_refuses_a_coinciding_pair(self,
+                                                            monkeypatch):
+        # a pair that coincides to 1e-12 has no labels, so critical_growth
+        # refuses it; the sweep reads only the real parts and takes it
+        model = Model("B", gamma=2.0)
+        branch = solve_wave(model, 0.03, 1.0, n_modes=32)
+        pair = np.array([0.02, 0.02], dtype=complex)
+
+        def coinciding(columns, alpha, mus, shifts):
+            return [pair] * len(mus)
+
+        monkeypatch.setattr(modulation, "_grid_pairs", coinciding)
+        with pytest.raises(DegeneratePairError, match=r"coincide at mu=0\.02 "
+                           r"\(spacing 0\.000e\+00\)"):
+            critical_growth(model, branch, 0.02)
+        grid = [0.01, 0.02, 0.03]
+        assert np.array_equal(modulation._critical_pairs(model, branch, grid),
+                              [pair] * len(grid))
 
     def test_the_step_power_keeps_a_hundred_times_the_rank_floor(
             self, monkeypatch):
@@ -999,7 +1047,8 @@ class TestGridSolver:
         grid = [float(mu) for mu in np.linspace(-0.1, 0.1, 21)]
         together = modulation._critical_pairs(model, branch, grid)
         monkeypatch.setattr(modulation, "_STACK_BYTES", 1)
-        assert modulation._critical_pairs(model, branch, grid) == together
+        assert modulation._critical_pairs(model, branch, grid).tobytes() \
+            == together.tobytes()
 
 
 class TestVerdicts:
