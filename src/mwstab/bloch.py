@@ -128,7 +128,7 @@ def assemble_pencil(model, branch, mu, n_modes=None):
     ``d/dz + i mu`` for B.
     """
     terms, alpha = _pencil_terms(model, branch, n_modes)
-    n = terms[1].n_modes
+    n = terms[1].size // 4
     modes = np.arange(-n, n + 1)
     l0, s = _pencils(_operator_block(terms, modes, modes), alpha, mu)
     return BlochPencil(model=model, mu=mu, n_modes=n, L0=l0, s=s)
@@ -233,16 +233,14 @@ def spectrum_slice(pencil):
         raise ArithmeticError(
             f"pencil eigensolver failed at mu={pencil.mu}: {exc}") from exc
     vals = vals[np.abs(vals) <= INFINITE_EIGENVALUE_CUTOFF]
-    order = np.lexsort((vals.real, vals.imag))
-    vals = vals[order]
+    vals = vals[np.lexsort((vals.real, vals.imag))]
     labels = _branch_labels(pencil.model, vals, pencil.mu, pencil.n_modes)
     return SpectrumSample(mu=pencil.mu, eigenvalues=vals, branch_ids=labels)
 
 
 def hausdorff_distance(set_a, set_b):
     """Symmetric Hausdorff distance between two finite complex sets."""
-    a = np.asarray(set_a).ravel()
-    b = np.asarray(set_b).ravel()
+    a, b = (np.asarray(points).ravel() for points in (set_a, set_b))
     if a.size == 0 or b.size == 0:
         return 0.0 if a.size == b.size else np.inf
     dist = np.abs(a[:, None] - b[None, :])
@@ -254,9 +252,8 @@ def symmetry_check(sample_plus, sample_minus, tol=1e-8):
     maps onto itself under ``lambda -> -conj(lambda)`` and onto the set at
     ``-mu`` under ``lambda -> conj(lambda)``."""
     lam = sample_plus.eigenvalues
-    lam_minus = sample_minus.eigenvalues
     h_self = hausdorff_distance(lam, -np.conj(lam))
-    h_cross = hausdorff_distance(np.conj(lam), lam_minus)
+    h_cross = hausdorff_distance(np.conj(lam), sample_minus.eigenvalues)
     return SymmetryReport(mu=sample_plus.mu, hausdorff_reflection=h_self,
                           hausdorff_conjugation=h_cross, tol=tol)
 

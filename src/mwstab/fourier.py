@@ -133,9 +133,8 @@ class TrigSeries:
         """
         self._check_match(other)
         n = self.n_modes
-        pa = np.convolve(self.to_modes(), other.to_modes())
         # center 2N+1 slice of the degree-2N product
-        pa = pa[n:3 * n + 1]
+        pa = np.convolve(self.to_modes(), other.to_modes())[n:3 * n + 1]
         # restore exact conjugate symmetry lost to rounding
         pa = 0.5 * (pa + np.conj(pa[::-1]))
         return TrigSeries.from_modes(pa)
@@ -144,14 +143,11 @@ class TrigSeries:
         """Term-wise derivative of the given order (order 0 is identity)."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        cos, sin = self.cos, self.sin
+        j, cos, sin = np.arange(1, self.cos.size), self.cos[1:], self.sin
         for _ in range(order):
-            j = np.arange(1, cos.size)
-            new_cos = np.zeros_like(cos)
-            new_cos[1:] = j * sin
-            new_sin = -j * cos[1:]
-            cos, sin = new_cos, new_sin
-        return TrigSeries(cos, sin)
+            cos, sin = j * sin, -j * cos
+        return TrigSeries(np.concatenate(
+            [self.cos[:1] if order == 0 else [0.0], cos]), sin)
 
     def inner(self, other):
         """L2 inner product ``(1/2pi) int_0^{2pi} f g dz`` from coefficients."""
@@ -162,15 +158,13 @@ class TrigSeries:
 
     def eval(self, z):
         """Pointwise value at ``z`` (scalar or array)."""
-        z = np.asarray(z, dtype=float)
-        j = np.arange(1, self.n_modes + 1)
-        jz = np.multiply.outer(z, j)
+        jz = np.multiply.outer(np.asarray(z, dtype=float),
+                               np.arange(1, self.n_modes + 1))
         val = self.cos[0] + np.cos(jz) @ self.cos[1:] + np.sin(jz) @ self.sin
         return val if val.ndim else float(val)
 
     def sup_norm(self):
-        """Max of |f| over ``8N+9`` uniform points (dense enough for the
-        cutoff).
+        """Max of |f| over ``8N+9`` uniform points, dense for the cutoff.
 
         ``f = c0 + 2 Re p(w)`` with ``p(w) = sum_j m_j w^j``, ``m_j`` the
         ``exp(ijz)`` coefficients and ``w = exp(iz)``, evaluated by Horner's
@@ -180,10 +174,15 @@ class TrigSeries:
         degree ``b`` and ``w^b = exp(i b z)`` exact to rounding (``b z`` is
         exact), so no term carries more than about ``2 sqrt(N)`` rounded
         factors.  The maximum then stays within about 1.5e-15 relative of
-        the exact one at N = 257, where ``eval``'s is 2e-14 off.
+        the exact one on the same points at N = 257, where ``eval``'s is
+        2e-14 off.  An even series takes the points ``0..4N+4`` alone, as
+        ``f(z_{8N+9-m}) = f(z_m)`` on the exact grid ``2 pi m / (8N+9)``,
+        whose maximum it meets to 9e-15 at N = 257; the rounded far points
+        move the maximum over all 8N+9 of them by up to 2.2e-14.
         """
         n = self.n_modes
-        z = np.linspace(0.0, 2.0 * np.pi, 8 * n + 9, endpoint=False)
+        z = np.linspace(0.0, 2.0 * np.pi, 8 * n + 9, endpoint=False)[
+            :4 * n + 5 if self.is_even() else None]
         b = 1 << int(np.ceil(np.log2(max(n, 1)) / 2))
         modes = np.zeros(-(-n // b) * b, dtype=complex)
         modes[:n] = 0.5 * (self.cos[1:] - 1j * self.sin)
@@ -202,24 +201,16 @@ class TrigSeries:
 
     def resized(self, n_modes):
         """Pad with zeros or truncate to a new harmonic cutoff."""
-        cos = np.zeros(n_modes + 1)
-        sin = np.zeros(n_modes)
-        m = min(n_modes, self.n_modes)
-        cos[:m + 1] = self.cos[:m + 1]
-        sin[:m] = self.sin[:m]
-        return TrigSeries(cos, sin)
+        pad = (0, n_modes - min(n_modes, self.n_modes))
+        return TrigSeries(np.pad(self.cos[:n_modes + 1], pad),
+                          np.pad(self.sin[:n_modes], pad))
 
     # ----- complex exponential basis --------------------------------------
 
     def to_modes(self):
         """Coefficients of ``exp(i*n*z)`` for n = -N..N (index 0 is n=-N)."""
-        n = self.n_modes
-        modes = np.zeros(2 * n + 1, dtype=complex)
-        modes[n] = self.cos[0]
         half = 0.5 * (self.cos[1:] - 1j * self.sin)
-        modes[n + 1:] = half
-        modes[:n] = np.conj(half[::-1])
-        return modes
+        return np.concatenate([np.conj(half[::-1]), self.cos[:1], half])
 
     @classmethod
     def from_modes(cls, modes):
@@ -229,13 +220,9 @@ class TrigSeries:
         if modes.ndim != 1 or modes.size % 2 != 1:
             raise ValueError("modes must be a 1-d array of odd length")
         n = modes.size // 2
-        pos = modes[n + 1:]
-        neg = modes[:n][::-1]
-        cos = np.empty(n + 1)
-        cos[0] = modes[n].real
-        cos[1:] = (pos + neg).real
-        sin = (pos - neg).imag * -1.0
-        return cls(cos, sin)
+        pos, neg = modes[n + 1:], modes[:n][::-1]
+        return cls(np.concatenate([modes[n:n + 1].real, (pos + neg).real]),
+                   -(pos - neg).imag)
 
     def band(self):
         """Multiplication by this series in the exponential basis, as a
@@ -243,10 +230,9 @@ class TrigSeries:
         j``, is the coefficient of ``exp(ijz)`` (``-i`` times it for an odd
         series, whose product is ``i`` times the band), zero for ``N < |j|
         <= 2N`` as ``*`` truncates.  Mixed parity raises ``ValueError``."""
-        n = self.n_modes
         if not (self.is_even() or self.is_odd()):
             raise ValueError("a series with both cosines and sines has no "
                              "real multiplication matrix")
-        modes = self.to_modes()
-        band = modes.real if self.is_even() else modes.imag
-        return np.concatenate([np.zeros(n), band, np.zeros(n)])
+        modes, pad = self.to_modes(), np.zeros(self.n_modes)
+        return np.concatenate(
+            [pad, modes.real if self.is_even() else modes.imag, pad])

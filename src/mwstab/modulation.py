@@ -16,6 +16,7 @@ each ``d_j`` is an exact polynomial in ``mu^2``, projected once per branch,
 at ``k = 1`` (``projected_det`` and reports give it at the wave's ``k``).
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -303,7 +304,7 @@ def _block_half(terms):
     pair's eigenvectors decay with the wave's band, so ``h`` is set by the
     wave and not by N; the weight ``j^2``, the ``D^2`` the rows beyond the
     block apply, reaches further where the band decays slowly."""
-    n = terms[1].n_modes
+    n = terms[1].size // 4
     a0, = _operator_block(terms, [0], np.arange(n + 1), 1)
     row = np.abs(a0[0])
     offsets = np.arange(n + 1.0)
@@ -530,15 +531,29 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3,
     a profile solved only to ``tol`` puts into each ``d_j`` (at
     ``a k^2 = 0.035, gamma = 1`` a residual of 4.6e-13 left ``D`` at
     2.1e-13, 3.6 times the rounding floor and 0.014 of this allowance).
-    Each evaluation solves one wave and projects its pencil once.
+    Each evaluation solves one wave, on the fewest modes ``N_w`` of 16, 32,
+    ... up to ``n_modes`` with ``|cos_{N_w}| <= eps max_j |cos_j|`` (Boyd,
+    *Chebyshev and Fourier Spectral Methods*, 2001, ch. 2): from the last
+    ``N_w``, doubled while that or Newton fails below ``n_modes``; its
+    tangent and its pencil, projected once, take ``N_w`` modes too.
     """
+    eps, size = np.finfo(float).eps, [min(16, n_modes)]
+
+    def wave(model):
+        while size[0] < n_modes:
+            with contextlib.suppress(ConvergenceError):
+                branch = solve_wave(model, a, k, n_modes=size[0], tol=tol)
+                cos = np.abs(branch.unit_eta.cos)
+                if cos[-1] <= eps * cos.max():
+                    return branch
+            size[0] = min(2 * size[0], n_modes)
+        return solve_wave(model, a, k, n_modes=n_modes, tol=tol)
 
     def disc_at(gamma):
         model = Model("B", gamma=gamma)
-        branch = solve_wave(model, a, k, n_modes=n_modes, tol=tol)
-        basis = critical_basis(model, branch)
-        det = projected_det(model, branch, basis, 0.0)
-        floor = (8.0 * np.finfo(float).eps + branch.residual_norm) \
+        branch = wave(model)
+        det = projected_det(model, branch, critical_basis(model, branch), 0.0)
+        floor = (8.0 * eps + branch.residual_norm) \
             * (det.d1 * det.d1 + 4.0 * abs(det.d0 * det.d2))
         return det.disc, abs(det.disc) <= floor
 
@@ -570,13 +585,11 @@ def threshold_bisect(k, a, gamma_lo, gamma_hi, width=1e-3,
             return x
         if np.sign(f_x) == np.sign(f_lo):
             lo, f_lo, g_lo = x, f_x, f_x
-            if kept == "hi":
-                g_hi *= 0.5
+            g_hi *= 0.5 if kept == "hi" else 1.0
             kept = "hi"
         else:
             hi, f_hi, g_hi = x, f_x, f_x
-            if kept == "lo":
-                g_lo *= 0.5
+            g_lo *= 0.5 if kept == "lo" else 1.0
             kept = "lo"
         widths.append(abs(hi - lo))
     return secant(lo, f_lo, hi, f_hi)

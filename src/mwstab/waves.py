@@ -26,7 +26,8 @@ what is reported to wavenumber ``k``:
 Both carry a branch of even solutions bifurcating from the first harmonic:
 ``analytic_wave`` is its third-order expansion, which ``solve_wave``
 refines by Newton-Galerkin in the cosine subspace (no translation
-zero-mode, every iterate even).
+zero-mode, every iterate even) in real band arithmetic, which also gives
+the linearized operator's terms as the bands ``_operator_block`` reads.
 """
 
 import functools
@@ -132,8 +133,8 @@ class WaveBranch:
     residual_norm: float
     #: sup-norm residual after each Newton step (diagnostic)
     newton_residuals: tuple = field(default=(), repr=False)
-    #: ``_operator_terms`` at this wave, when its solve evaluated them; else
-    #: ``_terms`` evaluates them on first use
+    #: ``_operator_terms`` at this wave, the bands of ``(R, C, E)``, when its
+    #: solve evaluated them; else ``_terms`` evaluates them on first use
     terms: InitVar[tuple | None] = None
 
     def __post_init__(self, terms):
@@ -218,64 +219,73 @@ def analytic_wave(model, a, k, n_modes=DEFAULT_N_MODES):
                       unit_c=c, residual_norm=res.sup_norm(), terms=terms)
 
 
-def _residual_and_terms(model, eta, c):
-    """``residual`` and ``_operator_terms`` at ``(eta, c)`` from one
-    evaluation, which shares the derivatives and model B's ``(w')^2``.
+def _band_product(p, q, parity=1.0):
+    """The band of the product of two single-parity series from their bands,
+    as ``TrigSeries._product``: one real convolution of the entries
+    ``-N..N``, its centre kept and symmetrised, antisymmetrised at ``parity
+    = -1`` (one factor odd); minus the product's band for two odd factors."""
+    n = p.size // 4
+    full = np.convolve(p[n:3 * n + 1], q[n:3 * n + 1])
+    full[:n] = full[3 * n + 1:] = 0.0
+    return 0.5 * (full + parity * full[::-1])
 
-    The terms are the profile series of ``_operator_block``: with
-    ``X = diag(n + mu)``, ``D = i X``, multiplication by the odd term
-    ``i R`` and by the even terms ``C`` (left) and ``E`` (right),
-    ``L0 = -R X - X^2 C - E X^2 - 1``.  Model A has no ``E`` (``None``)."""
+
+def _residual_and_terms(model, eta, c):
+    """``residual`` and ``_operator_terms`` at an even ``(eta, c)`` from one
+    evaluation in real band arithmetic: with ``e`` the profile's band
+    (``TrigSeries.band``) and ``X = diag(n)``, ``eta' = i X e`` and ``eta''
+    = -X^2 e``, each product is one ``_band_product``, each term a band."""
     n = eta.n_modes
-    d1 = eta.deriv()
-    d2 = eta.deriv(2)
+    if not eta.is_even():
+        raise ValueError("the traveling-wave equation is solved and "
+                         "linearized for an even profile only")
+    x, e = np.arange(-2.0 * n, 2 * n + 1), eta.band()
+    d1, one = x * e, 1.0 * (x == 0)
+    d2 = -(x * d1)
     if model.is_a:
-        res = (3.0 * c**2) * d2 - 2.0 * (eta * d2) - (d1 * d1) + eta
+        res = ((3.0 * c**2) * d2 - 2.0 * _band_product(e, d2)
+               + _band_product(d1, d1) + e)
         # L0 = -2 eta' D + D^2 [(2 eta - 3c^2) .] - 1
-        odd = -2.0 * d1
-        left = 2.0 * eta + TrigSeries.constant(-3.0 * c**2, n)
-        return res, (odd, left, None)
-    g = model.gamma
-    sq = d1 * d1
-    res = (eta * d2) - c * d2 + 0.5 * sq - 0.5 * g * (d2 * sq) - eta
-    # L0 = [(-w' - g w' w'') .] D + D^2 [(w - c) .] - (g/2) w'^2 D^2 - 1
-    odd = -d1 + (-g) * (d1 * d2)
-    left = eta + TrigSeries.constant(-c, n)
-    return res, (odd, left, (-0.5 * g) * sq)
+        terms = -2.0 * d1, 2.0 * e - (3.0 * c**2) * one, None
+    else:
+        g, sq = model.gamma, -_band_product(d1, d1)
+        res = (_band_product(e, d2) - c * d2 + 0.5 * sq
+               - 0.5 * g * _band_product(d2, sq) - e)
+        # L0 = [(-w' - g w' w'') .] D + D^2 [(w - c) .] - (g/2) w'^2 D^2 - 1
+        terms = (-d1 - g * _band_product(d1, d2, -1.0), e - c * one,
+                 (-0.5 * g) * sq)
+    return TrigSeries(np.concatenate([res[2 * n:2 * n + 1],
+                                      2.0 * res[2 * n + 1:3 * n + 1]])), terms
 
 
 def residual(model, eta, c):
-    """Traveling-wave ODE residual at ``k = 1`` as a series; zero iff
-    ``(eta, c)`` solves it."""
+    """Traveling-wave ODE residual at ``k = 1`` of an even profile, as a
+    series; zero iff ``(eta, c)`` solves it."""
     return _residual_and_terms(model, eta, c)[0]
 
 
 def _operator_terms(model, eta, c):
-    """``_operator_block``'s profile series ``(R, C, E)`` at ``(eta, c)``
-    (``_residual_and_terms``), for an even profile only."""
-    if not eta.is_even():
-        raise ValueError("the linearized operator is built for an even "
-                         "profile only")
+    """The terms of ``_operator_block`` from ``_residual_and_terms``."""
     return _residual_and_terms(model, eta, c)[1]
 
 
 def _operator_block(terms, rows, cols, powers=3):
-    """The first ``powers`` of the real ``(A0, A1, A2)`` of ``L0(mu) = A0 +
-    mu A1 + mu^2 A2``, the linearized traveling-wave ODE at ``k = 1`` on
-    the ``exp(inz)`` coefficients of Bloch modes ``exp(i mu z) V(z)``, on
-    the modes ``rows`` against the modes ``cols`` (integer arrays in
-    ``-N..N``), from the terms ``(R, C, E)`` of an even profile.  ``D^2``
-    acts *after* multiplication by the profile coefficient, model B's
-    ``(w')^2`` term *after* differentiation; at ``mu = 0``, ``A0`` is minus
-    (A) or plus (B) the derivative of ``residual`` in the profile.  Each
-    term's entries are gathered from its band at ``row - col + 2N`` and the
+    """The first ``powers`` of the real ``(A0, A1, A2)`` of ``L0(mu) = A0 + mu
+    A1 + mu^2 A2``, the linearized traveling-wave ODE at ``k = 1`` on the
+    ``exp(inz)`` coefficients of Bloch modes ``exp(i mu z) V(z)``, on the modes
+    ``rows`` against the modes ``cols`` (integer arrays in ``-N..N``), from the
+    terms of an even profile: with ``X = diag(n + mu)`` and ``D = i X``, ``L0 =
+    -R X - X^2 C - E X^2 - 1``, ``i R`` the odd multiplier and ``C`` (left),
+    ``E`` (right, ``None`` for model A) the even ones.  ``D^2`` acts *after*
+    multiplication by the profile coefficient, model B's ``(w')^2`` term
+    *after* differentiation; at ``mu = 0``, ``A0`` is minus (A) or plus (B) the
+    derivative of ``residual`` in the profile.  Each term is held as its
+    ``4N+1`` band (``TrigSeries.band``), indexed at ``row - col + 2N``, and the
     coefficients formed by the same operations, so every block is the same
     slice of the whole matrices to the bit."""
-    n = terms[1].n_modes
     rows, cols = np.asarray(rows), np.asarray(cols)
-    index = rows[:, None] - cols + 2 * n
-    r, cl, er = (None if term is None else term.band()[index]
-                 for term in terms)
+    index = rows[:, None] - cols + terms[1].size // 2
+    r, cl, er = (None if term is None else term[index] for term in terms)
     m, m_row = cols.astype(float), rows.astype(float)
     a0 = np.multiply(r, -m)
     a0 -= np.multiply(cl, (m_row * m_row)[:, None])
@@ -293,15 +303,14 @@ def _operator_block(terms, rows, cols, powers=3):
 
 
 def _toeplitz_product(term, u):
-    """The term's matrix, gathered at ``row - col + 2N`` as in
-    ``_operator_block``, times the columns of ``u``, from one convolution
-    of its band with the columns laid end to end, each followed by the
-    ``2N`` zeros that keep its products apart from the next's."""
-    n = term.n_modes
-    size = 4 * n + 1
+    """The matrix of a term's ``4N+1`` band, indexed at ``row - col + 2N``
+    as in ``_operator_block``, times the columns of ``u``, from one
+    convolution of its entries ``-N..N`` with the columns laid end to end,
+    each followed by the ``2N`` zeros that keep its products apart."""
+    n, size = term.size // 4, term.size
     laid = np.zeros((u.shape[1], size))
     laid[:, :2 * n + 1] = u.T
-    full = np.convolve(term.band()[n:3 * n + 1], laid.ravel())
+    full = np.convolve(term[n:3 * n + 1], laid.ravel())
     return full[:laid.size].reshape(-1, size)[:, n:3 * n + 1].T
 
 
@@ -314,7 +323,7 @@ def _operator_projection(terms, u):
     (E u)^T X^2 u - u^T u``, ``u^T A1 u = (R u)^T u - 2 (X u)^T C u -
     2 (E u)^T X u`` and ``u^T A2 u = -u^T C u - (E u)^T u``.  Equal to the
     projection of the whole matrices to rounding."""
-    n = terms[1].n_modes
+    n = terms[1].size // 4
     m = np.arange(-n, n + 1.0)[:, None]
     u1, u2 = m * u, (m * m) * u
     r, cl, er = (None if term is None else _toeplitz_product(term, u)
@@ -332,7 +341,7 @@ def _operator_projection(terms, u):
 def _cosine_fold(terms):
     """``A0`` folded onto cosines: its rows ``0..N``, where column ``-q``
     adds to column ``q`` (``exp(-iqz)`` brings ``cos(qz)`` there)."""
-    n = terms[1].n_modes
+    n = terms[1].size // 4
     a0, = _operator_block(terms, np.arange(n + 1), np.arange(-n, n + 1), 1)
     fold = a0[:, n:]
     fold[:, 1:] += a0[:, n - 1::-1]
@@ -344,8 +353,7 @@ def _bordered_jacobian(model, terms, eta, c):
     ``(eta, c)``: ``_cosine_fold`` of its ``_operator_terms``, bordered by
     the speed column and the amplitude row."""
     n, fold = eta.n_modes, _cosine_fold(terms)
-    scale = np.full(n + 1, 2.0)
-    scale[0] = 1.0
+    scale = np.r_[1.0, np.full(n, 2.0)]
     sign = -1.0 if model.is_a else 1.0
     jac = np.zeros((n + 2, n + 2))
     jac[:n + 1, :n + 1] = sign * (scale[:, None] / scale[None, :]) * fold
@@ -365,9 +373,9 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     ``0..N`` and the amplitude ``2 <eta, cos z> = a k^2``.  Seeded from the
     analytic expansion, whose residual is first evaluated as Newton's
     first iterate.  Each iterate's residual and operator terms come from
-    one evaluation (``_residual_and_terms``), and the converged iterate's
-    terms are the branch's, for its tangent and its pencil.  The Jacobian
-    is ``_operator_block``'s ``A0`` folded onto cosines
+    one evaluation in real band arithmetic (``_residual_and_terms``); the
+    converged iterate's are the branch's, for its tangent and its pencil.
+    The Jacobian is ``_operator_block``'s ``A0`` folded onto cosines
     (``_cosine_fold``, from its rows ``0..N`` alone), bordered by the speed
     column and the amplitude row.  ``tol`` bounds the ``k = 1`` residual;
     ``ConvergenceError`` is raised when the iteration stalls above it,
@@ -385,8 +393,7 @@ def solve_wave(model, a, k, n_modes=DEFAULT_N_MODES, tol=DEFAULT_TOL,
     history = []
     best, misses, step = np.inf, 0, np.inf
     for _ in range(max_iter):
-        eta = TrigSeries(x[:n + 1])
-        c = x[n + 1]
+        eta, c = TrigSeries(x[:n + 1]), x[n + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             res, terms = _residual_and_terms(model, eta, c)
             sup = res.sup_norm()
@@ -438,10 +445,9 @@ def branch_derivative(branch):
     n = branch.n_modes
     if branch.unit_a == 0:
         return TrigSeries.cosine(1, n)
-    rhs = np.zeros(n + 2)
-    rhs[n + 1] = 1.0
-    eta, c = branch.unit_eta, branch.unit_c
-    jac = _bordered_jacobian(branch.model, branch._terms, eta, c)
+    rhs = np.r_[np.zeros(n + 1), 1.0]
+    jac = _bordered_jacobian(branch.model, branch._terms, branch.unit_eta,
+                             branch.unit_c)
     try:
         tangent = np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:

@@ -252,7 +252,7 @@ def projection_excess(model, a, k, n=64):
         branch._terms, modes, modes)], axis=-1)
     index = modes[:, None] - modes + 2 * n
     r, c, e = (np.zeros((2 * n + 1,) * 2) if term is None
-               else np.abs(term.band()[index]) for term in branch._terms)
+               else np.abs(term[index]) for term in branch._terms)
     x = np.abs(modes).astype(float)
     sizes = [r * x + (x * x)[:, None] * c + e * (x * x) + np.eye(2 * n + 1),
              r + 2.0 * x[:, None] * c + 2.0 * e * x, c + e]
@@ -1132,7 +1132,7 @@ class TestVerdicts:
         fold, evaluate = waves._cosine_fold, waves._residual_and_terms
 
         def counted_gather(terms, rows, cols, *rest):
-            size = 2 * terms[1].n_modes + 1
+            size = terms[1].size // 2 + 1
             if len(rows) == size and len(cols) == size:
                 wholes.append(size)
             return gather(terms, rows, cols, *rest)
@@ -1210,6 +1210,31 @@ def counted_solves(monkeypatch):
     return gammas
 
 
+def threshold_waves(monkeypatch):
+    """Record the ``n_modes`` of every wave ``threshold_bisect`` solves, and
+    each ``(model, branch, det)`` of the ``D(0)`` it evaluates."""
+    solved, kept = [], []
+    solve, project = modulation.solve_wave, modulation.projected_det
+
+    def counted(model, *args, n_modes, **kwargs):
+        solved.append(n_modes)
+        return solve(model, *args, n_modes=n_modes, **kwargs)
+
+    def recorded(model, branch, basis, mu):
+        kept.append((model, branch, project(model, branch, basis, mu)))
+        return kept[-1][2]
+
+    monkeypatch.setattr(modulation, "solve_wave", counted)
+    monkeypatch.setattr(modulation, "projected_det", recorded)
+    return solved, kept
+
+
+def search_floor(branch, det):
+    """``threshold_bisect``'s rounding floor of ``D`` at ``branch``."""
+    return (8.0 * np.finfo(float).eps + branch.residual_norm) \
+        * (det.d1 * det.d1 + 4.0 * abs(det.d0 * det.d2))
+
+
 class TestThreshold:
     def test_bisection_brackets_unit_gamma(self):
         for k in (1.0, 2.0):
@@ -1232,7 +1257,9 @@ class TestThreshold:
         # plain regula falsi creeps in from one side; Illinois steps and
         # the midpoint fallback close the bracket to the width
         gammas = []
-        exact_wave = SimpleNamespace(residual_norm=0.0)
+        # flat, so its last cosine passes the mode rule at the first size
+        exact_wave = SimpleNamespace(residual_norm=0.0,
+                                     unit_eta=TrigSeries.zero(16))
 
         def stub_det(model, branch, basis, mu):
             gammas.append(model.gamma)
@@ -1275,3 +1302,84 @@ class TestThreshold:
             threshold_bisect(1.0, 0.01, 0.0, 0.5, n_modes=24)
         with pytest.raises(ValueError, match="bracket"):
             threshold_bisect(1.0, 0.01, 1.5, 2.0, n_modes=24)
+
+    @pytest.mark.parametrize("a,n_modes,doublings,size", [
+        (0.01, 64, [], 16), (0.078, 64, [], 16), (0.45, 64, [16, 32], 64),
+        (0.02, 8, [], 8)])
+    def test_waves_run_on_the_modes_they_carry(self, monkeypatch, a,
+                                               n_modes, doublings, size):
+        # at a k^2 = 0.078 the last of 16 cosines is 2.5e-18 of the largest;
+        # at 0.45 the 32nd is 1.7e-11, and 64 modes, the cap, are kept
+        solved, kept = threshold_waves(monkeypatch)
+        gamma_star = threshold_bisect(1.0, a, 0.3, 1.8, n_modes=n_modes)
+        assert abs(gamma_star - 1.0) <= 1e-6
+        assert solved == doublings + [size] * len(kept)
+        eps = np.finfo(float).eps
+        for _, branch, _ in kept:
+            assert branch.n_modes == size
+            cos = np.abs(branch.unit_eta.cos)
+            assert size == n_modes or cos[-1] <= eps * cos.max()
+
+    def test_a_wave_whose_last_cosine_is_above_eps_doubles(self,
+                                                           monkeypatch):
+        # a k^2 = 0.2: the last of 16 cosines is 3e-12 of the largest, the
+        # last of 32 is 4e-22; later evaluations start from 32
+        solved, kept = threshold_waves(monkeypatch)
+        threshold_bisect(1.0, 0.2, 0.3, 1.8)
+        assert solved == [16] + [32] * len(kept)
+        first = solve_wave(kept[0][0], 0.2, 1.0, n_modes=16)
+        cos = np.abs(first.unit_eta.cos)
+        assert cos[-1] > np.finfo(float).eps * cos.max()
+
+    def test_newton_failing_below_the_cap_doubles(self, monkeypatch):
+        # a solve that fails on fewer modes than the cap is tried on twice
+        # as many; at the cap its failure is the search's
+        solve, fails_below = modulation.solve_wave, [64]
+
+        def failing(model, a, k, n_modes, tol):
+            if n_modes < fails_below[0]:
+                raise ConvergenceError("Newton stub", float(n_modes))
+            return solve(model, a, k, n_modes=n_modes, tol=tol)
+
+        monkeypatch.setattr(modulation, "solve_wave", failing)
+        solved, kept = threshold_waves(monkeypatch)
+        assert abs(threshold_bisect(1.0, 0.02, 0.3, 1.8) - 1.0) <= 1e-9
+        assert solved == [16, 32] + [64] * len(kept)
+        fails_below[0] = 128
+        with pytest.raises(ConvergenceError) as raised:
+            threshold_bisect(1.0, 0.02, 0.3, 1.8)
+        assert raised.value.residual_norm == 64.0
+
+    @pytest.mark.parametrize("k,a,bracket", [
+        (1.0, 0.02, (0.3, 1.8)), (1.2, 0.05, (0.0, 1.5)),
+        (1.0, 0.2, (0.3, 1.8)), (1.0, 0.3, (0.0, 2.0)),
+        (1.0, 0.45, (0.0, 2.0))])
+    def test_the_modes_kept_resolve_d_within_the_floor(self, monkeypatch, k,
+                                                       a, bracket):
+        # D(0) on the N_w modes the search keeps against D(0) on 4 N_w: at
+        # most 0.11 of the floor over these evaluations
+        _, kept = threshold_waves(monkeypatch)
+        threshold_bisect(k, a, *bracket)
+        for model, branch, det in kept:
+            larger = solve_wave(model, a, k, n_modes=4 * branch.n_modes)
+            exact = projected_det(model, larger,
+                                  critical_basis(model, larger), 0.0)
+            assert abs(det.disc - exact.disc) <= search_floor(branch, det)
+
+    @pytest.mark.parametrize("k", [0.8, 1.25])
+    @pytest.mark.parametrize("a_k2", [0.001, 0.005, 0.02, 0.078, 0.2, 0.44])
+    def test_d_at_unit_gamma_is_within_the_floor(self, k, a_k2):
+        # D(a, 0; gamma = 1) vanishes at every order in a: on 64 modes, and
+        # on the modes the search keeps, which then returns that endpoint
+        a, model = a_k2 / k**2, Model("B", gamma=1.0)
+        branch = solve_wave(model, a, k)
+        det = projected_det(model, branch, critical_basis(model, branch), 0.0)
+        assert abs(det.disc) <= search_floor(branch, det)
+        assert threshold_bisect(k, a, 1.0, 2.0) == 1.0
+
+    @pytest.mark.parametrize("k,a", [(1.0, 0.02), (1.1, 0.04), (0.9, 0.01),
+                                     (1.2, 0.05)])
+    @pytest.mark.parametrize("bracket", [(0.3, 1.8), (0.0, 1.5)])
+    def test_threshold_is_unit_gamma_to_1e_9(self, k, a, bracket):
+        # the worst measured is 1.2e-10, at (0.9, 0.01) on [0, 1.5]
+        assert abs(threshold_bisect(k, a, *bracket) - 1.0) <= 1e-9
