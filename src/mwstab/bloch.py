@@ -288,9 +288,9 @@ def one_blas_thread():
 
     A threaded LAPACK call splits its work by the thread count, which moves
     its results at rounding level (at N = 128, the wave and the eigenvalues
-    of its slices), so ``mwstab``'s numeric commands run under this and
-    print the same bytes on every host.  Without OpenBLAS this does
-    nothing.
+    of its slices), so ``mwstab``'s numeric commands and ``parallel_map``
+    run under this (``@one_blas_thread()`` pins each call) and give the
+    same bytes on every host.  Without OpenBLAS this does nothing.
     """
     threads = _openblas_threads()
     if threads is None:
@@ -341,13 +341,15 @@ def _serve_share(fn, items, first, step, read, write):
         os._exit(0)
 
 
+@one_blas_thread()
 def parallel_map(fn, items):
     """``[fn(item) for item in items]``, split over forked processes.
 
     With ``w = _worker_count(len(items))`` above 1, worker ``i`` of
     ``1..w-1`` computes ``items[i::w]`` while this process computes
-    ``items[0::w]``; each runs ``fn`` on the BLAS thread count it inherits,
-    so the results are those of the serial map to the bit, in grid order.
+    ``items[0::w]``.  The whole map, serial or not, runs on one OpenBLAS
+    thread (``one_blas_thread``), so no process oversubscribes the CPUs
+    and the results are those of the serial map to the bit, in grid order.
     A share stops at its first item that raises.  Items a share did not
     deliver, because one raised or its worker died, are computed here
     afterwards in grid order, so the first failing item raises what the

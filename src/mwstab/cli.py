@@ -13,7 +13,6 @@ the converter that reads its value from either source; a command takes
 the flags and keys of the settings it reads alone (``_COMMANDS``).
 """
 
-import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -207,17 +206,7 @@ def _run_keys(config):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _on_one_blas_thread(command):
-    """The command run on one OpenBLAS thread (``bloch.one_blas_thread``),
-    so that none of its bytes depend on the host's thread count."""
-    @functools.wraps(command)
-    def run(args):
-        with one_blas_thread():
-            return command(args)
-    return run
-
-
-@_on_one_blas_thread
+@one_blas_thread()
 def cmd_wave(args):
     config = resolve_config(args)
     branch = solve_wave(config.model_tag(), config.a, config.k,
@@ -232,7 +221,7 @@ def cmd_wave(args):
     return EXIT_OK
 
 
-@_on_one_blas_thread
+@one_blas_thread()
 def cmd_spectrum(args):
     config = resolve_config(args)
     start, stop, count = config.mu_grid or (0.0, 0.5, 201)
@@ -262,7 +251,7 @@ def _spectrum_rows(samples, frequency):
                 frequency(lam.imag[order]).tolist()))
 
 
-@_on_one_blas_thread
+@one_blas_thread()
 def cmd_index(args):
     config = resolve_config(args)
     bisect = args.gamma_lo is not None or args.gamma_hi is not None

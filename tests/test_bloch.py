@@ -414,6 +414,27 @@ class TestParallelMap:
         assert len(forks) == min(count, len(mus)) - 1
         assert_no_worker_left()
 
+    def test_every_slice_runs_on_one_blas_thread(self, monkeypatch, branch,
+                                                 blas_threads):
+        # the caller runs 2 OpenBLAS threads; each slice, in this process
+        # or a worker, serial or forked, sees 1, and the caller keeps 2
+        get, _ = bloch._openblas_threads()
+        solve = bloch.spectrum_slice
+        monkeypatch.setattr(bloch, "spectrum_slice",
+                            lambda pencil: (solve(pencil), get()))
+        mus = np.linspace(0.0, 0.5, 9)
+        sweeps = []
+        for count in (1, 2):
+            allow_cpus(monkeypatch, count)
+            forks = count_forks(monkeypatch)
+            sweeps.append(sweep_mus(MODEL_A, branch, mus))
+            assert len(forks) == count - 1
+            assert_no_worker_left()
+            assert [threads for _, threads in sweeps[-1]] == [1] * len(mus)
+            assert get() == 2
+        serial, forked = ([sample for sample, _ in sweep] for sweep in sweeps)
+        assert_same_samples(forked, serial)
+
     def test_each_process_takes_every_wth_item(self, monkeypatch):
         # this process takes items 0::3, the two workers 1::3 and 2::3
         allow_cpus(monkeypatch, 3)

@@ -389,24 +389,6 @@ class TestSpectrumCommand:
         assert one == default
 
 
-@pytest.fixture
-def blas_threads():
-    """``set(count)`` for numpy's OpenBLAS threads; restored afterwards."""
-    from mwstab import bloch
-
-    threads = bloch._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy's BLAS is not OpenBLAS")
-    get, put = threads
-    before = get()
-    put(2)
-    if get() != 2:
-        put(before)
-        pytest.skip("OpenBLAS runs one thread on this host")
-    yield put
-    put(before)
-
-
 class TestHostThreads:
     def test_wave_and_index_bytes_at_one_and_two_blas_threads(
             self, capsys, blas_threads):

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mwstab
 from mwstab.exact import (Coeff, ScalarSeries, TrigPolySeries,
                           OperatorSeries, ExactEngineError, stokes_series,
                           build_T0a, bch_assemble,
@@ -451,6 +455,21 @@ class TestGolden:
     def test_zero_diffs(self, variant):
         assert check_against_golden(det_and_discriminant(variant),
                                     load_golden(variant)) == []
+
+    def test_the_oracle_loads_no_numpy(self):
+        # the exact path stands alone: with numpy blocked, both models'
+        # golden checks give 0 diffs in a fresh interpreter
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from mwstab.exact import (det_and_discriminant, "
+                "load_golden, check_against_golden)\n"
+                "print([len(check_against_golden(det_and_discriminant(v), "
+                "load_golden(v))) for v in 'AB'])")
+        src = os.path.dirname(os.path.dirname(mwstab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[0, 0]\n"
 
     def test_golden_files_are_nontrivial(self):
         golden = load_golden("A")
