@@ -9,7 +9,6 @@ against golden tables in the test suite.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .ring import Coeff
@@ -58,7 +57,7 @@ def _solve_harmonics(rhs):
             raise ExactEngineError("profile corrections must be even")
         if n == 1:
             raise ExactEngineError("resonant right-hand side at harmonic 1")
-        out._accumulate(key, val / Fraction(1 - n * n))
+        out._accumulate(key, val / (1 - n * n))
     return out
 
 
@@ -79,19 +78,19 @@ def stokes_series(model_variant):
     w1 = TrigPolySeries.basis("cos1", caps=_STOKES_CAPS)
     d1, dd1 = w1.deriv(), w1.deriv(2)
     if model_variant == "A":
-        c0 = Coeff.monomial(Fraction(1, 3), ek=-1, e3=1)  # 1/(sqrt3 k)
+        c0 = Coeff.monomial(1, ek=-1, e3=1) / 3  # 1/(sqrt3 k)
         quad = k2
         m_poly = dd1.scale(c0 * k2 * (-6))  # -s w1'' per unit c2
     else:
         c0 = Coeff.k_power(-2)
-        quad = k2 * Fraction(1, 2)
+        quad = k2 / 2
         m_poly = dd1.scale(-k2)
 
     w2 = _solve_harmonics(((w1 * dd1).scale(2) + d1 * d1).scale(quad))
     l_poly = (w1 * w2.deriv(2) + w2 * dd1 + d1 * w2.deriv()).scale(quad * 2)
     if model_variant == "B":
         l_poly = l_poly + (dd1 * d1 * d1).scale(
-            Coeff.gamma() * Coeff.k_power(4) * Fraction(-1, 2))
+            Coeff.gamma() * Coeff.k_power(4) / -2)
     c2 = -(l_poly.harmonic(1, 0) / m_poly.harmonic(1, 0))
     w3 = _solve_harmonics(l_poly + m_poly.scale(c2))
 
@@ -141,7 +140,7 @@ def build_T0a(stokes):
         op.add((d1 * eta.deriv(2)).scale(g * k4 * (-1)), 1)
         op.add(c.scale(k2 * (-1)), 2)
         _add_d2_of(op, eta.scale(k2))
-        op.add((d1 * d1).scale(g * k4 * Fraction(-1, 2)), 2)
+        op.add((d1 * d1).scale(g * k4 / -2), 2)
     op.add(TrigPolySeries.term(-1))
     return op
 

@@ -19,8 +19,6 @@ Terms from outside are validated where they enter (the constructors,
 ``term``, ``basis``, ``OperatorSeries.add``), not again by arithmetic.
 """
 
-from fractions import Fraction
-
 from .ring import Coeff
 
 __all__ = ["ScalarSeries", "TrigPolySeries", "OperatorSeries",
@@ -34,11 +32,7 @@ class ExactEngineError(ArithmeticError):
 
 
 def _coeff(value):
-    if isinstance(value, Coeff):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Coeff.rational(value)
-    raise TypeError(f"expected Coeff/int/Fraction, got {type(value).__name__}")
+    return value if isinstance(value, Coeff) else Coeff.monomial(value)
 
 
 def _times(val, factor):
@@ -141,12 +135,13 @@ class _Series:
 
     def _product(self, other, out, harmonics):
         """Accumulate into ``out`` every pair of terms: scalar parts
-        multiply, and ``harmonics(tail1, tail2)`` gives the weight and the
-        ``(sign, tail)`` pieces that the trig parts of the two keys combine
-        into, none of them ``sin(0z)``.  The weight depends on ``tail1``
-        alone, so each term of ``self`` is weighted once, and a sign is a
-        negation.  A pair past the caps of ``out``, or with no piece, is
-        skipped before its coefficients are multiplied."""
+        multiply, and ``harmonics(tail1, tail2)`` gives the weight (None
+        for 1) and the ``(sign, tail)`` pieces that the trig parts of the
+        two keys combine into, none of them ``sin(0z)``.  The weight
+        depends on ``tail1`` alone, so each term of ``self`` is weighted
+        once, and a sign is a negation.  A pair past the caps of ``out``,
+        or with no piece, is skipped before its coefficients are
+        multiplied."""
         cap_p, cap_q = out.caps
         for (p1, q1, r1, im1, *tail1), c1 in self.terms.items():
             weighted = None
@@ -158,7 +153,7 @@ class _Series:
                 if not pieces:
                     continue
                 if weighted is None:
-                    weighted = c1 if weight == 1 else c1 * weight
+                    weighted = c1 if weight is None else c1 * weight
                 base = weighted * c2
                 flip = im1 + im2 == 2  # i * i = -1
                 key = (p, q, r1 + r2, (im1 + im2) & 1)
@@ -277,7 +272,7 @@ class ScalarSeries(_Series):
 
 def _scalar_product(tail1, tail2):
     """Scalar keys carry no harmonic."""
-    return 1, [(1, ())]
+    return None, [(1, ())]
 
 
 BASIS_TAGS = {
@@ -286,7 +281,7 @@ BASIS_TAGS = {
 }
 
 
-_HALF = Fraction(1, 2)
+_HALF = Coeff.rational(1, 2)
 
 
 def _trig_product(tail1, tail2):
@@ -307,8 +302,8 @@ def _trig_product(tail1, tail2):
 def _pairing(tail1, tail2):
     """Torus average of two harmonics: 1 (constant), 1/2 or no piece."""
     if tail1 != tail2:
-        return 1, []
-    return (1 if tail1[0] == 0 else _HALF), [(1, ())]
+        return None, []
+    return (None if tail1[0] == 0 else _HALF), [(1, ())]
 
 
 class TrigPolySeries(_Series):

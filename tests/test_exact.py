@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mwstab
 from mwstab.exact import (Coeff, ScalarSeries, TrigPolySeries,
@@ -149,9 +150,13 @@ trig_polys = st.dictionaries(trig_keys, coeffs, max_size=4).map(
 
 
 def assert_reduced(coeff):
-    """The invariants ``Coeff.__init__`` trusts its input to hold."""
+    """The invariants ring arithmetic trusts its terms to hold: each value
+    is a pair of ints reduced as a nonzero Fraction's would be."""
     for (_, e3, eg), val in coeff.terms.items():
-        assert type(val) is Fraction and val != 0
+        assert type(val) is tuple and len(val) == 2
+        num, den = val
+        assert type(num) is int and type(den) is int
+        assert num != 0 and den > 0 and math.gcd(num, den) == 1
         assert e3 in (0, 1) and eg >= 0
 
 
@@ -164,8 +169,8 @@ ring_elements = st.lists(coeffs, max_size=3).map(
 @given(x=ring_elements, y=ring_elements, n=st.integers(-3, 3))
 def test_ring_results_are_reduced(x, y, n):
     """Ring arithmetic builds its results without re-validating them, so
-    every result must already hold nonzero Fractions with ``e3`` reduced
-    to 0 or 1, and cancellation must leave no zero entry behind."""
+    every result must already hold nonzero reduced rationals with ``e3``
+    reduced to 0 or 1, and cancellation must leave no zero entry behind."""
     for result in (x + y, x - y, x * y, -x, x + n, x - n, n - x, x * n,
                    n * x, x - x, x * (x - x)):
         assert_reduced(result)
@@ -178,6 +183,133 @@ def test_ring_results_are_reduced(x, y, n):
         assert n / x == x.reciprocal() * n
     if n:
         assert_reduced(x / n)
+
+
+def reference(coeff):
+    """A ring element as a dict of Fractions, the reference ring below."""
+    return {key: Fraction(*val) for key, val in coeff.terms.items()}
+
+
+def reference_sum(x, y):
+    out = dict(x)
+    for key, val in y.items():
+        out[key] = out.get(key, 0) + val
+    return {key: val for key, val in out.items() if val}
+
+
+def reference_times(x, y):
+    out = {}
+    for (ek1, e31, eg1), f1 in x.items():
+        for (ek2, e32, eg2), f2 in y.items():
+            key = (ek1 + ek2, (e31 + e32) % 2, eg1 + eg2)
+            frac = f1 * f2 * (3 if e31 + e32 == 2 else 1)
+            out[key] = out.get(key, 0) + frac
+    return {key: val for key, val in out.items() if val}
+
+
+def reference_scalar(n):
+    return {(0, 0, 0): Fraction(n)} if n else {}
+
+
+def reference_monomial(key, frac):
+    ek, e3, eg = key
+    parts = [str(frac)] + ["sqrt3"] * e3
+    if eg:
+        parts.append("gamma" if eg == 1 else f"gamma^{eg}")
+    if ek:
+        parts.append("k" if ek == 1 else f"k^{ek}")
+    return "*".join(parts)
+
+
+def reference_canonical(terms):
+    keys = sorted(terms, key=lambda key: (key[2], key[1], key[0]))
+    return " + ".join(reference_monomial(key, terms[key])
+                      for key in keys) or "0"
+
+
+def reference_factored(terms):
+    if len(terms) <= 1 or len({key[:2] for key in terms}) != 1:
+        return reference_canonical(terms)
+    inner = ""
+    for (ek, e3, eg), frac in sorted(terms.items(), key=lambda t: t[0][2]):
+        body = "gamma" if eg == 1 else (f"gamma^{eg}" if eg else "")
+        mag = "" if (abs(frac) == 1 and body) else str(abs(frac))
+        sign = "-" if frac < 0 else ("+" if inner else "")
+        inner += sign + mag + ("*" if mag and body else "") + body
+    tail = reference_monomial((ek, e3, 0), Fraction(1))
+    return f"({inner})*{tail[2:]}" if tail != "1" else f"({inner})"
+
+
+def reference_evalf(terms, k, gamma):
+    return sum((float(frac) * k**ek * (3.0**0.5 if e3 else 1.0) * gamma**eg
+                for (ek, e3, eg), frac in terms.items()), 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=ring_elements, y=ring_elements, n=st.integers(-3, 3),
+       k=st.floats(0.5, 2.0), gamma=st.floats(0.0, 3.0))
+@example(x=Coeff({(2, 1, 0): Fraction(1, 3), (2, 1, 1): Fraction(-1, 3)}),
+         y=Coeff.gamma() * Coeff.k_power(2), n=2, k=1.5, gamma=0.5)
+def test_ring_matches_a_fraction_reference(x, y, n, k, gamma):
+    """Every operation on the int pairs equals the same operation on
+    Fractions, in the text forms, bit for bit in value, and as a ring
+    element rebuilt from the Fractions."""
+    rx, ry, rn = reference(x), reference(y), reference_scalar(n)
+    neg_x, neg_y = ({key: -val for key, val in r.items()} for r in (rx, ry))
+    cases = [(x + y, reference_sum(rx, ry)), (x - y, reference_sum(rx, neg_y)),
+             (x * y, reference_times(rx, ry)), (-x, neg_x),
+             (x + n, reference_sum(rx, rn)),
+             (x - n, reference_sum(rx, reference_scalar(-n))),
+             (n - x, reference_sum(neg_x, rn)),
+             (x * n, reference_times(rx, rn))]
+    if n:
+        cases.append((x / n, reference_times(rx, reference_scalar(
+            Fraction(1, n)))))
+    if len(rx) == 1 and next(iter(rx))[2] == 0:
+        ((ek, e3, _), frac), = rx.items()
+        inverse = {(-ek, e3, 0): 1 / (3 * frac if e3 else frac)}
+        cases += [(x.reciprocal(), inverse),
+                  (n / x, reference_times(inverse, rn))]
+    for got, want in cases:
+        assert got.canonical() == reference_canonical(want)
+        assert got.factored() == reference_factored(want)
+        assert got.evalf(k, gamma) == reference_evalf(want, k, gamma)
+        assert got == Coeff(want)
+
+
+def test_entry_points_accept_int_and_fraction_only():
+    assert Coeff.monomial(True) == Coeff.one() == Coeff.rational(
+        Fraction(2, 3), Fraction(2, 3))
+    assert Coeff.rational(3, -6) == Coeff.monomial(Fraction(-1, 2))
+    for bad in (0.5, "1", np.int64(1)):
+        with pytest.raises(TypeError):
+            Coeff.monomial(bad)
+        with pytest.raises(TypeError):
+            Coeff.rational(bad)
+        with pytest.raises(TypeError):
+            Coeff.rational(1, bad)
+    with pytest.raises(ZeroDivisionError):
+        Coeff.rational(1, 0)
+
+
+def test_model_b_threshold_factor_is_exact():
+    """At mu = 0 the discriminant's complete orders, a^2 and a^4, divide
+    exactly by (1 - gamma)."""
+    disc = det_and_discriminant("B").disc
+    k4, k8 = Coeff.k_power(4), Coeff.k_power(8)
+    assert disc.coefficient(2, 0).divide_one_minus_gamma() == k4
+    assert disc.coefficient(4, 0).divide_one_minus_gamma() == \
+        -(Coeff.gamma() + 3) * k8 / 16
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=ring_elements)
+def test_division_by_one_minus_gamma(x):
+    one_minus_gamma = Coeff.one() - Coeff.gamma()
+    assert (x * one_minus_gamma).divide_one_minus_gamma() == x
+    # gamma leaves the remainder 1 in the k^0 part
+    with pytest.raises(ArithmeticError, match="1 - gamma"):
+        (x * one_minus_gamma + Coeff.gamma()).divide_one_minus_gamma()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
