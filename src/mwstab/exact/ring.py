@@ -7,19 +7,17 @@ model-B parameter ``gamma`` kept as a polynomial generator so threshold
 statements can be certified algebraically.
 """
 
-import sys
+from fractions import Fraction
 from math import gcd
 
 __all__ = ["Coeff"]
 
 
 def _rational(value):
-    """``(num, den)`` of an int or Fraction, else None.  No Fraction exists
-    before ``fractions`` is imported, so the ring never imports it."""
+    """``(num, den)`` of an int or Fraction, else None."""
     if isinstance(value, int):
         return int(value), 1
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
+    if isinstance(value, Fraction):
         return value.numerator, value.denominator
     return None
 
@@ -114,10 +112,12 @@ class Coeff:
         return not self.terms
 
     def __eq__(self, other):
-        other = other if isinstance(other, Coeff) else _lift(other)
-        if other is None:
+        if isinstance(other, Coeff):
+            return self.terms == other.terms
+        pair = _rational(other)
+        if pair is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == ({(0, 0, 0): pair} if pair[0] else {})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -156,14 +156,6 @@ class Coeff:
         other = other if isinstance(other, Coeff) else _lift(other)
         if other is None:
             return NotImplemented
-        if len(self.terms) == 1 == len(other.terms):
-            # monomial times monomial, the common case: one nonzero entry
-            ((ek1, e31, eg1), (n1, d1)), = self.terms.items()
-            ((ek2, e32, eg2), (n2, d2)), = other.terms.items()
-            num, den = n1 * n2 * (3 if e31 and e32 else 1), d1 * d2
-            g = gcd(num, den)
-            return _made({(ek1 + ek2, e31 ^ e32, eg1 + eg2): (num // g,
-                                                              den // g)})
         out = {}
         for (ek1, e31, eg1), (n1, d1) in self.terms.items():
             for (ek2, e32, eg2), (n2, d2) in other.terms.items():
@@ -200,6 +192,8 @@ class Coeff:
 
     def __rtruediv__(self, other):
         """``n / self``, defined for a gamma-free monomial ``self``."""
+        if _rational(other) is None:
+            return NotImplemented
         return self.reciprocal() * other
 
     def divide_one_minus_gamma(self):

@@ -281,6 +281,10 @@ def test_entry_points_accept_int_and_fraction_only():
     assert Coeff.monomial(True) == Coeff.one() == Coeff.rational(
         Fraction(2, 3), Fraction(2, 3))
     assert Coeff.rational(3, -6) == Coeff.monomial(Fraction(-1, 2))
+    for bad in (0.5, "1"):
+        # refused before the reciprocal of a sum is attempted
+        with pytest.raises(TypeError):
+            bad / (Coeff.one() + Coeff.gamma())
     for bad in (0.5, "1", np.int64(1)):
         with pytest.raises(TypeError):
             Coeff.monomial(bad)
