@@ -37,8 +37,10 @@ INFINITE_EIGENVALUE_CUTOFF = 1e8
 
 
 def in_floquet_domain(mu):
-    """Whether ``mu`` is a Floquet exponent: in ``(-1/2, 1/2]``."""
-    return -0.5 < mu <= 0.5
+    """Whether ``mu``, or every point of an array of them, is a Floquet
+    exponent: in ``(-1/2, 1/2]``."""
+    mu = np.asarray(mu, dtype=float)
+    return bool(np.all((-0.5 < mu) & (mu <= 0.5)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ class CollisionRecord:
 class SymmetryReport:
     """Hausdorff defects of the two spectral symmetry maps."""
 
-    mu: float
     hausdorff_reflection: float   # spectrum(mu) vs -conj(spectrum(mu))
     hausdorff_conjugation: float  # spectrum(-mu) vs conj(spectrum(mu))
     tol: float
@@ -110,7 +111,7 @@ def _pencils(block, alpha, mus):
     over a grid of them: the one place the pencil is formed, so the
     pencil on a block is the whole pencil's slice to the bit."""
     mu = np.asarray(mus, dtype=float)
-    if not np.all((-0.5 < mu) & (mu <= 0.5)):
+    if not in_floquet_domain(mu):
         raise ValueError(f"Floquet exponent {mus} outside (-1/2, 1/2]")
     a0, a1, a2 = block
     mu = mu[..., None, None]
@@ -254,7 +255,7 @@ def symmetry_check(sample_plus, sample_minus, tol=1e-8):
     lam = sample_plus.eigenvalues
     h_self = hausdorff_distance(lam, -np.conj(lam))
     h_cross = hausdorff_distance(np.conj(lam), sample_minus.eigenvalues)
-    return SymmetryReport(mu=sample_plus.mu, hausdorff_reflection=h_self,
+    return SymmetryReport(hausdorff_reflection=h_self,
                           hausdorff_conjugation=h_cross, tol=tol)
 
 

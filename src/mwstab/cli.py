@@ -7,15 +7,15 @@ byte-identical files.  Exit codes: 0 success, 1 golden diffs
 (``expand --check-golden``), 2 indeterminate verdict, 3 solver failure,
 4 configuration error.
 
-Each setting a run is resolved from (``RunConfig``) is stated once, in
-``_SETTINGS``: its config-file key, from which its flag is spelled, and
-the converter that reads its value from either source; a command takes
-the flags and keys of the settings it reads alone (``_COMMANDS``).
+Each setting a run is resolved from is stated once, in ``_SETTINGS``:
+its config-file key, from which its flag and its attribute on the
+resolved config are spelled, the converter that reads its value from
+either source, and its default; a command takes the flags and keys of
+the settings it reads alone (``_COMMANDS``).
 """
 
 import json
 import sys
-from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,24 +50,6 @@ class ConfigError(ValueError):
     """Bad flag, config-file entry, or parameter combination."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters; flags override config-file entries."""
-
-    model: str = "A"
-    gamma: float = 0.0
-    k: float = 1.0
-    a: float = 0.02
-    n_modes: int = DEFAULT_N_MODES
-    mu_grid: tuple | None = None
-    tol: float = DEFAULT_TOL
-    out: str | None = None
-    format: str | None = None
-
-    def model_tag(self):
-        return Model(self.model, gamma=self.gamma)
-
-
 def finite_float(text):
     value = float(text)
     if not np.isfinite(value):
@@ -93,13 +75,14 @@ def parse_mu_grid(text):
     return (start, stop, count)
 
 
-#: every setting: config-file key -> converter of its value, in
-#: ``RunConfig``'s field order.  The flag is the key with ``-`` for ``_``
-#: (``--mu-grid``), and ``resolve_config`` checks the ranges of values
-#: from both sources; defaults are ``RunConfig``'s
-_SETTINGS = {"model": str, "gamma": finite_float, "k": finite_float,
-             "a": finite_float, "modes": int, "mu_grid": parse_mu_grid,
-             "tol": finite_float, "out": str, "format": str}
+#: every setting: config-file key -> (converter of its value, default).
+#: The flag is the key with ``-`` for ``_`` (``--mu-grid``), and
+#: ``resolve_config`` checks the ranges of values from both sources
+_SETTINGS = {"model": (str, "A"), "gamma": (finite_float, 0.0),
+             "k": (finite_float, 1.0), "a": (finite_float, 0.02),
+             "modes": (int, DEFAULT_N_MODES), "mu_grid": (parse_mu_grid, None),
+             "tol": (finite_float, DEFAULT_TOL), "out": (str, None),
+             "format": (str, None)}
 
 
 def _convert(convert, text, source):
@@ -142,14 +125,15 @@ def resolve_config(args):
     entries = parse_config_file(path, [key for key in _SETTINGS
                                        if hasattr(args, key)]) if path else {}
     values = {}
-    for field, (key, convert) in zip(fields(RunConfig), _SETTINGS.items()):
+    for key, (convert, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is None and key in entries:
             value = _convert(convert, entries[key],
                              f"bad config value for {key}")
         if value is not None:
-            values[field.name] = value
-    config = RunConfig(**values)
+            values[key] = value
+    config = SimpleNamespace(**({key: default for key, (_, default)
+                                 in _SETTINGS.items()} | values))
     if config.model not in ("A", "B"):
         raise ConfigError(f"model must be A or B, got {config.model!r}")
     if "gamma" in values and config.model == "A":
@@ -159,9 +143,9 @@ def resolve_config(args):
                           "no format")
     if config.k <= 0:
         raise ConfigError("k must be positive")
-    if config.n_modes < 8:
+    if config.modes < 8:
         raise ConfigError("modes must be at least 8")
-    if config.n_modes > MAX_MODES:
+    if config.modes > MAX_MODES:
         raise ConfigError(f"modes must be at most {MAX_MODES}")
     if config.tol <= 0:
         raise ConfigError("tol must be positive")
@@ -209,8 +193,8 @@ def _run_keys(config):
 @one_blas_thread()
 def cmd_wave(args):
     config = resolve_config(args)
-    branch = solve_wave(config.model_tag(), config.a, config.k,
-                        n_modes=config.n_modes, tol=config.tol)
+    branch = solve_wave(Model(config.model, gamma=config.gamma), config.a,
+                        config.k, n_modes=config.modes, tol=config.tol)
     payload = {
         **_run_keys(config),
         "c": branch.c,
@@ -229,9 +213,10 @@ def cmd_spectrum(args):
         raise ConfigError(f"mu grid must lie in the Floquet domain "
                           f"(-1/2, 1/2], got {start!r}:{stop!r}")
     mus = np.linspace(start, stop, count)
-    branch = solve_wave(config.model_tag(), config.a, config.k,
-                        n_modes=config.n_modes, tol=config.tol)
-    samples = sweep_mus(config.model_tag(), branch, mus)
+    model = Model(config.model, gamma=config.gamma)
+    branch = solve_wave(model, config.a, config.k, n_modes=config.modes,
+                        tol=config.tol)
+    samples = sweep_mus(model, branch, mus)
     _emit_chunks(_spectrum_rows(samples, branch.units.frequency), config.out)
     return EXIT_OK
 
@@ -261,12 +246,13 @@ def cmd_index(args):
         if config.model != "B":
             raise ConfigError("the gamma threshold exists for model B only")
     mus = np.linspace(*config.mu_grid or (0.005, 0.05, 10))
-    report = discriminant_sweep(config.model_tag(), config.a, config.k,
-                                mus, n_modes=config.n_modes, tol=config.tol)
+    report = discriminant_sweep(Model(config.model, gamma=config.gamma),
+                                config.a, config.k, mus, n_modes=config.modes,
+                                tol=config.tol)
     threshold = None
     if bisect:
         threshold = threshold_bisect(config.k, config.a, args.gamma_lo,
-                                     args.gamma_hi, n_modes=config.n_modes,
+                                     args.gamma_hi, n_modes=config.modes,
                                      tol=config.tol)
     payload = {
         **_run_keys(config),
@@ -408,7 +394,7 @@ def parse_args(argv):
         raise ConfigError(f"unknown command {command!r} (choose from "
                           f"{', '.join(_COMMANDS)})")
     func, reads, own, defaults = _COMMANDS[command]
-    flags = {"--" + key.replace("_", "-"): _SETTINGS[key]
+    flags = {"--" + key.replace("_", "-"): _SETTINGS[key][0]
              for key in reads.split()} | {"--config": str, **own}
     values = {_attribute(flag): None if convert else False
               for flag, convert in flags.items()}

@@ -187,13 +187,11 @@ class ExactModulation:
     the Bloch operator at ``mu = 0`` and conjugated, and the determinant
     data of the projected pencil."""
 
-    variant: str
     stokes: StokesSeries
     t0a: OperatorSeries
     top: OperatorSeries
     matrix: list
     b: tuple       # (b0, b1, b2) real ScalarSeries in (a, mu)
-    d: tuple       # (d0, d1, d2) with b_j = d_j mu^(2-j)
     disc: ScalarSeries
 
     def disc_leading(self):
@@ -233,9 +231,8 @@ def det_and_discriminant(model_variant):
     d2 = b2
     wide_d = [s.copy(caps=_DISC_CAPS) for s in (d0, d1, d2)]
     disc = wide_d[1] * wide_d[1] + (wide_d[0] * wide_d[2]).scale(4)
-    return ExactModulation(variant=model_variant, stokes=stokes, t0a=t0a,
-                           top=top, matrix=matrix, b=(b0, b1, b2),
-                           d=(d0, d1, d2), disc=disc)
+    return ExactModulation(stokes=stokes, t0a=t0a, top=top, matrix=matrix,
+                           b=(b0, b1, b2), disc=disc)
 
 
 # ---------------------------------------------------------------------------

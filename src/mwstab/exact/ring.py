@@ -100,8 +100,8 @@ class Coeff:
         return cls.monomial(1, eg=1)
 
     @classmethod
-    def k_power(cls, ek, value=1):
-        return cls.monomial(value, ek=ek)
+    def k_power(cls, ek):
+        return cls.monomial(1, ek=ek)
 
     # ----- ring operations ------------------------------------------------
 

@@ -35,15 +35,6 @@ def _coeff(value):
     return value if isinstance(value, Coeff) else Coeff.monomial(value)
 
 
-def _times(val, factor):
-    """``val * factor``, without multiplying by a unit int or Coeff."""
-    if factor == 1:
-        return val
-    if factor == -1:
-        return -val
-    return val * factor
-
-
 class _Series:
     """Shared sparse-dict plumbing; subclasses fix the key layout."""
 
@@ -130,7 +121,7 @@ class _Series:
             p, q, r, im = key[:4]
             im += dim  # i^im: bit 0 is the marker, bit 1 the sign
             out._accumulate((p + dp, q + dq, r + dr, im & 1) + key[4:],
-                            _times(val, factors[im >> 1 & 1]))
+                            val * factors[im >> 1 & 1])
         return out
 
     def _product(self, other, out, harmonics):
@@ -340,7 +331,7 @@ class TrigPolySeries(_Series):
                 n, par = key[4:]
                 if n:
                     step._accumulate(key[:4] + (n, 1 - par),
-                                     _times(val, n if par else -n))
+                                     val * (n if par else -n))
             out = step
         return out
 
@@ -354,17 +345,13 @@ class TrigPolySeries(_Series):
             raise TypeError("inner expects a TrigPolySeries")
         return self._product(other, ScalarSeries(caps=self.caps), _pairing)
 
-    def harmonic(self, n, par, p=None, q=None, r=0, im=0):
-        """Collect the coefficient of one harmonic (optionally filtered)."""
+    def harmonic(self, n, par, p=None):
+        """Collect the real, lambda-free coefficient of one harmonic, of
+        every a-power or only of ``a^p``."""
         total = Coeff.zero()
-        for (tp, tq, tr, tim, tn, tpar), val in self.terms.items():
-            if (tn, tpar) != (n, par) or (tr, tim) != (r, im):
-                continue
-            if p is not None and tp != p:
-                continue
-            if q is not None and tq != q:
-                continue
-            total = total + val
+        for (tp, _, tr, tim, tn, tpar), val in self.terms.items():
+            if (tn, tpar, tr, tim) == (n, par, 0, 0) and p in (None, tp):
+                total = total + val
         return total
 
 
@@ -404,7 +391,7 @@ class OperatorSeries(_Series):
         for (p, q, r, im, n, par, s), val in self.terms.items():
             if s == 0:
                 continue
-            out._accumulate((p, q, r, im, n, par, s - 1), _times(val, s))
+            out._accumulate((p, q, r, im, n, par, s - 1), val * s)
         return out
 
     def apply(self, func):

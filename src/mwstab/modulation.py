@@ -97,8 +97,6 @@ class CriticalBasis:
 
     phi1: TrigSeries
     phi2: TrigSeries
-    a: float
-    k: float
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,6 @@ class QuadraticDet:
     """Coefficients of the projected determinant at one ``mu``."""
 
     mu: float
-    a: float
-    k: float
     b0: float
     b1: float
     b2: float
@@ -130,9 +126,6 @@ class QuadraticDet:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    model: Model
-    a: float
-    k: float
     verdict: str
     disc_samples: tuple
     max_growth: float
@@ -154,8 +147,7 @@ def critical_basis(model, branch):
     phi1 = TrigSeries.sine(1, n) if branch.unit_a == 0 \
         else TrigSeries(np.zeros(n + 1),
                         branch.unit_eta.deriv().sin / -branch.unit_a)
-    return CriticalBasis(phi1=phi1, phi2=branch_derivative(branch),
-                         a=branch.a, k=branch.k)
+    return CriticalBasis(phi1=phi1, phi2=branch_derivative(branch))
 
 
 def _det_polynomials(model, branch, basis):
@@ -210,14 +202,14 @@ def _band_edge(d):
     return float(np.sqrt(min(roots))) if roots else None
 
 
-def _quadratic_det(d, mu, a, units):
+def _quadratic_det(d, mu, units):
     """``QuadraticDet`` at ``mu`` from ``_det_polynomials``, in ``units``
     (``d_j`` scales as a frequency to the power ``-j``, ``D`` as ``d2``)."""
     d0, d1, d2 = d[:, 0] + d[:, 1] * (mu * mu)
     disc = units.frequency(d1 * d1 + 4.0 * d0 * d2, -2)
     d1, d2 = units.frequency(d1, -1), units.frequency(d2, -2)
-    return QuadraticDet(mu=mu, a=a, k=units.k, b0=d0 * mu * mu, b1=d1 * mu,
-                        b2=d2, d0=d0, d1=d1, d2=d2, disc=disc)
+    return QuadraticDet(mu=mu, b0=d0 * mu * mu, b1=d1 * mu, b2=d2, d0=d0,
+                        d1=d1, d2=d2, disc=disc)
 
 
 def projected_det(model, branch, basis, mu):
@@ -227,7 +219,7 @@ def projected_det(model, branch, basis, mu):
     if not abs(mu) <= 0.2:
         raise ValueError("projection is meaningful only for |mu| <= 0.2")
     d = _det_polynomials(model, branch, basis)
-    return _quadratic_det(d, mu, branch.a, branch.units)
+    return _quadratic_det(d, mu, branch.units)
 
 
 def _critical_shift(model, mus):
@@ -482,8 +474,7 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
     d = _det_polynomials(model, branch, basis)
 
     unit_a, shown = branch.unit_a, branch.units
-    dets = [_quadratic_det(d, mu, unit_a, Units(model, 1.0))
-            for mu in mu_grid]
+    dets = [_quadratic_det(d, mu, Units(model, 1.0)) for mu in mu_grid]
     omega = _critical_pairs(model, branch, [mu for mu in mu_grid if mu != 0.0])
     # Re(i omega) = -Im(omega); 0.0 first: of equal items max keeps the
     # first, so -0.0 reads 0.0
@@ -502,11 +493,10 @@ def discriminant_sweep(model, a, k, mu_grid, n_modes=DEFAULT_N_MODES,
         if growth >= 10.0 * implied:
             verdict = "unstable"
     return StabilityReport(
-        model=model, a=a, k=k, verdict=verdict,
-        disc_samples=tuple((d.mu, shown.frequency(d.disc, -2))
-                           for d in dets),
+        verdict=verdict,
+        disc_samples=tuple((d.mu, shown.frequency(d.disc, -2)) for d in dets),
         max_growth=shown.frequency(growth),
-        disc_at_zero=_quadratic_det(d, 0.0, a, shown).disc,
+        disc_at_zero=_quadratic_det(d, 0.0, shown).disc,
         band_edge=_band_edge(d))
 
 

@@ -192,6 +192,21 @@ class TestPencilAssembly:
         with pytest.raises(ValueError):
             assemble_pencil(MODEL_A, branch, 0.7)
 
+    def test_pencils_are_built_in_the_floquet_domain(self):
+        # the pencil refuses what bloch.in_floquet_domain refuses, with
+        # the pencil's message, and the predicate reads arrays whole
+        branch = flat_branch(MODEL_A)
+        for mu in (-0.5, np.nan, 0.5 + 1e-12):
+            assert not bloch.in_floquet_domain(mu)
+            with pytest.raises(ValueError, match=r"outside \(-1/2, 1/2\]"):
+                assemble_pencil(MODEL_A, branch, mu)
+        assert bloch.in_floquet_domain(0.5)
+        assert assemble_pencil(MODEL_A, branch, 0.5).mu == 0.5
+        grid = np.array([-0.25, 0.0, 0.5])
+        assert bloch.in_floquet_domain(grid)
+        assert not bloch.in_floquet_domain(np.append(grid, -0.5))
+        assert not bloch.in_floquet_domain(np.append(grid, np.nan))
+
     @pytest.mark.parametrize("other", [Model("B", gamma=2.0),
                                        Model("A", gamma=1.0)])
     @pytest.mark.parametrize("n_modes", [None, 8])

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwstab import cli
-from mwstab.cli import (main, RunConfig, parse_mu_grid,
+from mwstab.cli import (main, parse_mu_grid,
                         resolve_config, ConfigError,
                         EXIT_OK, EXIT_INDETERMINATE, EXIT_SOLVER, EXIT_CONFIG)
 
@@ -36,9 +37,9 @@ class TestConfigPlumbing:
                 parse_mu_grid(text)
 
     def test_config_file_round_trip(self, tmp_path):
-        config = RunConfig(model="B", gamma=2.0, k=1.5, a=0.03, n_modes=32,
-                           mu_grid=(0.001, 0.01, 5), tol=1e-11,
-                           out=None, format="json")
+        config = SimpleNamespace(model="B", gamma=2.0, k=1.5, a=0.03,
+                                 modes=32, mu_grid=(0.001, 0.01, 5),
+                                 tol=1e-11, out=None, format="json")
         path = tmp_path / "run.cfg"
         path.write_text("model = B\ngamma = 2.0\nk = 1.5\na = 0.03\n"
                         "modes = 32\nmu_grid = 0.001:0.01:5\ntol = 1e-11\n"
@@ -92,6 +93,9 @@ SETTING_VALUES = {
     "out": ("run.json", "."),
     "format": ("csv", "xml"),
 }
+
+#: the config ``resolve_config`` gives when no setting is set
+UNSET = resolve_config(SimpleNamespace())
 
 
 #: command -> the settings it reads, and its own flags' attributes
@@ -161,6 +165,17 @@ class TestSettingsTable:
             slots += len(args) - 1  # a flag for each but func
         assert slots == 37 and len(READ_PAIRS) == 28  # config-file keys
 
+    def test_nothing_set_resolves_to_the_defaults(self, tmp_path):
+        defaults = {key: default
+                    for key, (_, default) in cli._SETTINGS.items()}
+        assert vars(UNSET) == defaults and list(vars(UNSET)) == list(defaults)
+        path = tmp_path / "empty.cfg"
+        path.write_text("")
+        for command in READS:
+            config = resolve_config(cli.parse_args([command, "--config",
+                                                    str(path)]))
+            assert config == UNSET
+
     @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
     def test_file_value_resolves_as_its_flag(self, tmp_path, key):
         value = SETTING_VALUES[key][0]
@@ -168,9 +183,8 @@ class TestSettingsTable:
         command = _reader(key)
         from_flag = resolve_config(cli.parse_args([command, *flags]))
         from_file = resolve_config(cli.parse_args([command, *file]))
-        assert from_file == from_flag != RunConfig()
-        field = "n_modes" if key == "modes" else key
-        assert getattr(from_flag, field) == cli._SETTINGS[key](value)
+        assert from_file == from_flag != UNSET
+        assert getattr(from_flag, key) == cli._SETTINGS[key][0](value)
 
     @pytest.mark.parametrize("command, key", READ_PAIRS)
     def test_read_setting_resolves_from_flag_and_file(self, tmp_path,
@@ -178,7 +192,7 @@ class TestSettingsTable:
         flags, file = _flag_and_file(tmp_path, key, SETTING_VALUES[key][0])
         from_flag = resolve_config(cli.parse_args([command, *flags]))
         from_file = resolve_config(cli.parse_args([command, *file]))
-        assert from_file == from_flag != RunConfig()
+        assert from_file == from_flag != UNSET
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("command, key", UNREAD_PAIRS)
@@ -837,7 +851,7 @@ class TestArgumentErrors:
     def test_modes_cap_admits_its_value(self):
         config = resolve_config(cli.parse_args(
             ["wave", "--modes", str(cli.MAX_MODES)]))
-        assert config.n_modes == cli.MAX_MODES
+        assert config.modes == cli.MAX_MODES
 
     @pytest.mark.parametrize("argv", [
         ("wave", "--k"),

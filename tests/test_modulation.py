@@ -226,7 +226,7 @@ class TestProjectedDet:
         from mwstab.modulation import CriticalBasis
         n = branch_a005.n_modes
         broken = CriticalBasis(phi1=TrigSeries.zero(n),
-                               phi2=TrigSeries.cosine(1, n), a=0.05, k=1.0)
+                               phi2=TrigSeries.cosine(1, n))
         with pytest.raises(ArithmeticError, match="degenerate"):
             projected_det(MODEL_A, branch_a005, broken, 0.01)
 
@@ -1265,7 +1265,7 @@ class TestThreshold:
             gammas.append(model.gamma)
             disc = model.gamma ** power - 0.5
             return modulation.QuadraticDet(
-                mu=mu, a=0.01, k=1.0, b0=0.0, b1=0.0, b2=1.0,
+                mu=mu, b0=0.0, b1=0.0, b2=1.0,
                 d0=(disc - 1.0) / 4.0, d1=1.0, d2=1.0, disc=disc)
 
         # an exact wave: the root test's residual allowance is 0
